@@ -28,7 +28,7 @@ import numpy as np
 from .graph import Dag
 from .linalg import DEFAULT_TOL, pencil_expand, project
 from .mle import MleEstimate, full_mle, omega_mle
-from .stabilise import InvalidPerturbationError, Perturbation, is_perturbation
+from .stabilise import Perturbation
 
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
@@ -37,22 +37,21 @@ DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DIVERGENCE_FACTOR = 10.0
 
 
-def _coerce(f, fp, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Validate and unpack a (sample, perturbation) pair."""
+def _coerce(f, fp, tol: float) -> Perturbation:
+    """Validate a (sample, perturbation) pair once.
+
+    A :class:`Perturbation` was validated when it was built and is returned
+    as it is (``f`` may then be ``None``); raw arrays are validated here.
+    Internal calls pass the returned object on, so one public call runs the
+    perturbation predicate at most once.
+    """
     if isinstance(fp, Perturbation):
         if f is not None:
             F = np.asarray(f, dtype=float)
             if F.shape != fp.base.shape or not np.array_equal(F, fp.base):
                 raise ValueError("sample does not match the perturbation's base")
-        return fp.base, fp.delta
-    F = np.asarray(f, dtype=float)
-    P = np.asarray(fp, dtype=float)
-    check = is_perturbation(F, P, tol)
-    if not check:
-        raise InvalidPerturbationError(
-            f"not a perturbation; failed conditions: {', '.join(check.failures)}"
-        )
-    return F, P
+        return fp
+    return Perturbation(f, fp, tol)
 
 
 def _vertex_system(F: np.ndarray, P: np.ndarray, g: Dag, i: int):
@@ -71,10 +70,10 @@ def vertex_system(f, fp, g: Dag, i: int, tol: float = DEFAULT_TOL):
     pieces to :func:`limit_solve_numeric` or :func:`dagstab.pencil_expand`
     to study a single vertex in isolation.
     """
-    F, P = _coerce(f, fp, tol)
+    pert = _coerce(f, fp, tol)
     if i not in g.child_vertices():
         raise ValueError(f"vertex {i} has no parents")
-    return _vertex_system(F, P, g, i)
+    return _vertex_system(pert.base, pert.delta, g, i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +125,7 @@ def mle_at_epsilon(f, fp, g: Dag, eps: float, tol: float = DEFAULT_TOL) -> MleEs
     """
     if eps == 0:
         raise ValueError("eps must be nonzero; the limit operations handle eps -> 0")
-    F, P = _coerce(f, fp, tol)
-    est = full_mle(F + eps * P, g, tol)
+    est = full_mle(_coerce(f, fp, tol).scaled(eps), g, tol)
     bad = [i for i, d in est.lambda_kernel_dims.items() if d != 0]
     bad += [i for i, ok in est.omega_exists.items() if not ok]
     if bad:
@@ -245,9 +243,8 @@ def limit_mle_numeric(
     zero at the combined tolerance/extrapolation-error scale.
     """
     grid = _check_grid(eps_grid)
-    F, P = _coerce(f, fp, tol)
-    n = F.shape[0]
-    estimates = [mle_at_epsilon(F, P, g, eps, tol) for eps in grid]
+    pert = _coerce(f, fp, tol)
+    estimates = [mle_at_epsilon(None, pert, g, eps, tol) for eps in grid]
 
     lam: dict[tuple[int, int], float] = {}
     err: dict[int, float] = {}
@@ -276,7 +273,7 @@ def limit_mle_numeric(
         else:
             omega_exists[i] = False
 
-    eps_ind = check_lambda_condition(F, P, g, tol) if not diverged_vertices else {}
+    eps_ind = check_lambda_condition(None, pert, g, tol) if not diverged_vertices else {}
     return LimitResult(
         lam=lam,
         omega=omega,
@@ -298,7 +295,8 @@ def limit_lambda_analytic(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResul
     docstring; the limit solves the degenerate normal system of ``f`` at
     that vertex.
     """
-    F, P = _coerce(f, fp, tol)
+    pert = _coerce(f, fp, tol)
+    F, P = pert.base, pert.delta
     lam: dict[tuple[int, int], float] = {}
     diagnostics: dict[int, VertexDiagnostics] = {}
     for i in g.child_vertices():
@@ -320,7 +318,7 @@ def limit_lambda_analytic(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResul
         omega={},
         omega_exists={},
         method="analytic",
-        epsilon_independent=check_lambda_condition(F, P, g, tol),
+        epsilon_independent=check_lambda_condition(None, pert, g, tol),
         diagnostics=diagnostics,
     )
 
@@ -334,8 +332,9 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
     MLE given ``f``, which is asserted.  Otherwise the record is labelled
     ``partial`` (edge-weight limit plus the existing variance entries).
     """
-    F, P = _coerce(f, fp, tol)
-    lpart = limit_lambda_analytic(F, P, g, tol)
+    pert = _coerce(f, fp, tol)
+    F, P = pert.base, pert.delta
+    lpart = limit_lambda_analytic(None, pert, g, tol)
     opart = omega_mle(F, g, tol)
     result = LimitResult(
         lam=lpart.lam,
@@ -369,7 +368,8 @@ def check_lambda_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int,
     stabilisation being an edge-weight MLE given ``f`` (and to the estimate
     being independent of ``eps`` along the path).
     """
-    F, P = _coerce(f, fp, tol)
+    pert = _coerce(f, fp, tol)
+    F, P = pert.base, pert.delta
     out: dict[int, bool] = {}
     for i in g.child_vertices():
         A, E, b, v = _vertex_system(F, P, g, i)
@@ -392,7 +392,8 @@ def check_full_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int, b
     perturbation column there is nonzero (the shift vanishes along the
     ``eps -> 0`` path, so the limit machinery is unaffected).
     """
-    F, P = _coerce(f, fp, tol)
+    pert = _coerce(f, fp, tol)
+    F, P = pert.base, pert.delta
     out: dict[int, bool] = {}
     for i in g.child_vertices():
         A, E, b, v = _vertex_system(F, P, g, i)

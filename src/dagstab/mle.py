@@ -10,6 +10,15 @@ coefficients of the parent columns in the orthogonal projection of
 ``Y^(i)`` onto their span; the variance estimate is ``1/n`` times the
 squared residual of that projection, and exists only when the residual is
 strictly positive.  All functions are pure and thread-safe.
+
+Every estimator and the classification read one fit of the whole sample.
+Vertices are grouped by parent count ``p`` and each group's parent
+submatrices go through one stacked ``n x p`` SVD; the rank at
+``tol * sigma_max``, the minimum-norm coefficients, the projection and
+the residual all come from it.  ``classify`` also needs the rank of each
+parent-and-self submatrix, which it reads from a batched SVD of a
+``(min(n, p) + 1) x (p + 1)`` matrix built from the same factors.  The
+sample is validated once per public call.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import EXISTS_NON_UNIQUE, EXISTS_UNIQUE, NONEXISTENT, Dag
-from .linalg import DEFAULT_TOL, kernel_basis, min_norm_solve, project, rank
+from .linalg import DEFAULT_TOL, kernel_basis
 
 # Geometric-invariant-theory aliases for the three classification outcomes.
 GIT_LABELS = {
@@ -38,16 +47,16 @@ def _as_sample(Y) -> np.ndarray:
     return A
 
 
-def _check_shapes(Y: np.ndarray, g: Dag) -> None:
-    if Y.shape[1] != g.m:
-        raise ValueError(f"sample has {Y.shape[1]} columns but the DAG has {g.m} vertices")
+def _validated(Y, g: Dag) -> np.ndarray:
+    A = _as_sample(Y)
+    if A.shape[1] != g.m:
+        raise ValueError(f"sample has {A.shape[1]} columns but the DAG has {g.m} vertices")
+    return A
 
 
 def parent_columns(Y, g: Dag, i: int) -> np.ndarray:
     """Submatrix of ``Y`` with columns indexed by the parents of ``i``."""
-    A = _as_sample(Y)
-    _check_shapes(A, g)
-    return A[:, [j - 1 for j in g.parents(i)]]
+    return _validated(Y, g)[:, [j - 1 for j in g.parents(i)]]
 
 
 @dataclass(frozen=True)
@@ -105,9 +114,104 @@ def duplicate(Y, k: int) -> np.ndarray:
     return np.vstack([A] * k)
 
 
-def _residual_exists(resid: np.ndarray, col: np.ndarray, tol: float) -> bool:
+@dataclass(frozen=True, eq=False)
+class _Fit:
+    """Per-vertex projection data, indexed by vertex ``i - 1``.
+
+    ``coef`` holds the minimum-norm parent coefficients, ``rank`` the rank
+    of the parent columns, ``resid_sq`` the squared projection residual and
+    ``exists`` the strict-positivity decision on it.  ``self_rank`` is the
+    rank of the parent-and-self columns, computed only on request and only
+    when every residual is positive.
+    """
+
+    coef: list[np.ndarray]
+    rank: np.ndarray
+    resid_sq: np.ndarray
+    exists: np.ndarray
+    self_rank: np.ndarray | None
+
+
+def _fit(A: np.ndarray, g: Dag, tol: float, self_rank: bool = False) -> _Fit:
+    """Project every column of a validated sample onto its parent columns.
+
+    Vertices with equally many parents share one stacked SVD.  With
+    ``P = U S V^T`` and ``r`` the count of singular values above
+    ``tol * sigma_max`` (the test of :func:`dagstab.linalg.rank`), the
+    minimum-norm coefficients are ``V_r S_r^-1 U_r^T y`` and the projection
+    is ``U_r U_r^T y``.
+
+    ``[P | y]`` equals ``[U, q]`` times the small matrix
+    ``[[S V^T, U^T y], [0, |y - U U^T y|]]`` with ``[U, q]`` orthonormal, so
+    both have the same singular values; with ``self_rank`` the
+    parent-and-self rank is read from the small one, but only when every
+    residual is positive (otherwise it decides nothing).
+    """
+    m = A.shape[1]
+    parents = [g.parents(i) for i in range(1, m + 1)]
+    groups: dict[int, list[int]] = {}
+    for i, pa in enumerate(parents):
+        groups.setdefault(len(pa), []).append(i)
+    coef = [np.zeros(0)] * m
+    rank = np.zeros(m, dtype=int)
+    resid_sq = np.empty(m)
+    small: list[tuple[list[int], np.ndarray]] = []
+    for p, v in groups.items():
+        Y = A[:, v].T
+        if p == 0:
+            resid_sq[v] = np.einsum("bn,bn->b", Y, Y)
+            continue
+        idx = np.array([parents[i] for i in v]) - 1
+        P = A.T[idx].transpose(0, 2, 1)
+        U, s, Vt = np.linalg.svd(P, full_matrices=False)
+        keep = s > tol * s[:, :1]
+        c = (Y[:, None, :] @ U)[:, 0, :]
+        c_kept = np.where(keep, c, 0.0)
+        x = (np.divide(c_kept, s, out=np.zeros_like(c), where=keep)[:, None, :] @ Vt)[:, 0, :]
+        R = Y - (U @ c_kept[:, :, None])[:, :, 0]
+        resid_sq[v] = np.einsum("bn,bn->b", R, R)
+        rank[v] = keep.sum(axis=1)
+        for i, row in zip(v, x):
+            coef[i] = row
+        if self_rank:
+            k = s.shape[1]
+            R_all = Y - (U @ c[:, :, None])[:, :, 0]
+            M = np.zeros((len(v), k + 1, p + 1))
+            M[:, :k, :p] = s[:, :, None] * Vt
+            M[:, :k, p] = c
+            M[:, k, p] = np.sqrt(np.einsum("bn,bn->b", R_all, R_all))
+            small.append((v, M))
     # "strictly positive residual" read with a relative floating-point margin
-    return float(np.linalg.norm(resid)) > tol * (1.0 + float(np.linalg.norm(col)))
+    exists = np.sqrt(resid_sq) > tol * (1.0 + np.sqrt(np.einsum("nm,nm->m", A, A)))
+    srank = None
+    if self_rank and exists.all():
+        # a source column with a positive residual is nonzero: rank 1
+        srank = np.ones(m, dtype=int)
+        for v, M in small:
+            sm = np.linalg.svd(M, compute_uv=False)
+            srank[v] = (sm > tol * sm[:, :1]).sum(axis=1)
+    return _Fit(coef, rank, resid_sq, exists, srank)
+
+
+def _lambda_part(fit: _Fit, g: Dag) -> tuple[dict, dict]:
+    lam: dict[tuple[int, int], float] = {}
+    kdims: dict[int, int] = {}
+    for i in range(1, g.m + 1):
+        pa = g.parents(i)
+        for j, value in zip(pa, fit.coef[i - 1].tolist()):
+            lam[(i, j)] = value
+        kdims[i] = len(pa) - int(fit.rank[i - 1])
+    return lam, kdims
+
+
+def _omega_part(fit: _Fit, n: int) -> tuple[dict, dict]:
+    omega: dict[int, float] = {}
+    exists: dict[int, bool] = {}
+    for k, (ok, sq) in enumerate(zip(fit.exists.tolist(), fit.resid_sq.tolist())):
+        exists[k + 1] = ok
+        if ok:
+            omega[k + 1] = sq / n
+    return omega, exists
 
 
 def lambda_mle(Y, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:
@@ -117,20 +221,7 @@ def lambda_mle(Y, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:
     is returned, with the kernel dimension of the parent submatrix recording
     the size of the full solution set.
     """
-    A = _as_sample(Y)
-    _check_shapes(A, g)
-    lam: dict[tuple[int, int], float] = {}
-    kdims: dict[int, int] = {}
-    for i in range(1, g.m + 1):
-        pa = g.parents(i)
-        if not pa:
-            kdims[i] = 0
-            continue
-        P = A[:, [j - 1 for j in pa]]
-        x = min_norm_solve(P, A[:, i - 1], tol)
-        for j, value in zip(pa, x):
-            lam[(i, j)] = float(value)
-        kdims[i] = len(pa) - rank(P, tol)
+    lam, kdims = _lambda_part(_fit(_validated(Y, g), g, tol), g)
     return MleEstimate(lam=lam, lambda_kernel_dims=kdims)
 
 
@@ -144,32 +235,18 @@ def lambda_kernel_basis(Y, g: Dag, i: int, tol: float = DEFAULT_TOL) -> np.ndarr
 def omega_mle(Y, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:
     """Variance MLE given ``Y``; marked absent wherever the projection
     residual vanishes.  Unique whenever it exists."""
-    A = _as_sample(Y)
-    _check_shapes(A, g)
-    n = A.shape[0]
-    omega: dict[int, float] = {}
-    exists: dict[int, bool] = {}
-    for i in range(1, g.m + 1):
-        col = A[:, i - 1]
-        resid = col - project(col, parent_columns(A, g, i), tol)
-        if _residual_exists(resid, col, tol):
-            exists[i] = True
-            omega[i] = float(resid @ resid) / n
-        else:
-            exists[i] = False
+    A = _validated(Y, g)
+    omega, exists = _omega_part(_fit(A, g, tol), A.shape[0])
     return MleEstimate(omega=omega, omega_exists=exists)
 
 
 def full_mle(Y, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:
     """Combined edge-weight and variance estimates given ``Y``."""
-    lpart = lambda_mle(Y, g, tol)
-    opart = omega_mle(Y, g, tol)
-    return MleEstimate(
-        lam=lpart.lam,
-        lambda_kernel_dims=lpart.lambda_kernel_dims,
-        omega=opart.omega,
-        omega_exists=opart.omega_exists,
-    )
+    A = _validated(Y, g)
+    fit = _fit(A, g, tol)
+    lam, kdims = _lambda_part(fit, g)
+    omega, exists = _omega_part(fit, A.shape[0])
+    return MleEstimate(lam=lam, lambda_kernel_dims=kdims, omega=omega, omega_exists=exists)
 
 
 def classify(Y, g: Dag, tol: float = DEFAULT_TOL) -> Classification:
@@ -178,31 +255,22 @@ def classify(Y, g: Dag, tol: float = DEFAULT_TOL) -> Classification:
     Nonexistent iff some column lies in its parent span (the span of an
     empty parent set is the zero space, so a zero column always certifies
     nonexistence).  Unique iff every parent-and-self submatrix has full
-    column rank.
+    column rank.  The witness is the lowest-numbered certifying vertex.
     """
-    A = _as_sample(Y)
-    _check_shapes(A, g)
-    for i in range(1, g.m + 1):
-        col = A[:, i - 1]
-        resid = col - project(col, parent_columns(A, g, i), tol)
-        if not _residual_exists(resid, col, tol):
-            return Classification(NONEXISTENT, GIT_LABELS[NONEXISTENT], i)
-    for i in range(1, g.m + 1):
-        cols = sorted(g.parents(i) + [i])
-        sub = A[:, [c - 1 for c in cols]]
-        if rank(sub, tol) < len(cols):
-            return Classification(EXISTS_NON_UNIQUE, GIT_LABELS[EXISTS_NON_UNIQUE], i)
+    fit = _fit(_validated(Y, g), g, tol, self_rank=True)
+    absent = np.flatnonzero(~fit.exists)
+    if absent.size:
+        return Classification(NONEXISTENT, GIT_LABELS[NONEXISTENT], int(absent[0]) + 1)
+    sizes = np.array([len(g.parents(i)) + 1 for i in range(1, g.m + 1)])
+    deficient = np.flatnonzero(fit.self_rank < sizes)
+    if deficient.size:
+        return Classification(
+            EXISTS_NON_UNIQUE, GIT_LABELS[EXISTS_NON_UNIQUE], int(deficient[0]) + 1
+        )
     return Classification(EXISTS_UNIQUE, GIT_LABELS[EXISTS_UNIQUE], None)
 
 
-def is_lambda_mle(
-    Y, g: Dag, lam: dict[tuple[int, int], float], tol: float = DEFAULT_TOL
-) -> bool:
-    """Verify that ``lam`` solves the per-vertex normal equations of ``Y``,
-    i.e. that it is an edge-weight MLE given ``Y`` (not necessarily the
-    minimum-norm one)."""
-    A = _as_sample(Y)
-    _check_shapes(A, g)
+def _solves_normal_equations(A: np.ndarray, g: Dag, lam, tol: float) -> bool:
     for (i, j) in lam:
         if not g.has_edge(j, i):
             raise ValueError(f"edge weight given for non-edge {j} -> {i}")
@@ -220,20 +288,30 @@ def is_lambda_mle(
     return True
 
 
+def is_lambda_mle(
+    Y, g: Dag, lam: dict[tuple[int, int], float], tol: float = DEFAULT_TOL
+) -> bool:
+    """Verify that ``lam`` solves the per-vertex normal equations of ``Y``,
+    i.e. that it is an edge-weight MLE given ``Y`` (not necessarily the
+    minimum-norm one)."""
+    return _solves_normal_equations(_validated(Y, g), g, lam, tol)
+
+
 def is_mle(Y, g: Dag, est: MleEstimate, tol: float = DEFAULT_TOL) -> bool:
     """Verify that ``est`` is an MLE given ``Y``: the edge weights solve the
     normal equations, the variance MLE exists at every vertex, and the
     variance entries match the projection residuals."""
-    A = _as_sample(Y)
-    if not is_lambda_mle(A, g, est.lam, tol):
+    A = _validated(Y, g)
+    if not _solves_normal_equations(A, g, est.lam, tol):
         return False
-    reference = omega_mle(A, g, tol)
-    if not reference.all_omega_exist(g):
+    fit = _fit(A, g, tol)
+    if not fit.exists.all():
         return False
+    n = A.shape[0]
     for i in range(1, g.m + 1):
         if not est.omega_exists.get(i, False) or i not in est.omega:
             return False
-        ref = reference.omega[i]
+        ref = float(fit.resid_sq[i - 1]) / n
         if abs(est.omega[i] - ref) > tol * (1.0 + abs(ref)):
             return False
     return True

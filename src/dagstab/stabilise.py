@@ -329,17 +329,11 @@ def stabilize(f, fp, tol: float = DEFAULT_TOL) -> np.ndarray:
     asserted; failure signals numerically inconsistent input.
     """
     if isinstance(fp, Perturbation):
-        F, P = fp.base, fp.delta
-        if f is not None and not np.array_equal(_as_matrix(f, "sample"), F):
+        if f is not None and not np.array_equal(_as_matrix(f, "sample"), fp.base):
             raise ValueError("sample does not match the perturbation's base")
     else:
-        F = _as_matrix(f, "sample")
-        P = _as_matrix(fp, "perturbation")
-        check = is_perturbation(F, P, tol)
-        if not check:
-            raise InvalidPerturbationError(
-                f"not a perturbation; failed conditions: {', '.join(check.failures)}"
-            )
+        fp = Perturbation(f, fp, tol)
+    F, P = fp.base, fp.delta
     out = F + P
     m = F.shape[1]
     got = rank(out, tol)
@@ -365,6 +359,10 @@ def random_lift(f, seed: int, tol: float = DEFAULT_TOL) -> CollineationLift:
     n, m = F.shape
     if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
         raise ValueError("seed must be an unsigned 64-bit integer")
+    if not 0 < tol < 1:
+        # at tol >= 1 no stage map has rank above zero, so the kernel
+        # never shrinks and the stages never end
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
     rng = np.random.default_rng(seed)
     bump = seed
 

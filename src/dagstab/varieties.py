@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import NONEXISTENT, Dag, is_star
-from .linalg import DEFAULT_TOL, min_norm_solve
-from .mle import MleEstimate, classify, is_mle, lambda_mle, omega_mle, parent_columns
+from .linalg import DEFAULT_TOL
+from .mle import MleEstimate, classify, full_mle, is_mle
 from .limits import check_alpha_fixed, limit_lambda_analytic
 from .stabilise import is_perturbation
 
@@ -120,17 +120,4 @@ def star_min_norm_mle(f, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:
         raise ValueError(
             f"no MLE exists given the sample (witness vertex {status.witness})"
         )
-    hub = g.child_vertices()[0]
-    F = np.asarray(f, dtype=float)
-    x = min_norm_solve(parent_columns(F, g, hub), F[:, hub - 1], tol)
-    base = lambda_mle(F, g, tol)
-    lam = dict(base.lam)
-    for j, value in zip(g.parents(hub), x):
-        lam[(hub, j)] = float(value)
-    opart = omega_mle(F, g, tol)
-    return MleEstimate(
-        lam=lam,
-        lambda_kernel_dims=base.lambda_kernel_dims,
-        omega=opart.omega,
-        omega_exists=opart.omega_exists,
-    )
+    return full_mle(f, g, tol)

@@ -151,6 +151,29 @@ class TestStabilize:
         code, _ = run_cli(tmp_path, problem, "stabilize", "--seed", "1")
         assert code == EXIT_SEMANTIC
 
+    @pytest.mark.parametrize(
+        "settings,flags,code,message",
+        [
+            ({"tol": 1.5, "seed": 7}, [], EXIT_SCHEMA, "maximum of 1"),
+            ({"seed": 7}, ["--tol", "1.5"], EXIT_SEMANTIC, "tol must lie strictly between 0 and 1"),
+        ],
+        ids=["file", "flag"],
+    )
+    def test_rejects_tol_of_one_or_more(self, tmp_path, settings, flags, code, message):
+        # at tol >= 1 the lift sampler would never terminate
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(collider_problem(Y_DEP, settings=settings)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dagstab.cli", "stabilize", "--input", str(path), *flags],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestLimit:
     def test_dependent_line(self, tmp_path):

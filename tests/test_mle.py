@@ -15,8 +15,9 @@ from dagstab import (
     omega_mle,
 )
 from dagstab.graph import EXISTS_NON_UNIQUE, EXISTS_UNIQUE, NONEXISTENT
-from dagstab.mle import MleEstimate
-from _helpers import collider, random_transitive_dag
+from dagstab.linalg import DEFAULT_TOL, min_norm_solve, project, rank
+from dagstab.mle import GIT_LABELS, MleEstimate
+from _helpers import collider, random_rank_deficient, random_transitive_dag
 
 # The worked three-variable example: two observations of three variables,
 # columns (1,0), (0,1), (1,1) / (1,0), (1,0), (0,1) / the 3x3 identity.
@@ -266,3 +267,117 @@ class TestInvariants:
             omega_exists={1: True, 2: True, 3: True},
         )
         assert not is_mle(Y_DEP, g, dep)
+
+
+# -- the grouped fit against the per-vertex loop it replaced -----------------
+
+# Fixed before the grouped fit was written: coefficient vectors and variances
+# agree with the per-vertex reference within this relative distance.
+REFERENCE_RTOL = 1e-9
+
+
+def _reference_mle(Y, g: Dag, tol: float = DEFAULT_TOL):
+    """One least-squares solve, one projection and one rank per vertex."""
+    lam, kdims, omega, exists = {}, {}, {}, {}
+    for i in range(1, g.m + 1):
+        pa = g.parents(i)
+        P = Y[:, [j - 1 for j in pa]]
+        col = Y[:, i - 1]
+        if pa:
+            lam.update(zip([(i, j) for j in pa], min_norm_solve(P, col, tol)))
+        kdims[i] = len(pa) - rank(P, tol)
+        resid = col - project(col, P, tol)
+        exists[i] = bool(np.linalg.norm(resid) > tol * (1.0 + np.linalg.norm(col)))
+        if exists[i]:
+            omega[i] = float(resid @ resid) / Y.shape[0]
+    return MleEstimate(lam=lam, lambda_kernel_dims=kdims, omega=omega, omega_exists=exists)
+
+
+def _reference_classify(Y, g: Dag, tol: float = DEFAULT_TOL):
+    ref = _reference_mle(Y, g, tol)
+    for i in range(1, g.m + 1):
+        if not ref.omega_exists[i]:
+            return NONEXISTENT, i
+    for i in range(1, g.m + 1):
+        cols = sorted(g.parents(i) + [i])
+        if rank(Y[:, [c - 1 for c in cols]], tol) < len(cols):
+            return EXISTS_NON_UNIQUE, i
+    return EXISTS_UNIQUE, None
+
+
+def _mixed_dag() -> Dag:
+    # parent counts 0, 1, 1, 2, 2, 3, 0, 4, 4
+    return Dag(9, [(1, 2), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5), (1, 6), (3, 6),
+                   (5, 6), (2, 8), (4, 8), (6, 8), (7, 8), (5, 9), (6, 9), (7, 9), (8, 9)])
+
+
+def _reference_cases():
+    rng = np.random.default_rng(2311)
+    mixed = _mixed_dag()
+    cases = [
+        ("mixed-full-rank", rng.standard_normal((12, 9)), mixed),
+        ("mixed-rank-5", random_rank_deficient(rng, 12, 9, 5), mixed),
+        ("rank-1", random_rank_deficient(rng, 6, 9, 1), mixed),
+        ("rank-1-one-row", rng.standard_normal((1, 9)), mixed),
+    ]
+    wide = Dag(7, [(j, 7) for j in range(1, 7)] + [(j, 6) for j in range(1, 6)] + [(1, 4), (2, 4)])
+    cases.append(("more-parents-than-rows", rng.standard_normal((3, 7)), wide))
+
+    Y = rng.standard_normal((8, 9))
+    Y[:, 6] = Y[:, 3]       # vertex 7 duplicates vertex 4, both parents of 8
+    cases.append(("duplicated-parents", Y, mixed))
+    Y = Y.copy()
+    Y[:, 1] = 0.0           # zero parent column of vertices 3, 4 and 8
+    cases.append(("zero-and-duplicated-parents", Y, mixed))
+    Y = Y.copy()
+    Y[:, 2] = 0.0           # zero target with parent 2
+    cases.append(("zero-target", Y, mixed))
+    Y = rng.standard_normal((8, 9))
+    Y[:, 5] = Y[:, 2]       # vertex 6 repeats its parent 3
+    cases.append(("target-duplicates-parent", Y, mixed))
+
+    scales = 10.0 ** rng.permutation(np.linspace(-6.0, 6.0, 9))
+    cases.append(("scaled-1e-6-to-1e6", rng.standard_normal((15, 9)) * scales, mixed))
+    cases.append(("scaled-rank-4", random_rank_deficient(rng, 15, 9, 4) * scales, mixed))
+    for trial in range(12):
+        m = int(rng.integers(2, 9))
+        n = int(rng.integers(1, m + 3))
+        Y = random_rank_deficient(rng, n, m, int(rng.integers(1, min(n, m) + 1)))
+        cases.append((f"random-{trial}", Y, random_transitive_dag(rng, m)))
+    return cases
+
+
+def _assert_close(actual, expected, what):
+    dist = float(np.linalg.norm(np.asarray(actual) - np.asarray(expected)))
+    assert dist <= REFERENCE_RTOL * float(np.linalg.norm(expected)), (what, actual, expected)
+
+
+class TestGroupedFitMatchesPerVertexLoop:
+    @pytest.mark.parametrize(
+        "Y,g", [pytest.param(Y, g, id=label) for label, Y, g in _reference_cases()]
+    )
+    def test_matches_reference(self, Y, g):
+        ref = _reference_mle(Y, g)
+        est = full_mle(Y, g)
+        lpart = lambda_mle(Y, g)
+        opart = omega_mle(Y, g)
+        assert est.lambda_kernel_dims == lpart.lambda_kernel_dims == ref.lambda_kernel_dims
+        assert est.omega_exists == opart.omega_exists == ref.omega_exists
+        assert est.lam.keys() == lpart.lam.keys() == ref.lam.keys()
+        assert est.omega.keys() == opart.omega.keys() == ref.omega.keys()
+        for i in g.child_vertices():
+            expected = ref.lambda_vector(g, i)
+            _assert_close(est.lambda_vector(g, i), expected, ("lambda", i))
+            _assert_close(lpart.lambda_vector(g, i), expected, ("lambda", i))
+        for i, value in ref.omega.items():
+            _assert_close(est.omega[i], value, ("omega", i))
+            _assert_close(opart.omega[i], value, ("omega", i))
+        c = classify(Y, g)
+        assert (c.status, c.witness) == _reference_classify(Y, g)
+        assert c.git_label == GIT_LABELS[c.status]
+        if ref.all_omega_exist(g):
+            assert is_mle(Y, g, ref)
+
+    def test_cases_cover_every_status(self):
+        seen = {_reference_classify(Y, g)[0] for _, Y, g in _reference_cases()}
+        assert seen == {NONEXISTENT, EXISTS_NON_UNIQUE, EXISTS_UNIQUE}

@@ -225,6 +225,11 @@ class TestRandomLift:
         with pytest.raises(ValueError, match="duplicate"):
             random_lift(np.zeros((2, 4)), seed=0)
 
+    @pytest.mark.parametrize("tol", [1.0, 1.5, 0.0, -1e-10])
+    def test_rejects_tol_outside_unit_interval(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            random_lift(np.zeros((4, 2)), seed=7, tol=tol)
+
 
 def test_deep_lift_chain():
     # force a five-term lift on a rank-1 sample with a four-dimensional
