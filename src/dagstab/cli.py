@@ -7,6 +7,10 @@ PATH`` or stdout).  Problem files are validated against
 cycles or shape mismatches exit with code 3.  Reports validate against
 ``schema/report.json``.
 
+``tol`` (from ``--tol`` or the file) must lie strictly between 0 and 1, and
+the epsilon grid (from ``--eps-grid`` or the file) must be finite, positive
+and strictly decreasing; anything else exits with code 3.
+
 Floats are serialised at 17 significant digits, so identical input and seed
 produce byte-identical output.
 """
@@ -23,7 +27,7 @@ import jsonschema
 import numpy as np
 
 from . import graph, limits, mle, stabilise, varieties
-from .linalg import DEFAULT_TOL, rank
+from .linalg import DEFAULT_TOL, _as_matrix, rank
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -106,18 +110,14 @@ class Problem:
         rows = data["sample"]
         if any(len(r) != m for r in rows):
             raise SemanticError(f"every sample row must have {m} entries")
-        self.sample = np.array(rows, dtype=float)
-        if not np.all(np.isfinite(self.sample)):
-            raise SemanticError("sample entries must be finite")
+        self.sample = _as_matrix(rows, "sample")
 
         self.perturbation = None
         if "perturbation" in data:
             prows = data["perturbation"]
             if len(prows) != len(rows) or any(len(r) != m for r in prows):
                 raise SemanticError("perturbation must have the same shape as the sample")
-            self.perturbation = np.array(prows, dtype=float)
-            if not np.all(np.isfinite(self.perturbation)):
-                raise SemanticError("perturbation entries must be finite")
+            self.perturbation = _as_matrix(prows, "perturbation")
 
         self.alpha = None
         if "alpha" in data:
@@ -125,20 +125,13 @@ class Problem:
 
         settings = data.get("settings", {})
         self.tol = settings.get("tol")
-        self.seed = settings.get("seed")
+        self.seed = _check_seed(settings.get("seed"))
         self.eps_grid = settings.get("epsilonGrid")
         if self.eps_grid is not None:
-            self._check_grid(self.eps_grid)
-        if self.seed is not None and not (0 <= self.seed < 2**64):
-            raise SemanticError("seed must fit in an unsigned 64-bit integer")
-
-    @staticmethod
-    def _check_grid(values) -> None:
-        if any(values[k + 1] >= values[k] for k in range(len(values) - 1)):
-            raise SemanticError("epsilonGrid must be strictly decreasing")
+            self.eps_grid = limits._check_grid(self.eps_grid)
 
     def _vertex(self, value, what: str) -> int:
-        if float(value) != int(value):
+        if not float(value).is_integer():
             raise SemanticError(f"{what} index {value} is not an integer")
         i = int(value)
         if not (1 <= i <= self.g.m):
@@ -152,16 +145,25 @@ class Problem:
             j = self._vertex(triple[1], "alpha lambda parent")
             if not self.g.has_edge(j, i):
                 raise SemanticError(f"alpha lambda entry for non-edge {j} -> {i}")
-            lam[(i, j)] = float(triple[2])
+            value = float(triple[2])
+            if not math.isfinite(value):
+                raise SemanticError(f"alpha lambda entry for {j} -> {i} must be finite")
+            lam[(i, j)] = value
         omega = {}
         for pair in adef.get("omega", []):
             i = self._vertex(pair[0], "alpha omega vertex")
             value = float(pair[1])
-            if value <= 0:
-                raise SemanticError(f"alpha omega at vertex {i} must be positive")
+            if not 0 < value < math.inf:
+                raise SemanticError(f"alpha omega at vertex {i} must be positive and finite")
             omega[i] = value
         exists = {i: True for i in omega}
         return mle.MleEstimate(lam=lam, omega=omega, omega_exists=exists)
+
+
+def _check_seed(seed):
+    if seed is not None and not (0 <= seed < 2**64):
+        raise SemanticError("seed must fit in an unsigned 64-bit integer")
+    return seed
 
 
 def _read_input(path: str) -> dict:
@@ -208,11 +210,13 @@ def _maybe_duplicate(problem: Problem) -> tuple[np.ndarray, dict | None]:
 
 def _resolve_perturbation(problem: Problem, seed, tol):
     """Explicit perturbation, or one drawn from the seed (with duplication
-    when observations are scarce).  Returns (sample, delta, seed, dup, stages)."""
+    when observations are scarce), validated once.  Returns
+    (perturbation, seed, dup, stages)."""
     if problem.perturbation is not None and seed is not None:
         raise SemanticError("give either a perturbation or a seed, not both")
     if problem.perturbation is not None:
-        return problem.sample, problem.perturbation, None, None, None
+        pert = stabilise.Perturbation(problem.sample, problem.perturbation, tol)
+        return pert, None, None, None
     if seed is None:
         raise SemanticError("this command needs a perturbation or a seed")
     Y, dup = _maybe_duplicate(problem)
@@ -226,7 +230,7 @@ def _resolve_perturbation(problem: Problem, seed, tol):
         }
         for st in lift.stages
     ]
-    return Y, pert.delta, seed, dup, stages
+    return pert, seed, dup, stages
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +282,14 @@ def cmd_estimate(problem: Problem, tol: float, seed, eps_grid) -> dict:
 
 
 def cmd_stabilize(problem: Problem, tol: float, seed, eps_grid) -> dict:
-    Y, delta, used_seed, dup, stages = _resolve_perturbation(problem, seed, tol)
-    stabilised = stabilise.stabilize(Y, delta, tol)
+    pert, used_seed, dup, stages = _resolve_perturbation(problem, seed, tol)
+    stabilised = stabilise.stabilize(None, pert, tol)
     return {
         "command": "stabilize",
         "tol": tol,
         "seed": used_seed,
         "duplicated": dup,
-        "perturbation": [[float(x) for x in row] for row in delta],
+        "perturbation": [[float(x) for x in row] for row in pert.delta],
         "stabilised": [[float(x) for x in row] for row in stabilised],
         "rank": rank(stabilised, tol),
         "stages": stages,
@@ -294,10 +298,10 @@ def cmd_stabilize(problem: Problem, tol: float, seed, eps_grid) -> dict:
 
 def cmd_limit(problem: Problem, tol: float, seed, eps_grid) -> dict:
     g = problem.g
-    Y, delta, used_seed, _, _ = _resolve_perturbation(problem, seed, tol)
-    grid = tuple(eps_grid) if eps_grid is not None else limits.DEFAULT_EPS_GRID
-    analytic = limits.limit_mle(Y, delta, g, tol)
-    numeric = limits.limit_mle_numeric(Y, delta, g, grid, tol)
+    pert, used_seed, _, _ = _resolve_perturbation(problem, seed, tol)
+    grid = eps_grid if eps_grid is not None else limits.DEFAULT_EPS_GRID
+    analytic = limits.limit_mle(None, pert, g, tol)
+    numeric = limits.limit_mle_numeric(None, pert, g, grid, tol)
     agreement = None
     numeric_map = None
     if not numeric.diverged:
@@ -341,14 +345,12 @@ def cmd_limit(problem: Problem, tol: float, seed, eps_grid) -> dict:
 
 def cmd_check(problem: Problem, tol: float, seed, eps_grid) -> dict:
     g = problem.g
-    Y, delta, _, _, _ = _resolve_perturbation(problem, seed, tol)
-    lambda_cond = limits.check_lambda_condition(Y, delta, g, tol)
-    full_cond = limits.check_full_condition(Y, delta, g, tol)
+    pert, _, _, _ = _resolve_perturbation(problem, seed, tol)
+    lambda_cond = limits.check_lambda_condition(None, pert, g, tol)
+    full_cond = limits.check_full_condition(None, pert, g, tol)
     alpha_fixed = None
     if problem.alpha is not None:
-        alpha_fixed = _vertex_map(
-            limits.check_alpha_fixed(delta, problem.alpha.lam, g, tol)
-        )
+        alpha_fixed = _vertex_map(limits.check_alpha_fixed(pert, problem.alpha.lam, g, tol))
     return {
         "command": "check",
         "tol": tol,
@@ -372,11 +374,10 @@ def cmd_membership(problem: Problem, tol: float, seed, eps_grid) -> dict:
         tol=tol,
     )
     member = varieties.in_Xf(query)
-    alpha_is_mle = (
-        mle.classify(problem.sample, g, tol).status != graph.NONEXISTENT
-        and mle.is_mle(problem.sample, g, problem.alpha, max(tol, 1e-8))
-    )
-    in_alpha = varieties.in_Xf_alpha(query) if alpha_is_mle else None
+    try:
+        in_alpha, alpha_is_mle = varieties.in_Xf_alpha(query), True
+    except varieties.AlphaNotMleError:
+        in_alpha, alpha_is_mle = None, False
     return {
         "command": "membership",
         "tol": tol,
@@ -416,22 +417,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--eps-grid",
             default=None,
-            help="comma-separated decreasing positive values",
+            help="comma-separated finite, positive, strictly decreasing values",
         )
     return parser
 
 
-def _parse_eps_grid(text: str) -> list[float]:
+def _parse_eps_grid(text: str) -> tuple[float, ...]:
     try:
         values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise SemanticError(f"bad epsilon grid: {exc}") from exc
-    if not values:
-        raise SemanticError("epsilon grid is empty")
-    Problem._check_grid(values)
-    if any(v <= 0 for v in values):
-        raise SemanticError("epsilon grid values must be positive")
-    return values
+    return limits._check_grid(values)
 
 
 def main(argv=None) -> int:
@@ -449,11 +445,9 @@ def main(argv=None) -> int:
     try:
         problem = Problem(data)
         tol = args.tol if args.tol is not None else (problem.tol or DEFAULT_TOL)
-        if tol <= 0:
-            raise SemanticError("tol must be positive")
-        seed = args.seed if args.seed is not None else problem.seed
-        if seed is not None and not (0 <= seed < 2**64):
-            raise SemanticError("seed must fit in an unsigned 64-bit integer")
+        if not 0 < tol < 1:
+            raise SemanticError(f"tol must lie strictly between 0 and 1, got {tol!r}")
+        seed = problem.seed if args.seed is None else _check_seed(args.seed)
         if args.eps_grid is not None:
             eps_grid = _parse_eps_grid(args.eps_grid)
         else:

@@ -21,37 +21,21 @@ The two routes are independent and cross-validate each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Dag
-from .linalg import DEFAULT_TOL, pencil_expand, project
+from .linalg import DEFAULT_TOL, _as_matrix, pencil_expand, project
 from .mle import MleEstimate, full_mle, omega_mle
-from .stabilise import Perturbation
+from .stabilise import Perturbation, _as_perturbation
 
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 # Minimum geometric growth of the coefficient-vector norms at the tail of
 # the grid for the path to count as divergent.
 DIVERGENCE_FACTOR = 10.0
-
-
-def _coerce(f, fp, tol: float) -> Perturbation:
-    """Validate a (sample, perturbation) pair once.
-
-    A :class:`Perturbation` was validated when it was built and is returned
-    as it is (``f`` may then be ``None``); raw arrays are validated here.
-    Internal calls pass the returned object on, so one public call runs the
-    perturbation predicate at most once.
-    """
-    if isinstance(fp, Perturbation):
-        if f is not None:
-            F = np.asarray(f, dtype=float)
-            if F.shape != fp.base.shape or not np.array_equal(F, fp.base):
-                raise ValueError("sample does not match the perturbation's base")
-        return fp
-    return Perturbation(f, fp, tol)
 
 
 def _vertex_system(F: np.ndarray, P: np.ndarray, g: Dag, i: int):
@@ -70,7 +54,7 @@ def vertex_system(f, fp, g: Dag, i: int, tol: float = DEFAULT_TOL):
     pieces to :func:`limit_solve_numeric` or :func:`dagstab.pencil_expand`
     to study a single vertex in isolation.
     """
-    pert = _coerce(f, fp, tol)
+    pert = _as_perturbation(f, fp, tol, g.m)
     if i not in g.child_vertices():
         raise ValueError(f"vertex {i} has no parents")
     return _vertex_system(pert.base, pert.delta, g, i)
@@ -125,7 +109,7 @@ def mle_at_epsilon(f, fp, g: Dag, eps: float, tol: float = DEFAULT_TOL) -> MleEs
     """
     if eps == 0:
         raise ValueError("eps must be nonzero; the limit operations handle eps -> 0")
-    est = full_mle(_coerce(f, fp, tol).scaled(eps), g, tol)
+    est = full_mle(_as_perturbation(f, fp, tol, g.m).scaled(eps), g, tol)
     bad = [i for i, d in est.lambda_kernel_dims.items() if d != 0]
     bad += [i for i, ok in est.omega_exists.items() if not ok]
     if bad:
@@ -225,6 +209,8 @@ def _check_grid(eps_grid) -> tuple[float, ...]:
     grid = tuple(float(e) for e in eps_grid)
     if not grid:
         raise ValueError("epsilon grid must be non-empty")
+    if not all(math.isfinite(e) for e in grid):
+        raise ValueError("epsilon grid entries must be finite")
     if any(e <= 0 for e in grid) or any(
         grid[k + 1] >= grid[k] for k in range(len(grid) - 1)
     ):
@@ -243,7 +229,7 @@ def limit_mle_numeric(
     zero at the combined tolerance/extrapolation-error scale.
     """
     grid = _check_grid(eps_grid)
-    pert = _coerce(f, fp, tol)
+    pert = _as_perturbation(f, fp, tol, g.m)
     estimates = [mle_at_epsilon(None, pert, g, eps, tol) for eps in grid]
 
     lam: dict[tuple[int, int], float] = {}
@@ -295,7 +281,7 @@ def limit_lambda_analytic(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResul
     docstring; the limit solves the degenerate normal system of ``f`` at
     that vertex.
     """
-    pert = _coerce(f, fp, tol)
+    pert = _as_perturbation(f, fp, tol, g.m)
     F, P = pert.base, pert.delta
     lam: dict[tuple[int, int], float] = {}
     diagnostics: dict[int, VertexDiagnostics] = {}
@@ -332,7 +318,7 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
     MLE given ``f``, which is asserted.  Otherwise the record is labelled
     ``partial`` (edge-weight limit plus the existing variance entries).
     """
-    pert = _coerce(f, fp, tol)
+    pert = _as_perturbation(f, fp, tol, g.m)
     F, P = pert.base, pert.delta
     lpart = limit_lambda_analytic(None, pert, g, tol)
     opart = omega_mle(F, g, tol)
@@ -368,7 +354,7 @@ def check_lambda_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int,
     stabilisation being an edge-weight MLE given ``f`` (and to the estimate
     being independent of ``eps`` along the path).
     """
-    pert = _coerce(f, fp, tol)
+    pert = _as_perturbation(f, fp, tol, g.m)
     F, P = pert.base, pert.delta
     out: dict[int, bool] = {}
     for i in g.child_vertices():
@@ -392,7 +378,7 @@ def check_full_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int, b
     perturbation column there is nonzero (the shift vanishes along the
     ``eps -> 0`` path, so the limit machinery is unaffected).
     """
-    pert = _coerce(f, fp, tol)
+    pert = _as_perturbation(f, fp, tol, g.m)
     F, P = pert.base, pert.delta
     out: dict[int, bool] = {}
     for i in g.child_vertices():
@@ -421,10 +407,9 @@ def check_alpha_fixed(
     for (i, j) in alpha_lambda:
         if not g.has_edge(j, i):
             raise ValueError(f"edge weight given for non-edge {j} -> {i}")
-    if isinstance(fp, Perturbation):
-        P = fp.delta
-    else:
-        P = np.asarray(fp, dtype=float)
+    P = fp.delta if isinstance(fp, Perturbation) else _as_matrix(fp, "perturbation")
+    if P.shape[1] != g.m:
+        raise ValueError(f"perturbation has {P.shape[1]} columns but the DAG has {g.m} vertices")
     out: dict[int, bool] = {}
     for i in g.child_vertices():
         v_i = P[:, i - 1]

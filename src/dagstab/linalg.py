@@ -25,12 +25,13 @@ DEFAULT_TOL = 1e-10
 FIRST_NONZERO_TOL = 1e-9
 
 
-def _as_matrix(M) -> np.ndarray:
+def _as_matrix(M, name: str = "matrix") -> np.ndarray:
+    """The one check of a finite 2-d array; ``name`` labels the errors."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {A.shape}")
+        raise ValueError(f"{name} must be a 2-d array, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
+        raise ValueError(f"{name} entries must be finite")
     return A
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import EXISTS_NON_UNIQUE, EXISTS_UNIQUE, NONEXISTENT, Dag
-from .linalg import DEFAULT_TOL, kernel_basis
+from .linalg import DEFAULT_TOL, _as_matrix, kernel_basis
 
 # Geometric-invariant-theory aliases for the three classification outcomes.
 GIT_LABELS = {
@@ -39,11 +39,9 @@ GIT_LABELS = {
 
 
 def _as_sample(Y) -> np.ndarray:
-    A = np.asarray(Y, dtype=float)
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-        raise ValueError(f"sample must be a non-empty 2-d array, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("sample entries must be finite")
+    A = _as_matrix(Y, "sample")
+    if A.size == 0:
+        raise ValueError(f"sample must be non-empty, got shape {A.shape}")
     return A
 
 
@@ -52,11 +50,6 @@ def _validated(Y, g: Dag) -> np.ndarray:
     if A.shape[1] != g.m:
         raise ValueError(f"sample has {A.shape[1]} columns but the DAG has {g.m} vertices")
     return A
-
-
-def parent_columns(Y, g: Dag, i: int) -> np.ndarray:
-    """Submatrix of ``Y`` with columns indexed by the parents of ``i``."""
-    return _validated(Y, g)[:, [j - 1 for j in g.parents(i)]]
 
 
 @dataclass(frozen=True)
@@ -228,8 +221,7 @@ def lambda_mle(Y, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:
 def lambda_kernel_basis(Y, g: Dag, i: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the translate space of the edge-weight solution
     set at child ``i`` (the kernel of the parent submatrix)."""
-    P = parent_columns(Y, g, i)
-    return kernel_basis(P, tol)
+    return kernel_basis(_validated(Y, g)[:, [j - 1 for j in g.parents(i)]], tol)
 
 
 def omega_mle(Y, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:
@@ -283,7 +275,7 @@ def _solves_normal_equations(A: np.ndarray, g: Dag, lam, tol: float) -> bool:
         b = A[:, i - 1]
         resid = P.T @ (b - P @ x)
         scale = 1.0 + np.linalg.norm(P.T @ b) + np.linalg.norm(P.T @ P) * np.linalg.norm(x)
-        if np.linalg.norm(resid) > tol * scale:
+        if not np.linalg.norm(resid) <= tol * scale:  # NaN fails too
             return False
     return True
 
@@ -312,7 +304,7 @@ def is_mle(Y, g: Dag, est: MleEstimate, tol: float = DEFAULT_TOL) -> bool:
         if not est.omega_exists.get(i, False) or i not in est.omega:
             return False
         ref = float(fit.resid_sq[i - 1]) / n
-        if abs(est.omega[i] - ref) > tol * (1.0 + abs(ref)):
+        if not abs(est.omega[i] - ref) <= tol * (1.0 + abs(ref)):
             return False
     return True
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    _as_matrix,
     image_basis,
     kernel_basis,
     orth_complement,
@@ -38,15 +39,6 @@ class InvalidPerturbationError(ValueError):
 
 class InvalidLiftError(ValueError):
     """Raised when a collineation lift violates its structural invariants."""
-
-
-def _as_matrix(M, name: str) -> np.ndarray:
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d array, got shape {A.shape}")
-    if A.size and not np.all(np.isfinite(A)):
-        raise ValueError(f"{name} entries must be finite")
-    return A
 
 
 def _require_tall(f: np.ndarray) -> None:
@@ -147,8 +139,8 @@ class Perturbation:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        F = _as_matrix(self.base, "sample").copy()
-        P = _as_matrix(self.delta, "perturbation").copy()
+        F = np.array(self.base, dtype=float)
+        P = np.array(self.delta, dtype=float)
         check = is_perturbation(F, P, self.tol)
         if not check:
             raise InvalidPerturbationError(
@@ -166,6 +158,26 @@ class Perturbation:
     def scaled(self, eps: float) -> np.ndarray:
         """The perturbed sample ``base + eps * delta``."""
         return self.base + eps * self.delta
+
+
+def _as_perturbation(f, fp, tol: float, m: int | None = None) -> Perturbation:
+    """Validate a (sample, perturbation) pair once.
+
+    A :class:`Perturbation` was validated when it was built and is returned
+    as it is (``f`` may then be ``None``); raw arrays are validated here.
+    Callers pass the returned object on, so one public call runs the
+    perturbation predicate at most once.  With ``m`` (the vertex count of a
+    DAG) the pair must have ``m`` columns.
+    """
+    if isinstance(fp, Perturbation):
+        if f is not None and not np.array_equal(np.asarray(f, dtype=float), fp.base):
+            raise ValueError("sample does not match the perturbation's base")
+        pert = fp
+    else:
+        pert = Perturbation(f, fp, tol)
+    if m is not None and pert.base.shape[1] != m:
+        raise ValueError(f"sample has {pert.base.shape[1]} columns but the DAG has {m} vertices")
+    return pert
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,11 +326,10 @@ def build_from_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> Perturb
     orthogonal projection because the kernels are nested.
     """
     validate_lift(lift, tol)
-    F = _as_matrix(lift.base, "sample")
-    delta = np.zeros_like(F)
+    delta = np.zeros(np.shape(lift.base))
     for st in lift.stages:
         delta += st.as_matrix()
-    return Perturbation(F, delta, tol)
+    return Perturbation(lift.base, delta, tol)
 
 
 def stabilize(f, fp, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -328,14 +339,9 @@ def stabilize(f, fp, tol: float = DEFAULT_TOL) -> np.ndarray:
     :class:`Perturbation`.  The result always has full column rank, which is
     asserted; failure signals numerically inconsistent input.
     """
-    if isinstance(fp, Perturbation):
-        if f is not None and not np.array_equal(_as_matrix(f, "sample"), fp.base):
-            raise ValueError("sample does not match the perturbation's base")
-    else:
-        fp = Perturbation(f, fp, tol)
-    F, P = fp.base, fp.delta
-    out = F + P
-    m = F.shape[1]
+    pert = _as_perturbation(f, fp, tol)
+    out = pert.base + pert.delta
+    m = out.shape[1]
     got = rank(out, tol)
     if got != m:
         raise ValueError(

@@ -24,7 +24,7 @@ from .graph import NONEXISTENT, Dag, is_star
 from .linalg import DEFAULT_TOL
 from .mle import MleEstimate, classify, full_mle, is_mle
 from .limits import check_alpha_fixed, limit_lambda_analytic
-from .stabilise import is_perturbation
+from .stabilise import InvalidPerturbationError, Perturbation, is_perturbation
 
 
 class AlphaNotMleError(ValueError):
@@ -44,6 +44,14 @@ class VarietyQuery:
     g: Dag
     alpha: MleEstimate | None = None
     tol: float = DEFAULT_TOL
+
+
+def _perturbation(q: VarietyQuery) -> Perturbation | None:
+    """The candidate as a validated perturbation of ``f``, or ``None``."""
+    try:
+        return Perturbation(q.f, q.candidate, q.tol)
+    except InvalidPerturbationError:
+        return None
 
 
 def in_Xf(q: VarietyQuery) -> bool:
@@ -70,9 +78,10 @@ def in_Xf_alpha(q: VarietyQuery) -> bool:
         q.f, q.g, q.alpha, max(q.tol, 1e-8)
     ):
         raise AlphaNotMleError("alpha is not an MLE given the sample")
-    if not in_Xf(q):
+    pert = _perturbation(q)
+    if pert is None:
         return False
-    return all(check_alpha_fixed(q.candidate, q.alpha.lam, q.g, q.tol).values())
+    return all(check_alpha_fixed(pert, q.alpha.lam, q.g, q.tol).values())
 
 
 def in_Xf_alpha_lim(q: VarietyQuery) -> bool:
@@ -85,9 +94,10 @@ def in_Xf_alpha_lim(q: VarietyQuery) -> bool:
     """
     if q.alpha is None:
         raise ValueError("membership in the alpha-indexed variety needs alpha")
-    if not in_Xf(q):
+    pert = _perturbation(q)
+    if pert is None:
         return False
-    analytic = limit_lambda_analytic(q.f, q.candidate, q.g, q.tol)
+    analytic = limit_lambda_analytic(None, pert, q.g, q.tol)
     for i in q.g.child_vertices():
         pa = q.g.parents(i)
         if any((i, j) not in q.alpha.lam for j in pa):
@@ -100,7 +110,7 @@ def in_Xf_alpha_lim(q: VarietyQuery) -> bool:
             + float(np.linalg.norm(diag.numerator))
             + 1.0
         )
-        if float(np.linalg.norm(lhs)) > q.tol * scale:
+        if not float(np.linalg.norm(lhs)) <= q.tol * scale:  # NaN fails too
             return False
     return True
 

@@ -1,0 +1,229 @@
+"""Input validation: each input kind has one check, run once per call.
+
+Covers the finite-matrix check shared by every layer, the sample /
+perturbation pair, the epsilon grid, the CLI's ``tol`` and alpha indices,
+and the number of perturbation-predicate runs per CLI command.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from dagstab import (
+    Dag,
+    MleEstimate,
+    Perturbation,
+    VarietyQuery,
+    check_alpha_fixed,
+    check_full_condition,
+    check_lambda_condition,
+    classify,
+    in_Xf_alpha_lim,
+    is_mle,
+    limit_lambda_analytic,
+    limit_mle,
+    limit_mle_numeric,
+    limit_solve_numeric,
+    mle_at_epsilon,
+    stabilize,
+    vertex_system,
+)
+from dagstab import stabilise, varieties
+from dagstab.cli import EXIT_OK, EXIT_SEMANTIC, main
+from _helpers import collider
+
+LINE_SAMPLE = [[1.0, 1.0, 2.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+LINE_PERT = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, -1.0, 1.0], [0.0, 0.0, 0.0]]
+LINE_ALPHA = MleEstimate(lam={(3, 1): 1.0, (3, 2): 1.0})
+Y_ID = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+def problem(sample=LINE_SAMPLE, **kw):
+    out = {"graph": {"m": 3, "edges": [[1, 3], [2, 3]]}, "sample": sample}
+    out.update(kw)
+    return out
+
+
+def run(tmp_path, capsys, data: dict, command: str, *flags):
+    """Run the CLI in process; an uncaught exception fails the test."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))  # writes NaN and Infinity as such
+    code = main([command, "--input", str(path), *flags])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def assert_semantic_error(result, message):
+    code, out, err = result
+    assert code == EXIT_SEMANTIC
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+class TestFiniteMatrix:
+    def test_names_the_input_in_errors(self):
+        f = np.array(LINE_SAMPLE)
+        with pytest.raises(ValueError, match="perturbation entries must be finite"):
+            stabilise.is_perturbation(f, np.full(f.shape, np.nan))
+        with pytest.raises(ValueError, match="sample must be a 2-d array"):
+            classify(np.ones(3), collider())
+        with pytest.raises(ValueError, match="sample must be non-empty"):
+            classify(np.zeros((0, 3)), collider())
+
+
+LIMITS_ENTRY_POINTS = [
+    lambda f, p, g: limit_mle(f, p, g),
+    lambda f, p, g: limit_mle_numeric(f, p, g),
+    lambda f, p, g: limit_lambda_analytic(f, p, g),
+    lambda f, p, g: check_lambda_condition(f, p, g),
+    lambda f, p, g: check_full_condition(f, p, g),
+    lambda f, p, g: mle_at_epsilon(f, p, g, 0.1),
+    lambda f, p, g: vertex_system(f, p, g, 3),
+]
+LIMITS_IDS = [
+    "limit_mle", "limit_mle_numeric", "limit_lambda_analytic", "check_lambda_condition",
+    "check_full_condition", "mle_at_epsilon", "vertex_system",
+]
+
+
+class TestPerturbationPair:
+    def setup_method(self):
+        self.f = np.array(LINE_SAMPLE)
+        self.pert = Perturbation(self.f, np.array(LINE_PERT))
+        self.other = self.f.copy()
+        self.other[0, 0] = 2.0
+
+    def test_stabilize_rejects_other_sample(self):
+        with pytest.raises(ValueError, match="does not match"):
+            stabilize(self.other, self.pert)
+        assert np.array_equal(stabilize(self.f, self.pert), self.f + self.pert.delta)
+
+    @pytest.mark.parametrize("call", LIMITS_ENTRY_POINTS, ids=LIMITS_IDS)
+    def test_limits_reject_other_sample(self, call):
+        with pytest.raises(ValueError, match="does not match"):
+            call(self.other, self.pert, collider())
+        call(self.f, self.pert, collider())
+        call(None, self.pert, collider())
+
+    @pytest.mark.parametrize("call", LIMITS_ENTRY_POINTS, ids=LIMITS_IDS)
+    @pytest.mark.parametrize(
+        "g", [Dag(2, [(1, 2)]), Dag(4, [(1, 3), (2, 3), (3, 4)])], ids=["smaller", "larger"]
+    )
+    def test_limits_reject_other_vertex_count(self, call, g):
+        with pytest.raises(ValueError, match="3 columns but the DAG has"):
+            call(None, self.pert, g)
+        with pytest.raises(ValueError, match="3 columns but the DAG has"):
+            call(self.f, np.array(LINE_PERT), g)
+
+
+class TestCheckAlphaFixed:
+    def test_rejects_too_few_columns(self):
+        with pytest.raises(ValueError, match="2 columns but the DAG has 3"):
+            check_alpha_fixed(np.zeros((3, 2)), {}, Dag(3, [(1, 3), (2, 3)]))
+
+    def test_rejects_non_finite_perturbation(self):
+        with pytest.raises(ValueError, match="perturbation entries must be finite"):
+            check_alpha_fixed(np.full((3, 3), np.nan), {}, Dag(3, [(1, 3), (2, 3)]))
+
+
+class TestEpsilonGrid:
+    @pytest.mark.parametrize("grid", [(np.nan, 1e-3), (np.inf, 1e-3)], ids=["nan", "inf"])
+    def test_library_rejects_non_finite_grid(self, grid):
+        with pytest.raises(ValueError, match="epsilon grid entries must be finite"):
+            limit_solve_numeric(np.eye(2), np.eye(2), np.zeros(2), np.zeros(2), eps_grid=grid)
+        pert = Perturbation(np.array(LINE_SAMPLE), np.array(LINE_PERT))
+        with pytest.raises(ValueError, match="epsilon grid entries must be finite"):
+            limit_mle_numeric(None, pert, collider(), eps_grid=grid)
+
+    @pytest.mark.parametrize("text", ["nan,1e-3", "inf,1e-3"])
+    def test_cli_flag_rejects_non_finite_grid(self, tmp_path, capsys, text):
+        result = run(tmp_path, capsys, problem(perturbation=LINE_PERT), "limit", "--eps-grid", text)
+        assert_semantic_error(result, "epsilon grid entries must be finite")
+
+    def test_cli_file_rejects_non_finite_grid(self, tmp_path, capsys):
+        data = problem(perturbation=LINE_PERT, settings={"epsilonGrid": [float("nan"), 1e-3]})
+        assert_semantic_error(run(tmp_path, capsys, data, "limit"), "epsilon grid")
+
+
+class TestTol:
+    @pytest.mark.parametrize("command", ["classify", "estimate"])
+    @pytest.mark.parametrize("value", ["2", "nan", "inf"])
+    def test_flag_outside_unit_interval(self, tmp_path, capsys, command, value):
+        result = run(tmp_path, capsys, problem(Y_ID), command, "--tol", value)
+        assert_semantic_error(result, "tol must lie strictly between 0 and 1")
+
+    @pytest.mark.parametrize("command", ["classify", "estimate"])
+    def test_file_nan(self, tmp_path, capsys, command):
+        data = problem(Y_ID, settings={"tol": float("nan")})
+        result = run(tmp_path, capsys, data, command)
+        assert_semantic_error(result, "tol must lie strictly between 0 and 1")
+
+
+class TestAlpha:
+    def test_infinite_vertex_index(self, tmp_path, capsys):
+        data = problem(
+            perturbation=LINE_PERT,
+            alpha={"lambda": [[float("inf"), 1, 1.0]]},
+        )
+        assert_semantic_error(run(tmp_path, capsys, data, "membership"), "is not an integer")
+
+    @pytest.mark.parametrize(
+        "alpha,message",
+        [
+            ({"lambda": [[3, 1, float("nan")], [3, 2, 1.0]]}, "must be finite"),
+            ({"omega": [[1, float("inf")]]}, "must be positive and finite"),
+        ],
+        ids=["lambda", "omega"],
+    )
+    def test_non_finite_values(self, tmp_path, capsys, alpha, message):
+        data = problem(perturbation=LINE_PERT, alpha=alpha)
+        assert_semantic_error(run(tmp_path, capsys, data, "membership"), message)
+
+    def test_nan_estimate_is_not_an_mle(self):
+        Y = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        g = collider()
+        est = MleEstimate(
+            lam={(3, 1): np.nan, (3, 2): 1.0},
+            omega={1: 0.5, 2: 0.5, 3: np.nan},
+            omega_exists={1: True, 2: True, 3: True},
+        )
+        assert not is_mle(Y, g, est)
+
+
+class TestPerturbationChecksPerCall:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        original = stabilise.is_perturbation
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stabilise, "is_perturbation", counted)
+        monkeypatch.setattr(varieties, "is_perturbation", counted)
+        return count
+
+    @pytest.mark.parametrize(
+        "command,data,flags",
+        [
+            ("stabilize", problem(), ["--seed", "7"]),
+            ("stabilize", problem(perturbation=LINE_PERT), []),
+            ("limit", problem(), ["--seed", "7"]),
+            ("limit", problem(perturbation=LINE_PERT), []),
+            ("check", problem(), ["--seed", "7"]),
+            ("check", problem(perturbation=LINE_PERT), []),
+        ],
+        ids=["stabilize-seed", "stabilize-explicit", "limit-seed", "limit-explicit",
+             "check-seed", "check-explicit"],
+    )
+    def test_cli_command_checks_once(self, tmp_path, capsys, calls, command, data, flags):
+        code, _, _ = run(tmp_path, capsys, data, command, *flags)
+        assert code == EXIT_OK
+        assert calls[0] == 1
+
+    def test_in_Xf_alpha_lim_checks_once(self, calls):
+        q = VarietyQuery(np.array(LINE_SAMPLE), np.array(LINE_PERT), collider(), LINE_ALPHA)
+        assert in_Xf_alpha_lim(q)
+        assert calls[0] == 1
