@@ -264,8 +264,7 @@ def cmd_classify(problem: Problem, tol: float, seed, eps_grid) -> dict:
 
 def cmd_estimate(problem: Problem, tol: float, seed, eps_grid) -> dict:
     g = problem.g
-    est = mle.full_mle(problem.sample, g, tol)
-    status = mle.classify(problem.sample, g, tol)
+    est, status = mle._classified_mle(problem.sample, g, tol)
     return {
         "command": "estimate",
         "tol": tol,
@@ -366,14 +365,20 @@ def cmd_membership(problem: Problem, tol: float, seed, eps_grid) -> dict:
         raise SemanticError("membership queries need an explicit perturbation")
     if problem.alpha is None:
         raise SemanticError("membership queries need alpha")
+    # building the Perturbation is the inXf test; the alpha queries reuse
+    # it, and each re-tests a candidate that failed it
+    try:
+        candidate = stabilise.Perturbation(problem.sample, problem.perturbation, tol)
+        member = True
+    except stabilise.InvalidPerturbationError:
+        candidate, member = problem.perturbation, False
     query = varieties.VarietyQuery(
         f=problem.sample,
-        candidate=problem.perturbation,
+        candidate=candidate,
         g=g,
         alpha=problem.alpha,
         tol=tol,
     )
-    member = varieties.in_Xf(query)
     try:
         in_alpha, alpha_is_mle = varieties.in_Xf_alpha(query), True
     except varieties.AlphaNotMleError:

@@ -17,6 +17,15 @@ two ways:
   the perturbation.
 
 The two routes are independent and cross-validate each other.
+
+Both routes work on child vertices grouped by parent count ``p``, as the
+MLE fit in :mod:`dagstab.mle` does.  The projections behind ``fbar``,
+``vbar`` and the two span conditions run as one batched SVD per group and
+per span (``A``, ``E`` and ``A + E``), keeping the singular values above
+``tol * sigma_max`` as :func:`dagstab.linalg.image_basis` does.  The
+numeric route extrapolates every edge-weight vector and every variance
+through one stacked Neville table.  Only the pencil expansion still runs
+vertex by vertex.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Dag
-from .linalg import DEFAULT_TOL, _as_matrix, pencil_expand, project
+from .linalg import DEFAULT_TOL, _as_matrix, pencil_expand
 from .mle import MleEstimate, full_mle, omega_mle
 from .stabilise import Perturbation, _as_perturbation
 
@@ -42,6 +51,64 @@ def _vertex_system(F: np.ndarray, P: np.ndarray, g: Dag, i: int):
     """Parent submatrices and target columns ``(A, E, b, v)`` at child ``i``."""
     idx = [j - 1 for j in g.parents(i)]
     return F[:, idx], P[:, idx], F[:, i - 1], P[:, i - 1]
+
+
+def _child_groups(F: np.ndarray, P: np.ndarray, g: Dag):
+    """Child vertices grouped by parent count, with their systems stacked.
+
+    Yields ``(vertices, A, E, b, v)`` per group: ``A`` and ``E`` are
+    ``(k, n, p)`` stacks of parent submatrices and ``b``, ``v`` the
+    ``(k, n)`` stacks of target columns, for the group's ``k`` vertices in
+    ascending order.
+    """
+    groups: dict[int, list[int]] = {}
+    for i in g.child_vertices():
+        groups.setdefault(len(g.parents(i)), []).append(i)
+    Ft, Pt = F.T, P.T
+    for verts in groups.values():
+        idx = np.array([g.parents(i) for i in verts]) - 1
+        cols = np.array(verts) - 1
+        yield verts, Ft[idx].transpose(0, 2, 1), Pt[idx].transpose(0, 2, 1), Ft[cols], Pt[cols]
+
+
+def _project(Y: np.ndarray, B: np.ndarray, tol: float) -> np.ndarray:
+    """Orthogonal projection of each row of ``Y`` onto the column span of
+    the matching matrix of the stack ``B``.
+
+    One batched SVD ``B = U S V^T``; the span keeps the left singular
+    vectors whose singular values exceed ``tol * sigma_max``, the rank test
+    of :func:`dagstab.linalg.image_basis`.
+    """
+    U, s, _ = np.linalg.svd(B, full_matrices=False)
+    keep = s > tol * s[:, :1]
+    c = np.where(keep, (Y[:, None, :] @ U)[:, 0, :], 0.0)
+    return (U @ c[:, :, None])[:, :, 0]
+
+
+def _norms(X: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("kn,kn->k", X, X))
+
+
+def _in_perturbed_span(target, A, E, tol: float) -> np.ndarray:
+    """Per row: does ``target`` lie in the span of the perturbed parent
+    columns ``A + E``?"""
+    resid = target - _project(target, A + E, tol)
+    return _norms(resid) <= tol * (1.0 + _norms(target))
+
+
+def _projected_targets(pert: Perturbation, g: Dag, tol: float):
+    """Per child vertex ``i``: ``fbar = proj_A(b)``, ``vbar = proj_E(v)``
+    and whether ``fbar + vbar`` lies in the span of ``A + E`` (the
+    edge-weight condition).  Three batched SVDs per parent-count group."""
+    proj: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    cond: dict[int, bool] = {}
+    for verts, A, E, b, v in _child_groups(pert.base, pert.delta, g):
+        fbar, vbar = _project(b, A, tol), _project(v, E, tol)
+        ok = _in_perturbed_span(fbar + vbar, A, E, tol)
+        for i, fb, vb, flag in zip(verts, fbar, vbar, ok.tolist()):
+            proj[i] = fb, vb
+            cond[i] = flag
+    return proj, {i: cond[i] for i in g.child_vertices()}
 
 
 def vertex_system(f, fp, g: Dag, i: int, tol: float = DEFAULT_TOL):
@@ -120,34 +187,48 @@ def mle_at_epsilon(f, fp, g: Dag, eps: float, tol: float = DEFAULT_TOL) -> MleEs
     return est
 
 
-def _neville_zero(eps_grid, values):
-    """Extrapolate samples of an even rational function to ``eps = 0``.
+def _segment_max(D: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Per row of ``D``, the maximum over each column segment; 0.0 for an
+    empty segment."""
+    out = np.zeros((D.shape[0], starts.size))
+    full = widths > 0
+    if full.any():
+        out[:, full] = np.maximum.reduceat(D, starts[full], axis=1)
+    return out
 
-    Polynomial extrapolation in ``h = eps^2`` over the full Neville table;
-    returns the entry with the smallest estimated error (distance to its two
-    parent entries) together with that estimate.  One-point input returns
-    the point itself with an infinite estimate replaced by 0.0.
+
+def _neville_zero(eps_grid, values, starts):
+    """Extrapolate samples of even rational functions to ``eps = 0``.
+
+    ``values`` is a ``(len(eps_grid), K)`` stack with one column per
+    function; ``starts`` cuts the columns into segments, one per vector.
+    Polynomial extrapolation in ``h = eps^2`` runs over one Neville table
+    for all columns.  Per segment, the entry with the smallest estimated
+    error (the largest distance to its two parent entries over the
+    segment) is returned, first in table order on ties, together with
+    that estimate.  One-point input returns the point itself with estimate
+    0.0.  Returns the ``(K,)`` extrapolated values and the per-segment
+    estimates.
     """
-    hs = [e * e for e in eps_grid]
-    vals = [np.asarray(v, dtype=float) for v in values]
+    vals = np.asarray(values, dtype=float)
+    starts = np.asarray(starts, dtype=np.intp)
+    widths = np.diff(starts, append=vals.shape[1])
     if len(vals) == 1:
-        return vals[0], 0.0
-    best, best_est = vals[0], np.inf
-    prev_row = vals
+        return vals[0], np.zeros(starts.size)
+    hs = np.array([e * e for e in eps_grid])
+    best, best_est = vals[0], np.full(starts.size, np.inf)
+    prev = vals
     for j in range(1, len(vals)):
-        row = []
-        for i in range(len(vals) - j):
-            num = hs[i] * prev_row[i + 1] - hs[i + j] * prev_row[i]
-            val = num / (hs[i] - hs[i + j])
-            est = max(
-                float(np.max(np.abs(val - prev_row[i]), initial=0.0)),
-                float(np.max(np.abs(val - prev_row[i + 1]), initial=0.0)),
-            )
-            row.append(val)
-            if est < best_est:
-                best, best_est = val, est
-        prev_row = row
-    return best, float(best_est)
+        row = (hs[:-j, None] * prev[1:] - hs[j:, None] * prev[:-1]) / (hs[:-j] - hs[j:])[:, None]
+        est = _segment_max(
+            np.maximum(np.abs(row - prev[:-1]), np.abs(row - prev[1:])), starts, widths
+        )
+        for val, e in zip(row, est):
+            better = e < best_est
+            best_est = np.where(better, e, best_est)
+            best = np.where(np.repeat(better, widths), val, best)
+        prev = row
+    return best, best_est
 
 
 def _diverging(norms) -> bool:
@@ -201,8 +282,8 @@ def limit_solve_numeric(
     norms = tuple(float(np.max(np.abs(x), initial=0.0)) for x in xs)
     if _diverging(norms) or (norms and norms[-1] > 1.0 / tol):
         return NumericLimit(None, True, np.inf, norms)
-    value, est = _neville_zero(grid, xs)
-    return NumericLimit(value, False, est, norms)
+    value, est = _neville_zero(grid, np.array(xs), [0])
+    return NumericLimit(value, False, float(est[0]), norms)
 
 
 def _check_grid(eps_grid) -> tuple[float, ...]:
@@ -224,34 +305,46 @@ def limit_mle_numeric(
     """Numeric limit of the MLE given ``f + eps f'``.
 
     Evaluates the estimate at every grid point and extrapolates each
-    per-vertex coefficient vector and variance in ``eps^2``.  Variances are
-    marked absent when the extrapolated value is indistinguishable from
-    zero at the combined tolerance/extrapolation-error scale.
+    per-vertex coefficient vector and variance in ``eps^2``, all of them
+    through one stacked Neville table.  Variances are marked absent when
+    the extrapolated value is indistinguishable from zero at the combined
+    tolerance/extrapolation-error scale.
     """
     grid = _check_grid(eps_grid)
     pert = _as_perturbation(f, fp, tol, g.m)
     estimates = [mle_at_epsilon(None, pert, g, eps, tol) for eps in grid]
 
+    children = g.child_vertices()
+    parents = [g.parents(i) for i in children]
+    keys = [(i, j) for i, pa in zip(children, parents) for j in pa]
+    lam_grid = np.array([[est.lam[k] for k in keys] for est in estimates])
+    widths = np.array([len(pa) for pa in parents], dtype=np.intp)
+    starts = np.cumsum(widths) - widths
+    norms = _segment_max(np.abs(lam_grid), starts, widths).T.tolist()
+    diverged = [_diverging(nv) or nv[-1] > 1.0 / tol for nv in norms]
+    diverged_vertices = [i for i, bad in zip(children, diverged) if bad]
+    converged = [(i, pa) for i, pa, bad in zip(children, parents, diverged) if not bad]
+
+    # one table over the converging vectors and every variance
+    ok = ~np.array(diverged, dtype=bool)
+    kept = widths[ok]
+    omega_grid = [[est.omega[i] for i in range(1, g.m + 1)] for est in estimates]
+    stack = np.hstack([lam_grid[:, np.repeat(ok, widths)], np.array(omega_grid)])
+    seg_starts = np.concatenate([np.cumsum(kept) - kept, kept.sum() + np.arange(g.m)])
+    values, errors = _neville_zero(grid, stack, seg_starts)
+
     lam: dict[tuple[int, int], float] = {}
     err: dict[int, float] = {}
-    diverged_vertices: list[int] = []
-    for i in g.child_vertices():
-        vectors = [est.lambda_vector(g, i) for est in estimates]
-        norms = [float(np.max(np.abs(x), initial=0.0)) for x in vectors]
-        if _diverging(norms) or norms[-1] > 1.0 / tol:
-            diverged_vertices.append(i)
-            continue
-        value, est_err = _neville_zero(grid, vectors)
+    for (i, pa), at, est_err in zip(converged, seg_starts.tolist(), errors.tolist()):
         err[i] = est_err
-        for j, val in zip(g.parents(i), value):
-            lam[(i, j)] = float(val)
+        for j, val in zip(pa, values[at:at + len(pa)].tolist()):
+            lam[(i, j)] = val
 
+    # the variances are the last m segments
+    variances = zip(zip(*omega_grid), values[-g.m:].tolist(), errors[-g.m:].tolist())
     omega: dict[int, float] = {}
     omega_exists: dict[int, bool] = {}
-    for i in range(1, g.m + 1):
-        vals = [est.omega[i] for est in estimates]
-        value, est_err = _neville_zero(grid, [np.array(w) for w in vals])
-        w = float(value)
+    for i, (vals, w, est_err) in enumerate(variances, start=1):
         thresh = max(tol * (1.0 + max(vals)), 10.0 * est_err)
         if w > thresh:
             omega_exists[i] = True
@@ -283,12 +376,12 @@ def limit_lambda_analytic(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResul
     """
     pert = _as_perturbation(f, fp, tol, g.m)
     F, P = pert.base, pert.delta
+    proj, eps_ind = _projected_targets(pert, g, tol)
     lam: dict[tuple[int, int], float] = {}
     diagnostics: dict[int, VertexDiagnostics] = {}
     for i in g.child_vertices():
-        A, E, b, v = _vertex_system(F, P, g, i)
-        fbar = project(b, A, tol)
-        vbar = project(v, E, tol)
+        A, E, _, _ = _vertex_system(F, P, g, i)
+        fbar, vbar = proj[i]
         pencil = pencil_expand(A, E, tol)
         l = pencil.first_nonzero
         u = A.T @ fbar
@@ -304,7 +397,7 @@ def limit_lambda_analytic(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResul
         omega={},
         omega_exists={},
         method="analytic",
-        epsilon_independent=check_lambda_condition(None, pert, g, tol),
+        epsilon_independent=eps_ind,
         diagnostics=diagnostics,
     )
 
@@ -354,15 +447,7 @@ def check_lambda_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int,
     stabilisation being an edge-weight MLE given ``f`` (and to the estimate
     being independent of ``eps`` along the path).
     """
-    pert = _as_perturbation(f, fp, tol, g.m)
-    F, P = pert.base, pert.delta
-    out: dict[int, bool] = {}
-    for i in g.child_vertices():
-        A, E, b, v = _vertex_system(F, P, g, i)
-        target = project(b, A, tol) + project(v, E, tol)
-        resid = target - project(target, A + E, tol)
-        out[i] = float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(target)))
-    return out
+    return _projected_targets(_as_perturbation(f, fp, tol, g.m), g, tol)[1]
 
 
 def check_full_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int, bool]:
@@ -379,17 +464,12 @@ def check_full_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int, b
     ``eps -> 0`` path, so the limit machinery is unaffected).
     """
     pert = _as_perturbation(f, fp, tol, g.m)
-    F, P = pert.base, pert.delta
     out: dict[int, bool] = {}
-    for i in g.child_vertices():
-        A, E, b, v = _vertex_system(F, P, g, i)
-        resid_v = v - project(v, E, tol)
-        first = float(np.linalg.norm(resid_v)) <= tol * (1.0 + float(np.linalg.norm(v)))
-        target = project(b, A, tol) + v
-        resid_t = target - project(target, A + E, tol)
-        second = float(np.linalg.norm(resid_t)) <= tol * (1.0 + float(np.linalg.norm(target)))
-        out[i] = first and second
-    return out
+    for verts, A, E, b, v in _child_groups(pert.base, pert.delta, g):
+        first = _norms(v - _project(v, E, tol)) <= tol * (1.0 + _norms(v))
+        second = _in_perturbed_span(_project(b, A, tol) + v, A, E, tol)
+        out.update(zip(verts, (first & second).tolist()))
+    return {i: out[i] for i in g.child_vertices()}
 
 
 def check_alpha_fixed(

@@ -232,13 +232,16 @@ def omega_mle(Y, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:
     return MleEstimate(omega=omega, omega_exists=exists)
 
 
+def _estimate(fit: _Fit, g: Dag, n: int) -> MleEstimate:
+    lam, kdims = _lambda_part(fit, g)
+    omega, exists = _omega_part(fit, n)
+    return MleEstimate(lam=lam, lambda_kernel_dims=kdims, omega=omega, omega_exists=exists)
+
+
 def full_mle(Y, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:
     """Combined edge-weight and variance estimates given ``Y``."""
     A = _validated(Y, g)
-    fit = _fit(A, g, tol)
-    lam, kdims = _lambda_part(fit, g)
-    omega, exists = _omega_part(fit, A.shape[0])
-    return MleEstimate(lam=lam, lambda_kernel_dims=kdims, omega=omega, omega_exists=exists)
+    return _estimate(_fit(A, g, tol), g, A.shape[0])
 
 
 def classify(Y, g: Dag, tol: float = DEFAULT_TOL) -> Classification:
@@ -249,7 +252,17 @@ def classify(Y, g: Dag, tol: float = DEFAULT_TOL) -> Classification:
     nonexistence).  Unique iff every parent-and-self submatrix has full
     column rank.  The witness is the lowest-numbered certifying vertex.
     """
-    fit = _fit(_validated(Y, g), g, tol, self_rank=True)
+    return _classification(_fit(_validated(Y, g), g, tol, self_rank=True), g)
+
+
+def _classified_mle(Y, g: Dag, tol: float = DEFAULT_TOL) -> tuple[MleEstimate, Classification]:
+    """``full_mle`` and ``classify`` from one fit of the sample."""
+    A = _validated(Y, g)
+    fit = _fit(A, g, tol, self_rank=True)
+    return _estimate(fit, g, A.shape[0]), _classification(fit, g)
+
+
+def _classification(fit: _Fit, g: Dag) -> Classification:
     absent = np.flatnonzero(~fit.exists)
     if absent.size:
         return Classification(NONEXISTENT, GIT_LABELS[NONEXISTENT], int(absent[0]) + 1)

@@ -24,7 +24,12 @@ from .graph import NONEXISTENT, Dag, is_star
 from .linalg import DEFAULT_TOL
 from .mle import MleEstimate, classify, full_mle, is_mle
 from .limits import check_alpha_fixed, limit_lambda_analytic
-from .stabilise import InvalidPerturbationError, Perturbation, is_perturbation
+from .stabilise import (
+    InvalidPerturbationError,
+    Perturbation,
+    _as_perturbation,
+    is_perturbation,
+)
 
 
 class AlphaNotMleError(ValueError):
@@ -35,12 +40,15 @@ class AlphaNotMleError(ValueError):
 class VarietyQuery:
     """A pointwise membership query.
 
-    ``candidate`` is the matrix whose membership is tested; ``alpha`` is
-    required by the two alpha-indexed predicates and ignored by the first.
+    ``candidate`` is the matrix whose membership is tested, or a
+    :class:`~dagstab.stabilise.Perturbation` of ``f`` built beforehand (the
+    predicates then check only that its base is ``f`` and do not run the
+    perturbation predicate again); ``alpha`` is required by the two
+    alpha-indexed predicates and ignored by the first.
     """
 
     f: np.ndarray
-    candidate: np.ndarray
+    candidate: np.ndarray | Perturbation
     g: Dag
     alpha: MleEstimate | None = None
     tol: float = DEFAULT_TOL
@@ -49,7 +57,7 @@ class VarietyQuery:
 def _perturbation(q: VarietyQuery) -> Perturbation | None:
     """The candidate as a validated perturbation of ``f``, or ``None``."""
     try:
-        return Perturbation(q.f, q.candidate, q.tol)
+        return _as_perturbation(q.f, q.candidate, q.tol)
     except InvalidPerturbationError:
         return None
 
@@ -57,6 +65,9 @@ def _perturbation(q: VarietyQuery) -> Perturbation | None:
 def in_Xf(q: VarietyQuery) -> bool:
     """Is the candidate a perturbation of ``f``?  Identical to the
     perturbation predicate."""
+    if isinstance(q.candidate, Perturbation):
+        _as_perturbation(q.f, q.candidate, q.tol)  # raises unless its base is f
+        return True
     return bool(is_perturbation(q.f, q.candidate, q.tol))
 
 

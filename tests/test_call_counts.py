@@ -1,0 +1,157 @@
+"""How often one CLI command or one query fits the sample or runs the
+perturbation predicate."""
+
+import json
+
+import numpy as np
+import pytest
+
+from dagstab import (
+    Perturbation,
+    VarietyQuery,
+    classify,
+    full_mle,
+    in_Xf,
+    in_Xf_alpha,
+    in_Xf_alpha_lim,
+    mle,
+    stabilise,
+    varieties,
+)
+from dagstab.cli import EXIT_OK, main
+from _helpers import random_perturbation, star_instance, tournament
+
+
+def star_problem():
+    """A star sample whose MLE exists, a perturbation of it and the
+    minimum-norm MLE as alpha.  Drawing the perturbation runs the
+    perturbation predicate once."""
+    f, g = star_instance(np.random.default_rng(5), 4, 6, parent_rank=2)
+    fp = random_perturbation(f, seed=9)
+    return f, fp, g, full_mle(f, g)
+
+
+def problem_json(f, fp, g, alpha) -> dict:
+    return {
+        "graph": {"m": g.m, "edges": [list(e) for e in sorted(g.edges)]},
+        "sample": f.tolist(),
+        "perturbation": fp.tolist(),
+        "alpha": {
+            "lambda": [[i, j, v] for (i, j), v in sorted(alpha.lam.items())],
+            "omega": [[i, v] for i, v in sorted(alpha.omega.items())],
+        },
+    }
+
+
+def run(tmp_path, capsys, data: dict, command: str):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    code = main([command, "--input", str(path)])
+    out, _ = capsys.readouterr()
+    return code, json.loads(out) if code == EXIT_OK else None
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    count = [0]
+    original = stabilise.is_perturbation
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stabilise, "is_perturbation", counted)
+    monkeypatch.setattr(varieties, "is_perturbation", counted)
+    return count
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    count = [0]
+    original = mle._fit
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mle, "_fit", counted)
+    return count
+
+
+class TestMembershipChecksOnce:
+    def test_perturbation_candidate_checked_once(self, tmp_path, capsys, checks):
+        f, fp, g, alpha = star_problem()
+        checks[0] = 0
+        code, report = run(tmp_path, capsys, problem_json(f, fp, g, alpha), "membership")
+        assert code == EXIT_OK
+        assert report["inXf"] is True and report["alphaIsMleGivenF"] is True
+        assert report["inXfAlphaLim"] is True
+        assert checks[0] == 1
+
+    def test_non_perturbation_no_more_checks_than_before(self, tmp_path, capsys, checks):
+        # before: one check each in in_Xf, in_Xf_alpha and in_Xf_alpha_lim
+        f, fp, g, alpha = star_problem()
+        checks[0] = 0
+        code, report = run(tmp_path, capsys, problem_json(f, fp + f, g, alpha), "membership")
+        assert code == EXIT_OK
+        assert (report["inXf"], report["inXfAlpha"], report["inXfAlphaLim"]) == (False,) * 3
+        assert checks[0] <= 3
+
+    def test_alpha_not_an_mle_no_more_checks_than_before(self, tmp_path, capsys, checks):
+        f, fp, g, alpha = star_problem()
+        checks[0] = 0
+        data = problem_json(f, fp + f, g, alpha)
+        data["alpha"]["omega"][0][1] *= 2.0
+        code, report = run(tmp_path, capsys, data, "membership")
+        assert code == EXIT_OK
+        assert report["alphaIsMleGivenF"] is False and report["inXfAlpha"] is None
+        assert checks[0] <= 2
+
+    def test_validated_candidate_is_used_as_it_is(self, checks):
+        f, fp, g, alpha = star_problem()
+        pert = Perturbation(f, fp)
+        checks[0] = 0
+        q = VarietyQuery(f=f, candidate=pert, g=g, alpha=alpha)
+        raw = VarietyQuery(f=f, candidate=fp, g=g, alpha=alpha)
+        assert in_Xf(q) is True
+        assert in_Xf_alpha(q) == in_Xf_alpha(raw)
+        assert in_Xf_alpha_lim(q) is in_Xf_alpha_lim(raw) is True
+        assert checks[0] == 2  # the two queries on the raw candidate
+
+    def test_validated_candidate_of_another_sample_rejected(self):
+        f, fp, g, alpha = star_problem()
+        other = f.copy()
+        other[0, 0] += 1.0
+        q = VarietyQuery(f=other, candidate=Perturbation(f, fp), g=g, alpha=alpha)
+        for query in (in_Xf, in_Xf_alpha_lim):
+            with pytest.raises(ValueError, match="does not match"):
+                query(q)
+
+
+def estimate_inputs():
+    rng = np.random.default_rng(4)
+    full = rng.standard_normal((6, 4))
+    deficient = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
+    f, _, g, _ = star_problem()
+    return [("unique", full, tournament(4)), ("nonexistent", deficient, tournament(4)),
+            ("star", f, g)]
+
+
+class TestEstimateFitsOnce:
+    @pytest.mark.parametrize(
+        "f,g", [pytest.param(f, g, id=label) for label, f, g in estimate_inputs()]
+    )
+    def test_one_fit_same_report(self, tmp_path, capsys, fits, f, g):
+        data = {"graph": {"m": g.m, "edges": [list(e) for e in sorted(g.edges)]},
+                "sample": f.tolist()}
+        code, report = run(tmp_path, capsys, data, "estimate")
+        assert code == EXIT_OK
+        assert fits[0] == 1
+        est, status = full_mle(f, g), classify(f, g)
+        assert (report["classification"], report["witness"]) == (status.status, status.witness)
+        assert report["lambda"] == [[i, j, v] for (i, j), v in sorted(est.lam.items())]
+        assert report["omega"] == [[i, v] for i, v in sorted(est.omega.items())]
+        assert report["lambdaKernelDims"] == {
+            str(i): d for i, d in sorted(est.lambda_kernel_dims.items())
+        }
+        assert report["omegaExists"] == {str(i): e for i, e in sorted(est.omega_exists.items())}

@@ -1,0 +1,377 @@
+"""The grouped limit routes against the per-vertex loops they replaced.
+
+The reference functions below are the per-vertex implementations: one
+Neville table per vector and per variance, and one ``project`` call per
+vertex and per span.  The grouped code must give the numeric route and the
+condition dicts exactly, and the analytic route to 1e-12 relative (its
+projections now run through batched SVDs and stacked products, which
+round differently in the last bits).
+"""
+
+import numpy as np
+import pytest
+
+from dagstab import (
+    Dag,
+    check_full_condition,
+    check_lambda_condition,
+    limit_lambda_analytic,
+    limit_mle,
+    limit_mle_numeric,
+    limit_solve_numeric,
+    mle_at_epsilon,
+    omega_mle,
+    pencil_expand,
+    project,
+)
+from dagstab.limits import DEFAULT_EPS_GRID, _diverging, _neville_zero
+from dagstab.linalg import DEFAULT_TOL
+from _helpers import random_perturbation, random_rank_deficient
+
+ANALYTIC_RTOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the per-vertex reference
+
+
+def _reference_neville(eps_grid, values):
+    hs = [e * e for e in eps_grid]
+    vals = [np.asarray(v, dtype=float) for v in values]
+    if len(vals) == 1:
+        return vals[0], 0.0
+    best, best_est = vals[0], np.inf
+    prev_row = vals
+    for j in range(1, len(vals)):
+        row = []
+        for i in range(len(vals) - j):
+            num = hs[i] * prev_row[i + 1] - hs[i + j] * prev_row[i]
+            val = num / (hs[i] - hs[i + j])
+            est = max(
+                float(np.max(np.abs(val - prev_row[i]), initial=0.0)),
+                float(np.max(np.abs(val - prev_row[i + 1]), initial=0.0)),
+            )
+            row.append(val)
+            if est < best_est:
+                best, best_est = val, est
+        prev_row = row
+    return best, float(best_est)
+
+
+def _system(F, P, g, i):
+    idx = [j - 1 for j in g.parents(i)]
+    return F[:, idx], P[:, idx], F[:, i - 1], P[:, i - 1]
+
+
+def _reference_lambda_condition(F, P, g, tol=DEFAULT_TOL):
+    out = {}
+    for i in g.child_vertices():
+        A, E, b, v = _system(F, P, g, i)
+        target = project(b, A, tol) + project(v, E, tol)
+        resid = target - project(target, A + E, tol)
+        out[i] = float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(target)))
+    return out
+
+
+def _reference_full_condition(F, P, g, tol=DEFAULT_TOL):
+    out = {}
+    for i in g.child_vertices():
+        A, E, b, v = _system(F, P, g, i)
+        resid_v = v - project(v, E, tol)
+        first = float(np.linalg.norm(resid_v)) <= tol * (1.0 + float(np.linalg.norm(v)))
+        target = project(b, A, tol) + v
+        resid_t = target - project(target, A + E, tol)
+        second = float(np.linalg.norm(resid_t)) <= tol * (1.0 + float(np.linalg.norm(target)))
+        out[i] = first and second
+    return out
+
+
+def _reference_analytic(F, P, g, tol=DEFAULT_TOL):
+    """Edge weights and ``(l, c_l, D_l)`` per child vertex."""
+    lam, diagnostics = {}, {}
+    for i in g.child_vertices():
+        A, E, b, v = _system(F, P, g, i)
+        fbar = project(b, A, tol)
+        vbar = project(v, E, tol)
+        pencil = pencil_expand(A, E, tol)
+        l = pencil.first_nonzero
+        numerator = pencil.adj_coeff(l) @ (A.T @ fbar) + pencil.adj_coeff(l - 1) @ (E.T @ vbar)
+        c_l = float(pencil.det_coeffs[l])
+        diagnostics[i] = (l, c_l, numerator)
+        for j, val in zip(g.parents(i), numerator / c_l):
+            lam[(i, j)] = float(val)
+    return lam, diagnostics
+
+
+def _reference_limit_mle_error(F, P, g, tol=DEFAULT_TOL):
+    """The message ``limit_mle`` raised at the first failing vertex, or None."""
+    lam, _ = _reference_analytic(F, P, g, tol)
+    check_tol = max(tol, 1e-8)
+    for i in g.child_vertices():
+        A, _, b, _ = _system(F, P, g, i)
+        lam_i = np.array([lam[(i, j)] for j in g.parents(i)])
+        resid = A.T @ (b - A @ lam_i)
+        scale = 1.0 + np.linalg.norm(A.T @ b) + np.linalg.norm(A.T @ A) * np.linalg.norm(lam_i)
+        if np.linalg.norm(resid) > check_tol * scale:
+            return (
+                f"limit estimate fails the normal equations at vertex {i}; "
+                "input is numerically inconsistent"
+            )
+    return None
+
+
+def _reference_numeric(F, P, g, grid=DEFAULT_EPS_GRID, tol=DEFAULT_TOL):
+    """``(lam, err, diverged, omega, omega_exists)`` of the numeric route."""
+    estimates = [mle_at_epsilon(F, P, g, eps, tol) for eps in grid]
+    lam, err, diverged = {}, {}, []
+    for i in g.child_vertices():
+        vectors = [est.lambda_vector(g, i) for est in estimates]
+        norms = [float(np.max(np.abs(x), initial=0.0)) for x in vectors]
+        if _diverging(norms) or norms[-1] > 1.0 / tol:
+            diverged.append(i)
+            continue
+        value, est_err = _reference_neville(grid, vectors)
+        err[i] = est_err
+        for j, val in zip(g.parents(i), value):
+            lam[(i, j)] = float(val)
+    omega, omega_exists = {}, {}
+    for i in range(1, g.m + 1):
+        vals = [est.omega[i] for est in estimates]
+        value, est_err = _reference_neville(grid, [np.array(w) for w in vals])
+        w = float(value)
+        if w > max(tol * (1.0 + max(vals)), 10.0 * est_err):
+            omega_exists[i] = True
+            omega[i] = w
+        else:
+            omega_exists[i] = False
+    return lam, err, tuple(diverged), omega, omega_exists
+
+
+def _reference_solve(A, E, b, v, grid=DEFAULT_EPS_GRID, tol=DEFAULT_TOL):
+    xs = [np.linalg.lstsq(A + eps * E, b + eps * v, rcond=tol)[0] for eps in grid]
+    norms = tuple(float(np.max(np.abs(x), initial=0.0)) for x in xs)
+    if _diverging(norms) or (norms and norms[-1] > 1.0 / tol):
+        return None, True, np.inf, norms
+    value, est = _reference_neville(grid, xs)
+    return value, False, est, norms
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def _layered_dag(rng, m: int, indegree: int) -> Dag:
+    """Vertex ``i`` draws ``min(i - 1, indegree)`` parents among the earlier
+    vertices, so parent counts run from 0 up to ``indegree``."""
+    edges = []
+    for i in range(2, m + 1):
+        for j in rng.choice(i - 1, size=min(i - 1, indegree), replace=False):
+            edges.append((int(j) + 1, i))
+    return Dag(m, edges)
+
+
+def _random_dag(rng, m: int, edge_prob: float) -> Dag:
+    edges = [(j, i) for i in range(2, m + 1) for j in range(1, i) if rng.random() < edge_prob]
+    return Dag(m, edges)
+
+
+def _case(seed, m, rank, indegree=None, edge_prob=0.0, layout="square"):
+    """A seeded sample, a lifted perturbation of it and a DAG.
+
+    Sample layouts: ``square``, an ``m x m`` sample of the given rank;
+    ``split``, eight leading generic columns (which no perturbation column
+    touches) and then a block of the given rank; ``zeros``, generic columns
+    with every second column zero, so spans are rank-deficient where the
+    conditions hold; ``split-tiny``, the ``split`` pair scaled by 1e-12,
+    so the condition thresholds sit at their absolute floor.  All but
+    ``square`` have four spare rows.
+    """
+    rng = np.random.default_rng(seed)
+    g = _layered_dag(rng, m, indegree) if indegree else _random_dag(rng, m, edge_prob)
+    n = m if layout == "square" else m + 4
+    if layout == "square":
+        f = random_rank_deficient(rng, n, m, rank)
+    elif layout == "zeros":
+        f = rng.standard_normal((n, m))
+        f[:, 1::2] = 0.0
+    else:
+        f = np.hstack([rng.standard_normal((n, 8)), random_rank_deficient(rng, n, m - 8, rank)])
+    fp = random_perturbation(f, seed=seed)
+    if layout == "split-tiny":
+        return 1e-12 * f, 1e-12 * fp, g
+    return f, fp, g
+
+
+# (label, seed, m, rank, indegree, edge probability, sample layout)
+CASES = [
+    ("p3-half", 1, 12, 6, 3, 0.0, "square"),
+    ("p3-one", 2, 12, 1, 3, 0.0, "square"),
+    ("p8-half", 3, 20, 10, 8, 0.0, "square"),
+    ("p8-one", 4, 20, 1, 8, 0.0, "square"),
+    ("p12-half", 5, 28, 14, 12, 0.0, "square"),
+    ("p12-one", 6, 28, 1, 12, 0.0, "square"),
+    ("mixed-half", 7, 16, 8, None, 0.35, "square"),
+    ("mixed-one", 8, 16, 1, None, 0.35, "square"),
+    ("mixed-full", 10, 16, 16, None, 0.35, "square"),
+    ("mixed-split", 9, 16, 3, None, 0.35, "split"),
+    ("mixed-zeros", 11, 16, 8, None, 0.35, "zeros"),
+    ("mixed-tiny", 12, 16, 3, None, 0.35, "split-tiny"),
+]
+
+
+@pytest.fixture(scope="module", params=CASES, ids=[c[0] for c in CASES])
+def case(request):
+    return _case(*request.param[1:])
+
+
+def _assert_analytic_close(got: dict, ref: dict):
+    assert got.keys() == ref.keys()
+    for key, value in ref.items():
+        assert abs(got[key] - value) <= ANALYTIC_RTOL * max(1.0, abs(value)), key
+
+
+class TestGroupedMatchesPerVertexLoops:
+    def test_cases_mix_parent_counts_and_condition_outcomes(self):
+        outcomes = set()
+        for c in CASES:
+            f, fp, g = _case(*c[1:])
+            assert len({len(g.parents(i)) for i in g.child_vertices()}) > 2
+            outcomes |= {
+                tuple(_reference_lambda_condition(f, fp, g).values()),
+                tuple(_reference_full_condition(f, fp, g).values()),
+            }
+        # some case holds each condition at some vertices and not at others
+        assert any(True in o and False in o for o in outcomes)
+        assert any(all(o) for o in outcomes) and any(not any(o) for o in outcomes)
+
+    def test_numeric_route_is_identical(self, case):
+        f, fp, g = case
+        try:
+            lam, err, diverged, omega, omega_exists = _reference_numeric(f, fp, g)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                limit_mle_numeric(f, fp, g)
+            assert str(info.value) == str(exc)
+            return
+        res = limit_mle_numeric(f, fp, g)
+        assert res.lam == lam
+        assert res.extrapolation_error == err
+        assert res.diverged_vertices == diverged
+        assert res.omega == omega
+        assert res.omega_exists == omega_exists
+        assert res.epsilon_independent == (
+            {} if diverged else _reference_lambda_condition(f, fp, g)
+        )
+
+    def test_condition_dicts_are_identical(self, case):
+        f, fp, g = case
+        assert check_lambda_condition(f, fp, g) == _reference_lambda_condition(f, fp, g)
+        assert check_full_condition(f, fp, g) == _reference_full_condition(f, fp, g)
+
+    def test_analytic_route_within_tolerance(self, case):
+        f, fp, g = case
+        lam, diagnostics = _reference_analytic(f, fp, g)
+        res = limit_lambda_analytic(f, fp, g)
+        _assert_analytic_close(res.lam, lam)
+        assert res.epsilon_independent == _reference_lambda_condition(f, fp, g)
+        for i, (l, c_l, numerator) in diagnostics.items():
+            d = res.diagnostics[i]
+            assert (d.first_nonzero, d.det_coeff) == (l, c_l)
+            scale = max(1.0, float(np.max(np.abs(numerator))))
+            assert np.max(np.abs(d.numerator - numerator)) <= ANALYTIC_RTOL * scale
+
+    def test_limit_mle_matches_or_raises_alike(self, case):
+        f, fp, g = case
+        message = _reference_limit_mle_error(f, fp, g)
+        if message is not None:
+            with pytest.raises(ValueError) as info:
+                limit_mle(f, fp, g)
+            assert str(info.value) == message
+            return
+        res = limit_mle(f, fp, g)
+        _assert_analytic_close(res.lam, _reference_analytic(f, fp, g)[0])
+        assert res.omega == omega_mle(f, g).omega
+
+    def test_deep_pencil_raises_the_same_message(self):
+        # the complete 10-vertex DAG at sample rank 1: the pencil expansion
+        # of the 9-parent vertex loses every digit, so the analytic limit
+        # fails its normal-equations check
+        rng = np.random.default_rng(20231106)
+        g = Dag(10, [(j, i) for i in range(2, 11) for j in range(1, i)])
+        f = random_rank_deficient(rng, 10, 10, 1)
+        fp = random_perturbation(f, seed=3)
+        message = _reference_limit_mle_error(f, fp, g)
+        assert message is not None
+        with pytest.raises(ValueError) as info:
+            limit_mle(f, fp, g)
+        assert str(info.value) == message
+
+
+class TestStackedNeville:
+    @pytest.mark.parametrize("length", [1, 2, 3, 6])
+    def test_segments_match_one_table_each(self, length):
+        rng = np.random.default_rng(length)
+        grid = DEFAULT_EPS_GRID[:length]
+        widths = [3, 1, 0, 5, 2, 1]
+        columns = [rng.standard_normal((length, w)) * 10.0 ** rng.integers(-3, 4) for w in widths]
+        starts = np.cumsum(widths) - widths
+        values, errors = _neville_zero(grid, np.hstack(columns), starts)
+        for k, (w, col) in enumerate(zip(widths, columns)):
+            ref_value, ref_err = _reference_neville(grid, list(col))
+            assert values[starts[k]:starts[k] + w].tolist() == ref_value.tolist()
+            assert errors[k] == ref_err
+
+
+class TestEdgeCases:
+    def test_dag_without_edges(self):
+        rng = np.random.default_rng(11)
+        f = random_rank_deficient(rng, 5, 4, 2)
+        fp = random_perturbation(f, seed=11)
+        g = Dag(4, [])
+        res = limit_mle_numeric(f, fp, g)
+        lam, err, diverged, omega, omega_exists = _reference_numeric(f, fp, g)
+        assert (res.lam, res.extrapolation_error, res.diverged_vertices) == ({}, {}, ())
+        assert (lam, err, diverged) == ({}, {}, ())
+        assert res.omega == omega
+        assert res.omega_exists == omega_exists
+        assert res.epsilon_independent == {}
+        assert check_lambda_condition(f, fp, g) == check_full_condition(f, fp, g) == {}
+        assert limit_lambda_analytic(f, fp, g).lam == {}
+
+    @pytest.mark.parametrize("grid", [(1e-3,), (1e-2, 1e-3)], ids=["one", "two"])
+    def test_short_grids(self, grid):
+        f, fp, g = _case(21, 10, 3, 3)
+        res = limit_mle_numeric(f, fp, g, eps_grid=grid)
+        lam, err, diverged, omega, omega_exists = _reference_numeric(f, fp, g, grid)
+        assert res.lam == lam
+        assert res.extrapolation_error == err
+        assert res.diverged_vertices == diverged
+        assert res.omega == omega
+        assert res.omega_exists == omega_exists
+        if len(grid) == 1:
+            assert set(err.values()) == {0.0}
+
+    @pytest.mark.parametrize("grid", [(1e-1,), (1e-1, 1e-2), DEFAULT_EPS_GRID],
+                             ids=["one", "two", "default"])
+    def test_solve_numeric_single_vector(self, grid):
+        # one parent column: x(eps) is a single number along the grid
+        A = np.array([[1.0], [0.0], [0.0]])
+        E = np.array([[0.0], [2.0], [0.0]])
+        b = np.array([3.0, 0.0, 1.0])
+        v = np.array([0.0, 1.0, 0.5])
+        res = limit_solve_numeric(A, E, b, v, eps_grid=grid)
+        value, diverged, est, norms = _reference_solve(A, E, b, v, grid)
+        assert not res.diverged and not diverged
+        assert res.value.tolist() == value.tolist()
+        assert res.error_estimate == est
+        assert res.norms == norms
+
+    def test_solve_numeric_divergence_unchanged(self):
+        A = np.array([[1.0, 0.0], [0.0, 0.0]])
+        E = np.array([[0.0, 0.0], [0.0, 1.0]])
+        b = np.array([0.0, 1.0])
+        res = limit_solve_numeric(A, E, b, np.zeros(2))
+        value, diverged, est, norms = _reference_solve(A, E, b, np.zeros(2))
+        got = (res.value, res.diverged, res.error_estimate, res.norms)
+        assert got == (value, diverged, est, norms)
+
