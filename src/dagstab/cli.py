@@ -102,7 +102,8 @@ class Problem:
     def __init__(self, data: dict):
         gdef = data["graph"]
         try:
-            self.g = graph.Dag(gdef["m"], [tuple(e) for e in gdef["edges"]])
+            # the schema's "integer" admits integral floats such as 3.0
+            self.g = graph.Dag(int(gdef["m"]), [tuple(e) for e in gdef["edges"]])
         except ValueError as exc:
             raise SemanticError(str(exc)) from exc
         m = self.g.m
@@ -125,7 +126,8 @@ class Problem:
 
         settings = data.get("settings", {})
         self.tol = settings.get("tol")
-        self.seed = _check_seed(settings.get("seed"))
+        seed = settings.get("seed")
+        self.seed = _check_seed(None if seed is None else int(seed))
         self.eps_grid = settings.get("epsilonGrid")
         if self.eps_grid is not None:
             self.eps_grid = limits._check_grid(self.eps_grid)
@@ -305,17 +307,9 @@ def cmd_limit(problem: Problem, tol: float, seed, eps_grid) -> dict:
     numeric_map = None
     if not numeric.diverged:
         numeric_map = _vertex_vectors(numeric, g)
-        deltas = [0.0]
-        for i in g.child_vertices():
-            deltas.append(
-                float(
-                    np.max(
-                        np.abs(analytic.lambda_vector(g, i) - numeric.lambda_vector(g, i)),
-                        initial=0.0,
-                    )
-                )
-            )
-        agreement = max(deltas)
+        agreement = max(
+            (abs(analytic.lam[k] - numeric.lam[k]) for k in analytic.lam), default=0.0
+        )
     diagnostics = {
         str(i): {
             "l": d.first_nonzero,

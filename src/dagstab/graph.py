@@ -9,6 +9,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -43,8 +44,9 @@ class Dag:
     edges: frozenset[Edge]
 
     def __init__(self, m: int, edges=()):
-        if not isinstance(m, int) or m < 1:
+        if not isinstance(m, numbers.Integral) or m < 1:
             raise ValueError(f"vertex count must be a positive integer, got {m!r}")
+        m = int(m)
         normalised = set()
         for e in edges:
             j, i = e

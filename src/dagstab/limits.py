@@ -16,16 +16,23 @@ two ways:
   columns of ``f`` with the projected target column, and ``w`` the same for
   the perturbation.
 
-The two routes are independent and cross-validate each other.
+Both routes work on the parent-count groups of :func:`dagstab.mle._groups`,
+the one grouping of child vertices in the package.  The projections behind
+``fbar``, ``vbar`` and the two span conditions run as one batched SVD per
+group and per span (``A``, ``E`` and ``A + E``), cut by
+:func:`dagstab.linalg._kept`, the one rank cut.  The numeric route
+extrapolates every edge-weight vector and every variance through one
+stacked Neville table.  ``limit_mle`` checks its edge weights with the
+normal-equations check behind :func:`dagstab.mle.is_lambda_mle`, and
+``check_alpha_fixed`` is one matrix product.  Only the pencil expansion
+still runs vertex by vertex.
 
-Both routes work on child vertices grouped by parent count ``p``, as the
-MLE fit in :mod:`dagstab.mle` does.  The projections behind ``fbar``,
-``vbar`` and the two span conditions run as one batched SVD per group and
-per span (``A``, ``E`` and ``A + E``), keeping the singular values above
-``tol * sigma_max`` as :func:`dagstab.linalg.image_basis` does.  The
-numeric route extrapolates every edge-weight vector and every variance
-through one stacked Neville table.  Only the pencil expansion still runs
-vertex by vertex.
+The two routes are independent and agree to better than ``1e-6`` on
+shallow pencils.  On deep ones (from about 8 parents at a low sample
+rank) the pencil expansion interpolates on ill-conditioned Vandermonde
+systems and the analytic limit can be wrong with no warning; ``limit_mle``
+raises when its normal-equations check catches it.  ROADMAP.md, open item
+1, has the measurements and the planned exact replacement.
 """
 
 from __future__ import annotations
@@ -36,8 +43,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Dag
-from .linalg import DEFAULT_TOL, _as_matrix, pencil_expand
-from .mle import MleEstimate, full_mle, omega_mle
+from .linalg import DEFAULT_TOL, _as_matrix, _kept, pencil_expand
+from .mle import (
+    MleEstimate,
+    _groups,
+    _normal_equation_failures,
+    _weight_matrix,
+    full_mle,
+    omega_mle,
+)
 from .stabilise import Perturbation, _as_perturbation
 
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -47,41 +61,15 @@ DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DIVERGENCE_FACTOR = 10.0
 
 
-def _vertex_system(F: np.ndarray, P: np.ndarray, g: Dag, i: int):
-    """Parent submatrices and target columns ``(A, E, b, v)`` at child ``i``."""
-    idx = [j - 1 for j in g.parents(i)]
-    return F[:, idx], P[:, idx], F[:, i - 1], P[:, i - 1]
-
-
-def _child_groups(F: np.ndarray, P: np.ndarray, g: Dag):
-    """Child vertices grouped by parent count, with their systems stacked.
-
-    Yields ``(vertices, A, E, b, v)`` per group: ``A`` and ``E`` are
-    ``(k, n, p)`` stacks of parent submatrices and ``b``, ``v`` the
-    ``(k, n)`` stacks of target columns, for the group's ``k`` vertices in
-    ascending order.
-    """
-    groups: dict[int, list[int]] = {}
-    for i in g.child_vertices():
-        groups.setdefault(len(g.parents(i)), []).append(i)
-    Ft, Pt = F.T, P.T
-    for verts in groups.values():
-        idx = np.array([g.parents(i) for i in verts]) - 1
-        cols = np.array(verts) - 1
-        yield verts, Ft[idx].transpose(0, 2, 1), Pt[idx].transpose(0, 2, 1), Ft[cols], Pt[cols]
-
-
 def _project(Y: np.ndarray, B: np.ndarray, tol: float) -> np.ndarray:
     """Orthogonal projection of each row of ``Y`` onto the column span of
     the matching matrix of the stack ``B``.
 
     One batched SVD ``B = U S V^T``; the span keeps the left singular
-    vectors whose singular values exceed ``tol * sigma_max``, the rank test
-    of :func:`dagstab.linalg.image_basis`.
+    vectors that :func:`dagstab.linalg._kept` keeps.
     """
     U, s, _ = np.linalg.svd(B, full_matrices=False)
-    keep = s > tol * s[:, :1]
-    c = np.where(keep, (Y[:, None, :] @ U)[:, 0, :], 0.0)
+    c = np.where(_kept(s, tol), (Y[:, None, :] @ U)[:, 0, :], 0.0)
     return (U @ c[:, :, None])[:, :, 0]
 
 
@@ -96,19 +84,14 @@ def _in_perturbed_span(target, A, E, tol: float) -> np.ndarray:
     return _norms(resid) <= tol * (1.0 + _norms(target))
 
 
-def _projected_targets(pert: Perturbation, g: Dag, tol: float):
-    """Per child vertex ``i``: ``fbar = proj_A(b)``, ``vbar = proj_E(v)``
-    and whether ``fbar + vbar`` lies in the span of ``A + E`` (the
-    edge-weight condition).  Three batched SVDs per parent-count group."""
-    proj: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    cond: dict[int, bool] = {}
-    for verts, A, E, b, v in _child_groups(pert.base, pert.delta, g):
+def _projected_groups(pert: Perturbation, g: Dag, tol: float):
+    """Per parent-count group of child vertices: the vertices, the stacks
+    ``A`` and ``E`` of parent columns, ``fbar = proj_A(b)``,
+    ``vbar = proj_E(v)`` and whether ``fbar + vbar`` lies in the span of
+    ``A + E`` (the edge-weight condition).  Three batched SVDs per group."""
+    for verts, (A, b), (E, v) in _groups(g, pert.base, pert.delta):
         fbar, vbar = _project(b, A, tol), _project(v, E, tol)
-        ok = _in_perturbed_span(fbar + vbar, A, E, tol)
-        for i, fb, vb, flag in zip(verts, fbar, vbar, ok.tolist()):
-            proj[i] = fb, vb
-            cond[i] = flag
-    return proj, {i: cond[i] for i in g.child_vertices()}
+        yield verts, A, E, fbar, vbar, _in_perturbed_span(fbar + vbar, A, E, tol)
 
 
 def vertex_system(f, fp, g: Dag, i: int, tol: float = DEFAULT_TOL):
@@ -124,7 +107,8 @@ def vertex_system(f, fp, g: Dag, i: int, tol: float = DEFAULT_TOL):
     pert = _as_perturbation(f, fp, tol, g.m)
     if i not in g.child_vertices():
         raise ValueError(f"vertex {i} has no parents")
-    return _vertex_system(pert.base, pert.delta, g, i)
+    idx = [j - 1 for j in g.parents(i)]
+    return pert.base[:, idx], pert.delta[:, idx], pert.base[:, i - 1], pert.delta[:, i - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,30 +359,28 @@ def limit_lambda_analytic(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResul
     that vertex.
     """
     pert = _as_perturbation(f, fp, tol, g.m)
-    F, P = pert.base, pert.delta
-    proj, eps_ind = _projected_targets(pert, g, tol)
-    lam: dict[tuple[int, int], float] = {}
     diagnostics: dict[int, VertexDiagnostics] = {}
-    for i in g.child_vertices():
-        A, E, _, _ = _vertex_system(F, P, g, i)
-        fbar, vbar = proj[i]
-        pencil = pencil_expand(A, E, tol)
-        l = pencil.first_nonzero
-        u = A.T @ fbar
-        w = E.T @ vbar
-        numerator = pencil.adj_coeff(l) @ u + pencil.adj_coeff(l - 1) @ w
-        c_l = float(pencil.det_coeffs[l])
-        value = numerator / c_l
-        diagnostics[i] = VertexDiagnostics(l, c_l, numerator)
-        for j, val in zip(g.parents(i), value):
-            lam[(i, j)] = float(val)
+    cond: dict[int, bool] = {}
+    for verts, A, E, fbar, vbar, ok in _projected_groups(pert, g, tol):
+        cond.update(zip(verts, ok.tolist()))
+        for i, A_i, E_i, fb, vb in zip(verts, A, E, fbar, vbar):
+            pencil = pencil_expand(A_i, E_i, tol)
+            l = pencil.first_nonzero
+            numerator = pencil.adj_coeff(l) @ (A_i.T @ fb) + pencil.adj_coeff(l - 1) @ (E_i.T @ vb)
+            diagnostics[i] = VertexDiagnostics(l, float(pencil.det_coeffs[l]), numerator)
+    children = g.child_vertices()
+    lam = {
+        (i, j): float(val)
+        for i in children
+        for j, val in zip(g.parents(i), diagnostics[i].numerator / diagnostics[i].det_coeff)
+    }
     return LimitResult(
         lam=lam,
         omega={},
         omega_exists={},
         method="analytic",
-        epsilon_independent=eps_ind,
-        diagnostics=diagnostics,
+        epsilon_independent={i: cond[i] for i in children},
+        diagnostics={i: diagnostics[i] for i in children},
     )
 
 
@@ -412,9 +394,8 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
     ``partial`` (edge-weight limit plus the existing variance entries).
     """
     pert = _as_perturbation(f, fp, tol, g.m)
-    F, P = pert.base, pert.delta
     lpart = limit_lambda_analytic(None, pert, g, tol)
-    opart = omega_mle(F, g, tol)
+    opart = omega_mle(pert.base, g, tol)
     result = LimitResult(
         lam=lpart.lam,
         omega=opart.omega,
@@ -425,17 +406,12 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
         partial=not all(opart.omega_exists.values()),
     )
     # The limit solves the degenerate normal system at every child vertex.
-    check_tol = max(tol, 1e-8)
-    for i in g.child_vertices():
-        A, _, b, _ = _vertex_system(F, P, g, i)
-        lam_i = result.lambda_vector(g, i)
-        resid = A.T @ (b - A @ lam_i)
-        scale = 1.0 + np.linalg.norm(A.T @ b) + np.linalg.norm(A.T @ A) * np.linalg.norm(lam_i)
-        if np.linalg.norm(resid) > check_tol * scale:
-            raise ValueError(
-                f"limit estimate fails the normal equations at vertex {i}; "
-                "input is numerically inconsistent"
-            )
+    bad = _normal_equation_failures(pert.base, g, result.lam, max(tol, 1e-8))
+    if bad:
+        raise ValueError(
+            f"limit estimate fails the normal equations at vertex {bad[0]}; "
+            "input is numerically inconsistent"
+        )
     return result
 
 
@@ -447,7 +423,10 @@ def check_lambda_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int,
     stabilisation being an edge-weight MLE given ``f`` (and to the estimate
     being independent of ``eps`` along the path).
     """
-    return _projected_targets(_as_perturbation(f, fp, tol, g.m), g, tol)[1]
+    out: dict[int, bool] = {}
+    for verts, *_, ok in _projected_groups(_as_perturbation(f, fp, tol, g.m), g, tol):
+        out.update(zip(verts, ok.tolist()))
+    return {i: out[i] for i in g.child_vertices()}
 
 
 def check_full_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int, bool]:
@@ -465,7 +444,7 @@ def check_full_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int, b
     """
     pert = _as_perturbation(f, fp, tol, g.m)
     out: dict[int, bool] = {}
-    for verts, A, E, b, v in _child_groups(pert.base, pert.delta, g):
+    for verts, (A, b), (E, v) in _groups(g, pert.base, pert.delta):
         first = _norms(v - _project(v, E, tol)) <= tol * (1.0 + _norms(v))
         second = _in_perturbed_span(_project(b, A, tol) + v, A, E, tol)
         out.update(zip(verts, (first & second).tolist()))
@@ -484,18 +463,10 @@ def check_alpha_fixed(
     the stabilisation equalling that MLE's (see
     :func:`check_full_condition` on source-vertex variances).
     """
-    for (i, j) in alpha_lambda:
-        if not g.has_edge(j, i):
-            raise ValueError(f"edge weight given for non-edge {j} -> {i}")
+    L = _weight_matrix(alpha_lambda, g)
     P = fp.delta if isinstance(fp, Perturbation) else _as_matrix(fp, "perturbation")
     if P.shape[1] != g.m:
         raise ValueError(f"perturbation has {P.shape[1]} columns but the DAG has {g.m} vertices")
-    out: dict[int, bool] = {}
-    for i in g.child_vertices():
-        v_i = P[:, i - 1]
-        combo = np.zeros_like(v_i)
-        for j in g.parents(i):
-            combo += alpha_lambda.get((i, j), 0.0) * P[:, j - 1]
-        resid = v_i - combo
-        out[i] = float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(v_i)))
-    return out
+    # column i of P - P L^T is v_i - sum_j lambda_ij v_j
+    ok = _norms((P - P @ L.T).T) <= tol * (1.0 + _norms(P.T))
+    return {i: bool(ok[i - 1]) for i in g.child_vertices()}

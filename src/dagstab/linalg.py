@@ -42,39 +42,28 @@ def _as_vector(v) -> np.ndarray:
     return x
 
 
+def _kept(s: np.ndarray, tol: float) -> np.ndarray:
+    """The one rank cut: which singular values, in descending order along the
+    last axis, lie above ``tol * sigma_max``.  An empty or all-zero row keeps
+    none."""
+    return s > tol * s[..., :1]
+
+
 def rank(M, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank: number of singular values above ``tol * sigma_max``."""
-    A = _as_matrix(M)
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(_kept(np.linalg.svd(_as_matrix(M), compute_uv=False), tol).sum())
 
 
 def image_basis(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the column space, as columns of an ``n x r`` array."""
-    A = _as_matrix(M)
-    n = A.shape[0]
-    if A.size == 0:
-        return np.zeros((n, 0))
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    return U[:, :r]
+    U, s, _ = np.linalg.svd(_as_matrix(M), full_matrices=False)
+    return U[:, : int(_kept(s, tol).sum())]
 
 
 def kernel_basis(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the null space, as columns of a ``p x (p-r)`` array."""
-    A = _as_matrix(M)
-    p = A.shape[1]
-    if p == 0:
-        return np.zeros((0, 0))
-    if A.shape[0] == 0 or not np.any(A):
-        return np.eye(p)
-    _, s, Vt = np.linalg.svd(A, full_matrices=True)
-    r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    return Vt[r:].T
+    _, s, Vt = np.linalg.svd(_as_matrix(M), full_matrices=True)
+    return Vt[int(_kept(s, tol).sum()):].T
 
 
 def orth_complement(B, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -12,23 +12,29 @@ squared residual of that projection, and exists only when the residual is
 strictly positive.  All functions are pure and thread-safe.
 
 Every estimator and the classification read one fit of the whole sample.
-Vertices are grouped by parent count ``p`` and each group's parent
-submatrices go through one stacked ``n x p`` SVD; the rank at
-``tol * sigma_max``, the minimum-norm coefficients, the projection and
-the residual all come from it.  ``classify`` also needs the rank of each
-parent-and-self submatrix, which it reads from a batched SVD of a
-``(min(n, p) + 1) x (p + 1)`` matrix built from the same factors.  The
-sample is validated once per public call.
+:func:`_groups` groups the child vertices by parent count ``p`` and stacks
+their parent and target columns; it is the one grouping in the package,
+used by the fit, the normal-equations check and every group loop of
+:mod:`dagstab.limits`.  Each group's parent submatrices go through one
+stacked ``n x p`` SVD; the rank (the cut of :func:`dagstab.linalg._kept`),
+the minimum-norm coefficients, the projection and the residual all come
+from it.  ``classify`` also needs the rank of each parent-and-self
+submatrix, which it reads from a batched SVD of a
+``(min(n, p) + 1) x (p + 1)`` matrix built from the same factors.  One
+normal-equations check, stacked per group, serves ``is_lambda_mle``,
+``is_mle`` and ``limits.limit_mle``.  The sample is validated once per
+public call.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import EXISTS_NON_UNIQUE, EXISTS_UNIQUE, NONEXISTENT, Dag
-from .linalg import DEFAULT_TOL, _as_matrix, kernel_basis
+from .linalg import DEFAULT_TOL, _as_matrix, _kept, kernel_basis
 
 # Geometric-invariant-theory aliases for the three classification outcomes.
 GIT_LABELS = {
@@ -102,9 +108,9 @@ def duplicate(Y, k: int) -> np.ndarray:
     observations than variables are lifted to the ``n >= m`` setting.
     """
     A = _as_sample(Y)
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"duplication count must be a positive integer, got {k!r}")
-    return np.vstack([A] * k)
+    return np.vstack([A] * int(k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,14 +131,32 @@ class _Fit:
     self_rank: np.ndarray | None
 
 
+def _groups(g: Dag, *mats: np.ndarray):
+    """Child vertices grouped by parent count, with their columns stacked.
+
+    Per group of ``k`` vertices with ``p`` parents each, yields the vertices
+    (ascending) and, for each ``n x m`` matrix ``M`` given, the pair of the
+    ``(k, n, p)`` stack of parent submatrices ``M[:, parents(i)]`` and the
+    ``(k, n)`` stack of columns ``M[:, i]``.
+    """
+    parents = {i: g.parents(i) for i in g.child_vertices()}
+    groups: dict[int, list[int]] = {}
+    for i, pa in parents.items():
+        groups.setdefault(len(pa), []).append(i)
+    for verts in groups.values():
+        idx = np.array([parents[i] for i in verts]) - 1
+        cols = np.array(verts) - 1
+        yield verts, *((M.T[idx].transpose(0, 2, 1), M.T[cols]) for M in mats)
+
+
 def _fit(A: np.ndarray, g: Dag, tol: float, self_rank: bool = False) -> _Fit:
     """Project every column of a validated sample onto its parent columns.
 
     Vertices with equally many parents share one stacked SVD.  With
-    ``P = U S V^T`` and ``r`` the count of singular values above
-    ``tol * sigma_max`` (the test of :func:`dagstab.linalg.rank`), the
-    minimum-norm coefficients are ``V_r S_r^-1 U_r^T y`` and the projection
-    is ``U_r U_r^T y``.
+    ``P = U S V^T`` and ``r`` the count of singular values kept by
+    :func:`dagstab.linalg._kept`, the minimum-norm coefficients are
+    ``V_r S_r^-1 U_r^T y`` and the projection is ``U_r U_r^T y``.  A source
+    column is its own residual.
 
     ``[P | y]`` equals ``[U, q]`` times the small matrix
     ``[[S V^T, U^T y], [0, |y - U U^T y|]]`` with ``[U, q]`` orthonormal, so
@@ -141,23 +165,18 @@ def _fit(A: np.ndarray, g: Dag, tol: float, self_rank: bool = False) -> _Fit:
     residual is positive (otherwise it decides nothing).
     """
     m = A.shape[1]
-    parents = [g.parents(i) for i in range(1, m + 1)]
-    groups: dict[int, list[int]] = {}
-    for i, pa in enumerate(parents):
-        groups.setdefault(len(pa), []).append(i)
     coef = [np.zeros(0)] * m
     rank = np.zeros(m, dtype=int)
     resid_sq = np.empty(m)
+    children = set(g.child_vertices())
+    sources = [i - 1 for i in range(1, m + 1) if i not in children]
+    S = A.T[sources]
+    resid_sq[sources] = np.einsum("bn,bn->b", S, S)
     small: list[tuple[list[int], np.ndarray]] = []
-    for p, v in groups.items():
-        Y = A[:, v].T
-        if p == 0:
-            resid_sq[v] = np.einsum("bn,bn->b", Y, Y)
-            continue
-        idx = np.array([parents[i] for i in v]) - 1
-        P = A.T[idx].transpose(0, 2, 1)
+    for verts, (P, Y) in _groups(g, A):
+        v = [i - 1 for i in verts]
         U, s, Vt = np.linalg.svd(P, full_matrices=False)
-        keep = s > tol * s[:, :1]
+        keep = _kept(s, tol)
         c = (Y[:, None, :] @ U)[:, 0, :]
         c_kept = np.where(keep, c, 0.0)
         x = (np.divide(c_kept, s, out=np.zeros_like(c), where=keep)[:, None, :] @ Vt)[:, 0, :]
@@ -167,7 +186,7 @@ def _fit(A: np.ndarray, g: Dag, tol: float, self_rank: bool = False) -> _Fit:
         for i, row in zip(v, x):
             coef[i] = row
         if self_rank:
-            k = s.shape[1]
+            k, p = s.shape[1], P.shape[2]
             R_all = Y - (U @ c[:, :, None])[:, :, 0]
             M = np.zeros((len(v), k + 1, p + 1))
             M[:, :k, :p] = s[:, :, None] * Vt
@@ -181,8 +200,7 @@ def _fit(A: np.ndarray, g: Dag, tol: float, self_rank: bool = False) -> _Fit:
         # a source column with a positive residual is nonzero: rank 1
         srank = np.ones(m, dtype=int)
         for v, M in small:
-            sm = np.linalg.svd(M, compute_uv=False)
-            srank[v] = (sm > tol * sm[:, :1]).sum(axis=1)
+            srank[v] = _kept(np.linalg.svd(M, compute_uv=False), tol).sum(axis=1)
     return _Fit(coef, rank, resid_sq, exists, srank)
 
 
@@ -275,22 +293,39 @@ def _classification(fit: _Fit, g: Dag) -> Classification:
     return Classification(EXISTS_UNIQUE, GIT_LABELS[EXISTS_UNIQUE], None)
 
 
-def _solves_normal_equations(A: np.ndarray, g: Dag, lam, tol: float) -> bool:
-    for (i, j) in lam:
+def _weight_matrix(lam, g: Dag, missing: float = 0.0) -> np.ndarray:
+    """The ``m x m`` matrix ``L`` with ``L[i-1, j-1]`` the weight of edge
+    ``j -> i`` (row = child), ``missing`` at edges ``lam`` leaves out and 0
+    elsewhere.  The one check that ``lam`` names edges of ``g`` only."""
+    L = np.zeros((g.m, g.m))
+    for j, i in g.edges:
+        L[i - 1, j - 1] = missing
+    for (i, j), value in lam.items():
         if not g.has_edge(j, i):
             raise ValueError(f"edge weight given for non-edge {j} -> {i}")
-    for i in g.child_vertices():
-        pa = g.parents(i)
-        if any((i, j) not in lam for j in pa):
-            return False
-        P = A[:, [j - 1 for j in pa]]
-        x = np.array([lam[(i, j)] for j in pa])
-        b = A[:, i - 1]
-        resid = P.T @ (b - P @ x)
-        scale = 1.0 + np.linalg.norm(P.T @ b) + np.linalg.norm(P.T @ P) * np.linalg.norm(x)
-        if not np.linalg.norm(resid) <= tol * scale:  # NaN fails too
-            return False
-    return True
+        L[i - 1, j - 1] = value
+    return L
+
+
+def _normal_equation_failures(A: np.ndarray, g: Dag, lam, tol: float) -> list[int]:
+    """Child vertices, ascending, at which ``lam`` does not solve the normal
+    equations ``P^T (y - P x) = 0`` of the sample ``A`` to within
+    ``tol * (1 + |P^T y| + |P^T P| |x|)``, with ``P`` the parent columns,
+    ``y`` the child column and ``x`` the weights.  A missing or NaN weight
+    fails."""
+    L = _weight_matrix(lam, g, missing=np.nan)
+    R = A - A @ L.T  # column i is y - P x at child i
+    x_norm = np.sqrt(np.einsum("ij,ij->i", L, L))
+    bad: list[int] = []
+    for verts, (P, y), (_, r) in _groups(g, A, R):
+        resid = np.linalg.norm(np.einsum("knp,kn->kp", P, r), axis=1)
+        scale = (
+            1.0
+            + np.linalg.norm(np.einsum("knp,kn->kp", P, y), axis=1)
+            + np.linalg.norm(P.transpose(0, 2, 1) @ P, axis=(1, 2)) * x_norm[np.subtract(verts, 1)]
+        )
+        bad += [i for i, ok in zip(verts, (resid <= tol * scale).tolist()) if not ok]
+    return sorted(bad)
 
 
 def is_lambda_mle(
@@ -299,7 +334,7 @@ def is_lambda_mle(
     """Verify that ``lam`` solves the per-vertex normal equations of ``Y``,
     i.e. that it is an edge-weight MLE given ``Y`` (not necessarily the
     minimum-norm one)."""
-    return _solves_normal_equations(_validated(Y, g), g, lam, tol)
+    return not _normal_equation_failures(_validated(Y, g), g, lam, tol)
 
 
 def is_mle(Y, g: Dag, est: MleEstimate, tol: float = DEFAULT_TOL) -> bool:
@@ -307,7 +342,7 @@ def is_mle(Y, g: Dag, est: MleEstimate, tol: float = DEFAULT_TOL) -> bool:
     normal equations, the variance MLE exists at every vertex, and the
     variance entries match the projection residuals."""
     A = _validated(Y, g)
-    if not _solves_normal_equations(A, g, est.lam, tol):
+    if _normal_equation_failures(A, g, est.lam, tol):
         return False
     fit = _fit(A, g, tol)
     if not fit.exists.all():
@@ -334,11 +369,7 @@ def covariance(est: MleEstimate, g: Dag) -> np.ndarray:
     if not est.all_omega_exist(g):
         missing = [i for i in range(1, m + 1) if not est.omega_exists.get(i, False)]
         raise ValueError(f"variance estimates missing at vertices {missing}")
-    L = np.zeros((m, m))
-    for (i, j), value in est.lam.items():
-        if not g.has_edge(j, i):
-            raise ValueError(f"edge weight present for non-edge {j} -> {i}")
-        L[i - 1, j - 1] = value
+    L = _weight_matrix(est.lam, g)
     W = np.diag([est.omega[i] for i in range(1, m + 1)])
     Minv = np.linalg.inv(np.eye(m) - L)
     S = Minv @ W @ Minv.T

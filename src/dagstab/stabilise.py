@@ -19,6 +19,7 @@ the deterministic singular-vector bases produced by :mod:`dagstab.linalg`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -363,8 +364,9 @@ def random_lift(f, seed: int, tol: float = DEFAULT_TOL) -> CollineationLift:
     F = _as_matrix(f, "sample")
     _require_tall(F)
     n, m = F.shape
-    if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
         raise ValueError("seed must be an unsigned 64-bit integer")
+    seed = int(seed)
     if not 0 < tol < 1:
         # at tol >= 1 no stage map has rank above zero, so the kernel
         # never shrinks and the stages never end

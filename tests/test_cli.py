@@ -314,6 +314,24 @@ class TestErrorHandling:
         assert code == EXIT_SEMANTIC
 
 
+class TestIntegralFloats:
+    """The schema's "integer" admits JSON numbers such as 3.0; they must
+    give the same report as 3."""
+
+    @pytest.mark.parametrize("command", ["classify", "estimate", "stabilize", "limit", "check"])
+    def test_same_report_as_the_integer(self, tmp_path, command):
+        reports = []
+        for m, seed in ((3, 7), (3.0, 7.0)):
+            problem = {"graph": {"m": m, "edges": [[1, 3], [2, 3]]}, "sample": Y_DEP,
+                       "settings": {"seed": seed}}
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps(problem))
+            out = tmp_path / "r.json"
+            assert main([command, "--input", str(path), "--output", str(out)]) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+
 class TestSerialisation:
     def test_all_reports_validate_and_roundtrip(self, tmp_path):
         problems = {

@@ -29,7 +29,7 @@ from dagstab import (
     stabilize,
     vertex_system,
 )
-from dagstab import stabilise, varieties
+from dagstab import duplicate, random_lift, stabilise, varieties
 from dagstab.cli import EXIT_OK, EXIT_SEMANTIC, main
 from _helpers import collider
 
@@ -227,3 +227,41 @@ class TestPerturbationChecksPerCall:
         q = VarietyQuery(np.array(LINE_SAMPLE), np.array(LINE_PERT), collider(), LINE_ALPHA)
         assert in_Xf_alpha_lim(q)
         assert calls[0] == 1
+
+
+class TestIntegralArguments:
+    """Counts and seeds accept any integral type; floats stay rejected."""
+
+    def test_numpy_vertex_count(self):
+        g = Dag(np.int64(3), [(1, 3), (2, 3)])
+        assert g == collider() and type(g.m) is int
+
+    def test_numpy_duplication_count(self):
+        assert np.array_equal(duplicate(LINE_SAMPLE, np.int64(2)), duplicate(LINE_SAMPLE, 2))
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int32(7)])
+    def test_numpy_seed(self, seed):
+        lift = random_lift(duplicate(Y_ID, 2), seed)
+        ref = random_lift(duplicate(Y_ID, 2), 7)
+        assert lift.seed == 7 and type(lift.seed) is int
+        assert len(lift.stages) == len(ref.stages)
+        for a, b in zip(lift.stages, ref.stages):
+            assert np.array_equal(a.stage_map, b.stage_map)
+
+    def test_largest_numpy_seed(self):
+        assert random_lift(duplicate(Y_ID, 2), np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("m", [3.0, np.float64(3.0), np.int64(0)])
+    def test_rejects_non_integral_or_small_vertex_count(self, m):
+        with pytest.raises(ValueError, match="vertex count must be a positive integer"):
+            Dag(m)
+
+    @pytest.mark.parametrize("k", [2.0, np.float64(2.0), np.int64(0)])
+    def test_rejects_non_integral_or_small_duplication_count(self, k):
+        with pytest.raises(ValueError, match="duplication count must be a positive integer"):
+            duplicate(LINE_SAMPLE, k)
+
+    @pytest.mark.parametrize("seed", [7.0, np.float64(7.0), np.int64(-1), 2**64])
+    def test_rejects_bad_seeds(self, seed):
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            random_lift(duplicate(Y_ID, 2), seed)
