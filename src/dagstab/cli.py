@@ -101,16 +101,15 @@ class Problem:
 
     def __init__(self, data: dict):
         gdef = data["graph"]
-        try:
-            # the schema's "integer" admits integral floats such as 3.0
-            self.g = graph.Dag(int(gdef["m"]), [tuple(e) for e in gdef["edges"]])
-        except ValueError as exc:
-            raise SemanticError(str(exc)) from exc
-        m = self.g.m
-
+        m = int(gdef["m"])  # the schema's "integer" admits integral floats such as 3.0
         rows = data["sample"]
+        # the rows first: building the DAG costs time and memory in proportion to m
         if any(len(r) != m for r in rows):
             raise SemanticError(f"every sample row must have {m} entries")
+        try:
+            self.g = graph.Dag(m, [tuple(e) for e in gdef["edges"]])
+        except ValueError as exc:
+            raise SemanticError(str(exc)) from exc
         self.sample = _as_matrix(rows, "sample")
 
         self.perturbation = None

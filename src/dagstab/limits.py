@@ -16,16 +16,17 @@ two ways:
   columns of ``f`` with the projected target column, and ``w`` the same for
   the perturbation.
 
-Both routes work on the parent-count groups of :func:`dagstab.mle._groups`,
-the one grouping of child vertices in the package.  The projections behind
-``fbar``, ``vbar`` and the two span conditions run as one batched SVD per
-group and per span (``A``, ``E`` and ``A + E``), cut by
-:func:`dagstab.linalg._kept`, the one rank cut.  The numeric route
-extrapolates every edge-weight vector and every variance through one
-stacked Neville table.  ``limit_mle`` checks its edge weights with the
-normal-equations check behind :func:`dagstab.mle.is_lambda_mle`, and
-``check_alpha_fixed`` is one matrix product.  Only the pencil expansion
-still runs vertex by vertex.
+Both routes work on the parent-count groups of :func:`dagstab.mle._groups`.
+The projections behind ``fbar``, ``vbar`` and the two span conditions run
+as one batched SVD per group and per span (``A``, ``E`` and ``A + E``), cut
+by :func:`dagstab.linalg._kept`; the numeric route extrapolates every
+edge-weight vector and every variance through one stacked Neville table.
+Only the pencil expansion still runs vertex by vertex.  Zero tests go
+through :func:`dagstab.linalg._negligible`: a span condition holds when the
+residual of its target is at most ``tol`` times the target's norm plus the
+largest column norm of ``f'``, and a numeric variance limit vanishes at
+``tol`` times its largest value on the grid.  Scaling ``(f, f')`` by a
+constant therefore changes no condition and no existence flag.
 
 The two routes are independent and agree to better than ``1e-6`` on
 shallow pencils.  On deep ones (from about 8 parents at a low sample
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Dag
-from .linalg import DEFAULT_TOL, _as_matrix, _kept, pencil_expand
+from .linalg import DEFAULT_TOL, _as_matrix, _kept, _negligible, _verification_tol, pencil_expand
 from .mle import (
     MleEstimate,
     _groups,
@@ -77,11 +78,12 @@ def _norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("kn,kn->k", X, X))
 
 
-def _in_perturbed_span(target, A, E, tol: float) -> np.ndarray:
-    """Per row: does ``target`` lie in the span of the perturbed parent
-    columns ``A + E``?"""
-    resid = target - _project(target, A + E, tol)
-    return _norms(resid) <= tol * (1.0 + _norms(target))
+def _in_span(target, B, floor: float, tol: float) -> np.ndarray:
+    """Per row: does ``target``, built from the perturbation, lie in the span
+    of the matching matrix of ``B``?  ``floor`` is the largest column norm of
+    the perturbation, the size of the roundoff in its zero columns."""
+    resid = target - _project(target, B, tol)
+    return _negligible(_norms(resid), _norms(target) + floor, tol)
 
 
 def _projected_groups(pert: Perturbation, g: Dag, tol: float):
@@ -89,9 +91,10 @@ def _projected_groups(pert: Perturbation, g: Dag, tol: float):
     ``A`` and ``E`` of parent columns, ``fbar = proj_A(b)``,
     ``vbar = proj_E(v)`` and whether ``fbar + vbar`` lies in the span of
     ``A + E`` (the edge-weight condition).  Three batched SVDs per group."""
+    floor = _norms(pert.delta.T).max(initial=0.0)
     for verts, (A, b), (E, v) in _groups(g, pert.base, pert.delta):
         fbar, vbar = _project(b, A, tol), _project(v, E, tol)
-        yield verts, A, E, fbar, vbar, _in_perturbed_span(fbar + vbar, A, E, tol)
+        yield verts, A, E, fbar, vbar, _in_span(fbar + vbar, A + E, floor, tol)
 
 
 def vertex_system(f, fp, g: Dag, i: int, tol: float = DEFAULT_TOL):
@@ -324,17 +327,11 @@ def limit_mle_numeric(
         for j, val in zip(pa, values[at:at + len(pa)].tolist()):
             lam[(i, j)] = val
 
-    # the variances are the last m segments
-    variances = zip(zip(*omega_grid), values[-g.m:].tolist(), errors[-g.m:].tolist())
-    omega: dict[int, float] = {}
-    omega_exists: dict[int, bool] = {}
-    for i, (vals, w, est_err) in enumerate(variances, start=1):
-        thresh = max(tol * (1.0 + max(vals)), 10.0 * est_err)
-        if w > thresh:
-            omega_exists[i] = True
-            omega[i] = w
-        else:
-            omega_exists[i] = False
+    # the variances are the last m segments; each is judged on its largest grid value
+    w = values[-g.m:]
+    exists = (w > 10.0 * errors[-g.m:]) & ~_negligible(w, np.max(omega_grid, axis=0), tol)
+    omega_exists = dict(enumerate(exists.tolist(), start=1))
+    omega = {i: x for i, x, ok in zip(omega_exists, w.tolist(), exists.tolist()) if ok}
 
     eps_ind = check_lambda_condition(None, pert, g, tol) if not diverged_vertices else {}
     return LimitResult(
@@ -406,7 +403,7 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
         partial=not all(opart.omega_exists.values()),
     )
     # The limit solves the degenerate normal system at every child vertex.
-    bad = _normal_equation_failures(pert.base, g, result.lam, max(tol, 1e-8))
+    bad = _normal_equation_failures(pert.base, g, result.lam, _verification_tol(tol))
     if bad:
         raise ValueError(
             f"limit estimate fails the normal equations at vertex {bad[0]}; "
@@ -443,11 +440,11 @@ def check_full_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int, b
     ``eps -> 0`` path, so the limit machinery is unaffected).
     """
     pert = _as_perturbation(f, fp, tol, g.m)
+    floor = _norms(pert.delta.T).max(initial=0.0)
     out: dict[int, bool] = {}
     for verts, (A, b), (E, v) in _groups(g, pert.base, pert.delta):
-        first = _norms(v - _project(v, E, tol)) <= tol * (1.0 + _norms(v))
-        second = _in_perturbed_span(_project(b, A, tol) + v, A, E, tol)
-        out.update(zip(verts, (first & second).tolist()))
+        ok = _in_span(v, E, floor, tol) & _in_span(_project(b, A, tol) + v, A + E, floor, tol)
+        out.update(zip(verts, ok.tolist()))
     return {i: out[i] for i in g.child_vertices()}
 
 
@@ -468,5 +465,6 @@ def check_alpha_fixed(
     if P.shape[1] != g.m:
         raise ValueError(f"perturbation has {P.shape[1]} columns but the DAG has {g.m} vertices")
     # column i of P - P L^T is v_i - sum_j lambda_ij v_j
-    ok = _norms((P - P @ L.T).T) <= tol * (1.0 + _norms(P.T))
+    cols = _norms(P.T)
+    ok = _negligible(_norms((P - P @ L.T).T), cols + cols.max(initial=0.0), tol)
     return {i: bool(ok[i - 1]) for i in g.child_vertices()}

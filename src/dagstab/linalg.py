@@ -6,8 +6,16 @@ least squares, and the polynomial expansion of the one-parameter pencil
 in :mod:`dagstab.limits`.
 
 All operations are pure functions on immutable values; inputs are never
-mutated.  Tolerances are relative to the largest singular value involved,
-defaulting to ``DEFAULT_TOL``.
+mutated.  Tolerances are relative, defaulting to ``DEFAULT_TOL``, and each
+kind of decision has one owner: :func:`_kept` cuts singular values at
+``tol * sigma_max`` and :func:`_negligible` decides that a residual is zero,
+``residual <= tol * scale``.  No scale has an absolute floor, so scaling the
+sample and its perturbation by a common constant, or rotating both by an
+orthogonal matrix, changes no answer.  The scale of a vector from the sample
+is its own norm; of a vector built from the perturbation, its own norm plus
+the largest perturbation column norm (columns that vanish in exact
+arithmetic carry roundoff of that size); of a product, the product of the
+norms of its factors, e.g. ``|P^T y| + |P^T P| |x|`` for ``P^T (y - P x)``.
 """
 
 from __future__ import annotations
@@ -47,6 +55,17 @@ def _kept(s: np.ndarray, tol: float) -> np.ndarray:
     last axis, lie above ``tol * sigma_max``.  An empty or all-zero row keeps
     none."""
     return s > tol * s[..., :1]
+
+
+def _negligible(residual, scale, tol: float):
+    """The one zero test, elementwise: is ``residual <= tol * scale``?  A NaN
+    is never negligible.  The module docstring gives the scale to use."""
+    return residual <= tol * scale
+
+
+def _verification_tol(tol: float) -> float:
+    """The tolerance of checks on computed results: never below 1e-8."""
+    return max(tol, 1e-8)
 
 
 def rank(M, tol: float = DEFAULT_TOL) -> int:
@@ -211,10 +230,8 @@ def pencil_expand(
     if p == 0:
         return PencilExpansion(0, np.array([1.0]), (), 0)
 
-    scale_a = np.linalg.norm(A, 2) if A.size else 0.0
-    scale_e = np.linalg.norm(E, 2) if E.size else 0.0
-    cross = A.T @ E
-    if np.max(np.abs(cross), initial=0.0) > tol * (1.0 + scale_a * scale_e):
+    scale = np.linalg.norm(A, 2) * np.linalg.norm(E, 2) if A.size else 0.0
+    if not _negligible(np.max(np.abs(A.T @ E), initial=0.0), scale, tol):
         raise ValueError("columns of A are not orthogonal to columns of E")
     if rank(A + E, tol) < p:
         raise ValueError("A + E must have full column rank")

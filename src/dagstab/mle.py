@@ -13,17 +13,17 @@ strictly positive.  All functions are pure and thread-safe.
 
 Every estimator and the classification read one fit of the whole sample.
 :func:`_groups` groups the child vertices by parent count ``p`` and stacks
-their parent and target columns; it is the one grouping in the package,
-used by the fit, the normal-equations check and every group loop of
-:mod:`dagstab.limits`.  Each group's parent submatrices go through one
-stacked ``n x p`` SVD; the rank (the cut of :func:`dagstab.linalg._kept`),
-the minimum-norm coefficients, the projection and the residual all come
-from it.  ``classify`` also needs the rank of each parent-and-self
-submatrix, which it reads from a batched SVD of a
-``(min(n, p) + 1) x (p + 1)`` matrix built from the same factors.  One
-normal-equations check, stacked per group, serves ``is_lambda_mle``,
-``is_mle`` and ``limits.limit_mle``.  The sample is validated once per
-public call.
+their parent and target columns; it is the one grouping in the package.
+Each group's parent submatrices go through one stacked ``n x p`` SVD; the
+rank (the cut of :func:`dagstab.linalg._kept`), the minimum-norm
+coefficients, the projection and the residual all come from it, and
+``classify`` reads the parent-and-self ranks from a batched SVD of a small
+matrix built from the same factors.  One normal-equations check, stacked
+per group, serves ``is_lambda_mle``, ``is_mle`` and ``limits.limit_mle``.
+Zero tests go through :func:`dagstab.linalg._negligible`: a variance exists
+when ``|y - proj y| > tol |y|``, and the normal equations hold when
+``|P^T (y - P x)| <= tol (|P^T y| + |P^T P| |x|)``, so no answer depends on
+the scale of the sample.  The sample is validated once per public call.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import EXISTS_NON_UNIQUE, EXISTS_UNIQUE, NONEXISTENT, Dag
-from .linalg import DEFAULT_TOL, _as_matrix, _kept, kernel_basis
+from .linalg import DEFAULT_TOL, _as_matrix, _kept, _negligible, kernel_basis
 
 # Geometric-invariant-theory aliases for the three classification outcomes.
 GIT_LABELS = {
@@ -193,8 +193,7 @@ def _fit(A: np.ndarray, g: Dag, tol: float, self_rank: bool = False) -> _Fit:
             M[:, :k, p] = c
             M[:, k, p] = np.sqrt(np.einsum("bn,bn->b", R_all, R_all))
             small.append((v, M))
-    # "strictly positive residual" read with a relative floating-point margin
-    exists = np.sqrt(resid_sq) > tol * (1.0 + np.sqrt(np.einsum("nm,nm->m", A, A)))
+    exists = ~_negligible(np.sqrt(resid_sq), np.sqrt(np.einsum("nm,nm->m", A, A)), tol)
     srank = None
     if self_rank and exists.all():
         # a source column with a positive residual is nonzero: rank 1
@@ -310,7 +309,7 @@ def _weight_matrix(lam, g: Dag, missing: float = 0.0) -> np.ndarray:
 def _normal_equation_failures(A: np.ndarray, g: Dag, lam, tol: float) -> list[int]:
     """Child vertices, ascending, at which ``lam`` does not solve the normal
     equations ``P^T (y - P x) = 0`` of the sample ``A`` to within
-    ``tol * (1 + |P^T y| + |P^T P| |x|)``, with ``P`` the parent columns,
+    ``tol * (|P^T y| + |P^T P| |x|)``, with ``P`` the parent columns,
     ``y`` the child column and ``x`` the weights.  A missing or NaN weight
     fails."""
     L = _weight_matrix(lam, g, missing=np.nan)
@@ -320,11 +319,10 @@ def _normal_equation_failures(A: np.ndarray, g: Dag, lam, tol: float) -> list[in
     for verts, (P, y), (_, r) in _groups(g, A, R):
         resid = np.linalg.norm(np.einsum("knp,kn->kp", P, r), axis=1)
         scale = (
-            1.0
-            + np.linalg.norm(np.einsum("knp,kn->kp", P, y), axis=1)
+            np.linalg.norm(np.einsum("knp,kn->kp", P, y), axis=1)
             + np.linalg.norm(P.transpose(0, 2, 1) @ P, axis=(1, 2)) * x_norm[np.subtract(verts, 1)]
         )
-        bad += [i for i, ok in zip(verts, (resid <= tol * scale).tolist()) if not ok]
+        bad += [i for i, ok in zip(verts, _negligible(resid, scale, tol).tolist()) if not ok]
     return sorted(bad)
 
 
@@ -345,16 +343,11 @@ def is_mle(Y, g: Dag, est: MleEstimate, tol: float = DEFAULT_TOL) -> bool:
     if _normal_equation_failures(A, g, est.lam, tol):
         return False
     fit = _fit(A, g, tol)
-    if not fit.exists.all():
+    omega = [est.omega.get(i) if est.omega_exists.get(i) else None for i in range(1, g.m + 1)]
+    if not fit.exists.all() or None in omega:
         return False
-    n = A.shape[0]
-    for i in range(1, g.m + 1):
-        if not est.omega_exists.get(i, False) or i not in est.omega:
-            return False
-        ref = float(fit.resid_sq[i - 1]) / n
-        if not abs(est.omega[i] - ref) <= tol * (1.0 + abs(ref)):
-            return False
-    return True
+    ref = fit.resid_sq / A.shape[0]
+    return bool(_negligible(np.abs(np.subtract(omega, ref)), ref, tol).all())
 
 
 def covariance(est: MleEstimate, g: Dag) -> np.ndarray:
@@ -389,10 +382,10 @@ def loglik(Sigma, Y, tol: float = DEFAULT_TOL) -> float:
     m = A.shape[1]
     if S.shape != (m, m):
         raise ValueError(f"covariance must be {m} x {m}, got {S.shape}")
-    if np.max(np.abs(S - S.T)) > tol * (1.0 + np.max(np.abs(S))):
+    if not _negligible(np.max(np.abs(S - S.T)), np.max(np.abs(S)), tol):
         raise ValueError("covariance must be symmetric")
     eigs = np.linalg.eigvalsh((S + S.T) / 2.0)
-    if eigs[0] <= tol * max(eigs[-1], 0.0):
+    if _negligible(eigs[0], max(eigs[-1], 0.0), tol):
         raise ValueError("covariance must be positive definite")
     n = A.shape[0]
     sample_cov = A.T @ A / n

@@ -27,6 +27,8 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     _as_matrix,
+    _negligible,
+    _verification_tol,
     image_basis,
     kernel_basis,
     orth_complement,
@@ -101,14 +103,11 @@ def is_perturbation(f, fp, tol: float = DEFAULT_TOL) -> PerturbationCheck:
     if P.shape != F.shape:
         raise ValueError(f"shape mismatch: sample {F.shape}, perturbation {P.shape}")
 
-    scale_f = np.linalg.norm(F, 2) if F.size else 0.0
-    scale_p = np.linalg.norm(P, 2) if P.size else 0.0
-    thresh = tol * (1.0 + scale_f * scale_p)
-
+    scale = np.linalg.norm(F, 2) * np.linalg.norm(P, 2) if F.size else 0.0
     max_col = float(np.max(np.abs(F.T @ P), initial=0.0))
     max_row = float(np.max(np.abs(P @ F.T), initial=0.0))
-    col_ok = bool(max_col <= thresh)
-    row_ok = bool(max_row <= thresh)
+    col_ok = bool(_negligible(max_col, scale, tol))
+    row_ok = bool(_negligible(max_row, scale, tol))
 
     expected = F.shape[1] - rank(F, tol)
     actual = rank(P, tol)
@@ -225,7 +224,7 @@ def _check_orthonormal(B: np.ndarray, what: str, tol: float) -> None:
     if B.shape[1] == 0:
         raise InvalidLiftError(f"{what} has no columns")
     G = B.T @ B - np.eye(B.shape[1])
-    if np.max(np.abs(G)) > max(tol, 1e-8):
+    if not _negligible(np.max(np.abs(G)), 1.0, _verification_tol(tol)):
         raise InvalidLiftError(f"{what} does not have orthonormal columns")
 
 
@@ -248,7 +247,7 @@ def validate_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> None:
                 "rank-deficient sample needs at least one stage beyond the base"
             )
         return
-    ortho_tol = max(tol, 1e-8)
+    ortho_tol = _verification_tol(tol)
     prev_kernel_dim = m - r
     prev_cokernel_dim = n - r
     prev_map: np.ndarray = F
@@ -279,8 +278,8 @@ def validate_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> None:
                 f"stage {idx + 2}: stage map shape {M.shape} does not match bases"
             )
         # kernel basis must be annihilated by the previous map
-        if np.max(np.abs(prev_map @ K), initial=0.0) > ortho_tol * (
-            1.0 + np.linalg.norm(prev_map, 2)
+        if not _negligible(
+            np.max(np.abs(prev_map @ K), initial=0.0), np.linalg.norm(prev_map, 2), ortho_tol
         ):
             raise InvalidLiftError(
                 f"stage {idx + 2}: kernel basis does not span the previous kernel"
@@ -288,13 +287,13 @@ def validate_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> None:
         if prev_basis is not None:
             # nesting in R^m
             off = K - prev_basis @ (prev_basis.T @ K)
-            if np.max(np.abs(off)) > ortho_tol:
+            if not _negligible(np.max(np.abs(off)), 1.0, ortho_tol):
                 raise InvalidLiftError(
                     f"stage {idx + 2}: kernel basis is not nested in the previous one"
                 )
         # cokernel embedding orthogonal to all previous images
         for Q in images:
-            if Q.shape[1] and np.max(np.abs(Q.T @ C), initial=0.0) > ortho_tol:
+            if not _negligible(np.max(np.abs(Q.T @ C), initial=0.0), 1.0, ortho_tol):
                 raise InvalidLiftError(
                     f"stage {idx + 2}: cokernel embedding meets an earlier image"
                 )

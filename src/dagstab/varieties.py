@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import NONEXISTENT, Dag, is_star
-from .linalg import DEFAULT_TOL
-from .mle import MleEstimate, classify, full_mle, is_mle
+from .linalg import DEFAULT_TOL, _negligible, _verification_tol
+from .mle import MleEstimate, _classified_mle, is_mle
 from .limits import check_alpha_fixed, limit_lambda_analytic
 from .stabilise import (
     InvalidPerturbationError,
@@ -85,9 +85,7 @@ def in_Xf_alpha(q: VarietyQuery) -> bool:
     """
     if q.alpha is None:
         raise ValueError("membership in the alpha-indexed variety needs alpha")
-    if classify(q.f, q.g, q.tol).status == NONEXISTENT or not is_mle(
-        q.f, q.g, q.alpha, max(q.tol, 1e-8)
-    ):
+    if not is_mle(q.f, q.g, q.alpha, _verification_tol(q.tol)):
         raise AlphaNotMleError("alpha is not an MLE given the sample")
     pert = _perturbation(q)
     if pert is None:
@@ -114,14 +112,10 @@ def in_Xf_alpha_lim(q: VarietyQuery) -> bool:
         if any((i, j) not in q.alpha.lam for j in pa):
             raise ValueError(f"alpha is missing edge weights at vertex {i}")
         lam_i = np.array([q.alpha.lam[(i, j)] for j in pa])
-        diag = analytic.diagnostics[i]
-        lhs = diag.det_coeff * lam_i - diag.numerator
-        scale = (
-            abs(diag.det_coeff) * float(np.linalg.norm(lam_i))
-            + float(np.linalg.norm(diag.numerator))
-            + 1.0
-        )
-        if not float(np.linalg.norm(lhs)) <= q.tol * scale:  # NaN fails too
+        d = analytic.diagnostics[i]
+        lhs = np.linalg.norm(d.det_coeff * lam_i - d.numerator)
+        scale = abs(d.det_coeff) * np.linalg.norm(lam_i) + np.linalg.norm(d.numerator)
+        if not _negligible(lhs, scale, q.tol):  # NaN fails too
             return False
     return True
 
@@ -136,9 +130,7 @@ def star_min_norm_mle(f, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:
     """
     if not is_star(g):
         raise ValueError("the minimum-norm characterisation needs a star-shaped DAG")
-    status = classify(f, g, tol)
+    est, status = _classified_mle(f, g, tol)
     if status.status == NONEXISTENT:
-        raise ValueError(
-            f"no MLE exists given the sample (witness vertex {status.witness})"
-        )
-    return full_mle(f, g, tol)
+        raise ValueError(f"no MLE exists given the sample (witness vertex {status.witness})")
+    return est

@@ -107,6 +107,18 @@ class TestMembershipChecksOnce:
         assert report["alphaIsMleGivenF"] is False and report["inXfAlpha"] is None
         assert checks[0] <= 2
 
+    @pytest.mark.parametrize("moved", [False, True], ids=["mle", "not-mle"])
+    def test_one_fit(self, tmp_path, capsys, fits, moved):
+        f, fp, g, alpha = star_problem()
+        data = problem_json(f, fp, g, alpha)
+        if moved:
+            data["alpha"]["omega"][0][1] *= 2.0
+        fits[0] = 0
+        code, report = run(tmp_path, capsys, data, "membership")
+        assert code == EXIT_OK
+        assert report["alphaIsMleGivenF"] is not moved
+        assert fits[0] == 1
+
     def test_validated_candidate_is_used_as_it_is(self, checks):
         f, fp, g, alpha = star_problem()
         pert = Perturbation(f, fp)

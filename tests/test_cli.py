@@ -6,6 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from dagstab import graph
 from dagstab.cli import EXIT_OK, EXIT_SCHEMA, EXIT_SEMANTIC, load_schema, main
 
 REPORT_SCHEMA = load_schema("report.json")
@@ -299,6 +300,17 @@ class TestErrorHandling:
         problem = {"graph": {"m": 3, "edges": []}, "sample": [[1.0, 2.0]]}
         code, _ = run_cli(tmp_path, problem, "classify")
         assert code == EXIT_SEMANTIC
+
+    def test_rows_checked_before_the_dag_is_built(self, tmp_path, capsys, monkeypatch):
+        # building the DAG costs time and memory in proportion to m
+        def no_dag(*args, **kwargs):
+            raise AssertionError("the DAG was built before the sample rows were checked")
+
+        monkeypatch.setattr(graph, "Dag", no_dag)
+        problem = {"graph": {"m": 300000, "edges": []}, "sample": [[1.0]]}
+        code, _ = run_cli(tmp_path, problem, "classify")
+        assert code == EXIT_SEMANTIC
+        assert capsys.readouterr().err == "error: every sample row must have 300000 entries\n"
 
     def test_semantic_alpha_non_edge(self, tmp_path):
         problem = collider_problem(Y_ID, alpha={"lambda": [[2, 1, 0.5]]})

@@ -5,7 +5,11 @@ Neville table per vector and per variance, and one ``project`` call per
 vertex and per span.  The grouped code must give the numeric route and the
 condition dicts exactly, and the analytic route to 1e-12 relative (its
 projections now run through batched SVDs and stacked products, which
-round differently in the last bits).
+round differently in the last bits).  Their zero tests follow the rule of
+:mod:`dagstab.linalg`: a vector built from the perturbation against its own
+norm plus the largest perturbation column norm, a variance against its
+largest value along the grid and a normal-equations residual against the
+norms of its factors.
 """
 
 import numpy as np
@@ -63,13 +67,20 @@ def _system(F, P, g, i):
     return F[:, idx], P[:, idx], F[:, i - 1], P[:, i - 1]
 
 
+def _floor(P):
+    """The largest perturbation column norm."""
+    return max(float(np.linalg.norm(P[:, k])) for k in range(P.shape[1]))
+
+
 def _reference_lambda_condition(F, P, g, tol=DEFAULT_TOL):
     out = {}
     for i in g.child_vertices():
         A, E, b, v = _system(F, P, g, i)
         target = project(b, A, tol) + project(v, E, tol)
         resid = target - project(target, A + E, tol)
-        out[i] = float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(target)))
+        out[i] = float(np.linalg.norm(resid)) <= tol * (
+            float(np.linalg.norm(target)) + _floor(P)
+        )
     return out
 
 
@@ -78,10 +89,12 @@ def _reference_full_condition(F, P, g, tol=DEFAULT_TOL):
     for i in g.child_vertices():
         A, E, b, v = _system(F, P, g, i)
         resid_v = v - project(v, E, tol)
-        first = float(np.linalg.norm(resid_v)) <= tol * (1.0 + float(np.linalg.norm(v)))
+        first = float(np.linalg.norm(resid_v)) <= tol * (float(np.linalg.norm(v)) + _floor(P))
         target = project(b, A, tol) + v
         resid_t = target - project(target, A + E, tol)
-        second = float(np.linalg.norm(resid_t)) <= tol * (1.0 + float(np.linalg.norm(target)))
+        second = float(np.linalg.norm(resid_t)) <= tol * (
+            float(np.linalg.norm(target)) + _floor(P)
+        )
         out[i] = first and second
     return out
 
@@ -111,7 +124,7 @@ def _reference_limit_mle_error(F, P, g, tol=DEFAULT_TOL):
         A, _, b, _ = _system(F, P, g, i)
         lam_i = np.array([lam[(i, j)] for j in g.parents(i)])
         resid = A.T @ (b - A @ lam_i)
-        scale = 1.0 + np.linalg.norm(A.T @ b) + np.linalg.norm(A.T @ A) * np.linalg.norm(lam_i)
+        scale = np.linalg.norm(A.T @ b) + np.linalg.norm(A.T @ A) * np.linalg.norm(lam_i)
         if np.linalg.norm(resid) > check_tol * scale:
             return (
                 f"limit estimate fails the normal equations at vertex {i}; "
@@ -139,7 +152,7 @@ def _reference_numeric(F, P, g, grid=DEFAULT_EPS_GRID, tol=DEFAULT_TOL):
         vals = [est.omega[i] for est in estimates]
         value, est_err = _reference_neville(grid, [np.array(w) for w in vals])
         w = float(value)
-        if w > max(tol * (1.0 + max(vals)), 10.0 * est_err):
+        if w > max(tol * max(vals), 10.0 * est_err):
             omega_exists[i] = True
             omega[i] = w
         else:
@@ -183,8 +196,8 @@ def _case(seed, m, rank, indegree=None, edge_prob=0.0, layout="square"):
     touches) and then a block of the given rank; ``zeros``, generic columns
     with every second column zero, so spans are rank-deficient where the
     conditions hold; ``split-tiny``, the ``split`` pair scaled by 1e-12,
-    so the condition thresholds sit at their absolute floor.  All but
-    ``square`` have four spare rows.
+    which must give the answers of the unscaled pair.  All but ``square``
+    have four spare rows.
     """
     rng = np.random.default_rng(seed)
     g = _layered_dag(rng, m, indegree) if indegree else _random_dag(rng, m, edge_prob)
@@ -305,6 +318,26 @@ class TestGroupedMatchesPerVertexLoops:
         with pytest.raises(ValueError) as info:
             limit_mle(f, fp, g)
         assert str(info.value) == message
+
+
+class TestTinyScale:
+    def test_tiny_pair_gives_the_unscaled_answers(self):
+        # the mixed-tiny draw before and after scaling by 1e-12
+        args = next(c[1:] for c in CASES if c[0] == "mixed-tiny")
+        f, fp, g = _case(*args[:-1], "split")
+        tiny_f, tiny_fp, _ = _case(*args)
+        assert np.array_equal(tiny_f, 1e-12 * f) and np.array_equal(tiny_fp, 1e-12 * fp)
+        assert check_lambda_condition(tiny_f, tiny_fp, g) == check_lambda_condition(f, fp, g)
+        assert check_full_condition(tiny_f, tiny_fp, g) == check_full_condition(f, fp, g)
+        ref, got = limit_mle_numeric(f, fp, g), limit_mle_numeric(tiny_f, tiny_fp, g)
+        assert got.omega_exists == ref.omega_exists and any(ref.omega_exists.values())
+        assert got.diverged_vertices == ref.diverged_vertices
+        assert got.epsilon_independent == ref.epsilon_independent
+        assert got.lam.keys() == ref.lam.keys()
+        for key, value in ref.lam.items():
+            assert abs(got.lam[key] - value) <= 1e-6 * max(1.0, abs(value)), key
+        for i, value in ref.omega.items():
+            assert abs(got.omega[i] - 1e-24 * value) <= 1e-6 * 1e-24 * value, i
 
 
 class TestStackedNeville:

@@ -44,10 +44,16 @@ def _reference_normal_failure(A, g, lam, tol=DEFAULT_TOL):
         x = np.array([lam[(i, j)] for j in pa])
         b = A[:, i - 1]
         resid = P.T @ (b - P @ x)
-        scale = 1.0 + np.linalg.norm(P.T @ b) + np.linalg.norm(P.T @ P) * np.linalg.norm(x)
+        scale = np.linalg.norm(P.T @ b) + np.linalg.norm(P.T @ P) * np.linalg.norm(x)
         if not np.linalg.norm(resid) <= tol * scale:
             return i
     return None
+
+
+def _alpha_bound(P, i, tol=DEFAULT_TOL):
+    """The pass bound at child ``i``: ``tol`` times the norm of ``v_i`` plus
+    the largest column norm of ``P``."""
+    return tol * (np.linalg.norm(P[:, i - 1]) + np.linalg.norm(P, axis=0).max())
 
 
 def _reference_alpha_fixed(P, alpha_lambda, g, tol=DEFAULT_TOL):
@@ -61,7 +67,7 @@ def _reference_alpha_fixed(P, alpha_lambda, g, tol=DEFAULT_TOL):
         for j in g.parents(i):
             combo += alpha_lambda.get((i, j), 0.0) * P[:, j - 1]
         resid = v_i - combo
-        out[i] = float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(v_i)))
+        out[i] = float(np.linalg.norm(resid)) <= _alpha_bound(P, i, tol)
     return out
 
 
@@ -120,7 +126,7 @@ def _normal_bound(A, g, lam, i, tol=DEFAULT_TOL):
     idx = [j - 1 for j in g.parents(i)]
     P, b = A[:, idx], A[:, i - 1]
     x = np.array([lam[(i, j)] for j in g.parents(i)])
-    return P, tol * (1.0 + np.linalg.norm(P.T @ b) + np.linalg.norm(P.T @ P) * np.linalg.norm(x))
+    return P, tol * (np.linalg.norm(P.T @ b) + np.linalg.norm(P.T @ P) * np.linalg.norm(x))
 
 
 def _shift_normal(rng, A, g, lam, verts, factor, tol=DEFAULT_TOL):
@@ -236,7 +242,7 @@ class TestCheckAlphaFixed:
             j = next((j for j in g.parents(i) if np.any(P[:, j - 1])), None)
             if j is None:
                 continue
-            bound = DEFAULT_TOL * (1.0 + np.linalg.norm(P[:, i - 1]))
+            bound = _alpha_bound(P, i)
             shifted[(i, j)] += factor * bound / np.linalg.norm(P[:, j - 1])
             moved.append(i)
         assert moved
