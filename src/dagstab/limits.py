@@ -16,17 +16,19 @@ two ways:
   columns of ``f`` with the projected target column, and ``w`` the same for
   the perturbation.
 
-Both routes work on the parent-count groups of :func:`dagstab.mle._groups`.
-The projections behind ``fbar``, ``vbar`` and the two span conditions run
-as one batched SVD per group and per span (``A``, ``E`` and ``A + E``), cut
-by :func:`dagstab.linalg._kept`; the numeric route extrapolates every
-edge-weight vector and every variance through one stacked Neville table.
-Only the pencil expansion still runs vertex by vertex.  Zero tests go
-through :func:`dagstab.linalg._negligible`: a span condition holds when the
-residual of its target is at most ``tol`` times the target's norm plus the
-largest column norm of ``f'``, and a numeric variance limit vanishes at
-``tol`` times its largest value on the grid.  Scaling ``(f, f')`` by a
-constant therefore changes no condition and no existence flag.
+Both routes read fits of :func:`dagstab.mle._fit`, which factorises each
+parent-count group once: ``fbar`` is the projection in the fit of ``f``
+(whose variances ``limit_mle`` reports), ``vbar`` that in the fit of ``f'``,
+and the two span conditions project onto the kept left singular vectors of
+the fit of ``f + f'``.  The numeric route takes :func:`mle_at_epsilon` at
+each grid point and extrapolates every edge-weight vector and variance through
+one stacked Neville table.  Only the pencil expansion still runs vertex by
+vertex.  Zero tests go through :func:`dagstab.linalg._negligible`: a span
+condition holds when the residual of its target is at most ``tol`` times the
+target's norm plus the largest column norm of ``f'``, and a numeric variance
+limit vanishes at ``tol`` times its largest value on the grid.  Scaling
+``(f, f')`` by a constant therefore changes no condition and no existence
+flag.
 
 The two routes are independent and agree to better than ``1e-6`` on
 shallow pencils.  On deep ones (from about 8 parents at a low sample
@@ -39,19 +41,21 @@ raises when its normal-equations check catches it.  ROADMAP.md, open item
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .graph import Dag
-from .linalg import DEFAULT_TOL, _as_matrix, _kept, _negligible, _verification_tol, pencil_expand
+from .linalg import DEFAULT_TOL, _as_matrix, _negligible, _verification_tol, pencil_expand
 from .mle import (
     MleEstimate,
+    _fit,
     _groups,
     _normal_equation_failures,
+    _omega_part,
+    _projection,
     _weight_matrix,
     full_mle,
-    omega_mle,
 )
 from .stabilise import Perturbation, _as_perturbation
 
@@ -62,39 +66,38 @@ DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DIVERGENCE_FACTOR = 10.0
 
 
-def _project(Y: np.ndarray, B: np.ndarray, tol: float) -> np.ndarray:
-    """Orthogonal projection of each row of ``Y`` onto the column span of
-    the matching matrix of the stack ``B``.
-
-    One batched SVD ``B = U S V^T``; the span keeps the left singular
-    vectors that :func:`dagstab.linalg._kept` keeps.
-    """
-    U, s, _ = np.linalg.svd(B, full_matrices=False)
-    c = np.where(_kept(s, tol), (Y[:, None, :] @ U)[:, 0, :], 0.0)
-    return (U @ c[:, :, None])[:, :, 0]
-
-
 def _norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("kn,kn->k", X, X))
 
 
-def _in_span(target, B, floor: float, tol: float) -> np.ndarray:
-    """Per row: does ``target``, built from the perturbation, lie in the span
-    of the matching matrix of ``B``?  ``floor`` is the largest column norm of
-    the perturbation, the size of the roundoff in its zero columns."""
-    resid = target - _project(target, B, tol)
+def _in_span(target, span, floor: float, tol: float) -> np.ndarray:
+    """Per row: does ``target``, built from the perturbation, lie in the kept
+    span of the matching ``span = (U, keep)`` of a fit?  ``floor`` is the
+    largest column norm of the perturbation, the roundoff in its zero columns."""
+    resid = target - _projection(target, *span)[1]
     return _negligible(_norms(resid), _norms(target) + floor, tol)
 
 
-def _projected_groups(pert: Perturbation, g: Dag, tol: float):
-    """Per parent-count group of child vertices: the vertices, the stacks
-    ``A`` and ``E`` of parent columns, ``fbar = proj_A(b)``,
-    ``vbar = proj_E(v)`` and whether ``fbar + vbar`` lies in the span of
-    ``A + E`` (the edge-weight condition).  Three batched SVDs per group."""
-    floor = _norms(pert.delta.T).max(initial=0.0)
-    for verts, (A, b), (E, v) in _groups(g, pert.base, pert.delta):
-        fbar, vbar = _project(b, A, tol), _project(v, E, tol)
-        yield verts, A, E, fbar, vbar, _in_span(fbar + vbar, A + E, floor, tol)
+def _conditions(pert: Perturbation, g: Dag, tol: float, fit):
+    """``vbar`` (row ``i - 1`` is ``proj_E(v)`` at vertex ``i``) and, per
+    child vertex, the edge-weight and the full condition.
+
+    ``fbar`` comes from ``fit``, the fit of ``f``, and ``vbar`` from the fit
+    of ``f'``; ``fbar + vbar`` and ``fbar + v`` are projected through the
+    fit of ``f + f'``, and ``v`` through that of ``f'``.
+    """
+    D = pert.delta
+    vfit = _fit(D, g, tol)
+    floor = _norms(D.T).max(initial=0.0)
+    lam_ok, full_ok = {}, {}
+    for verts, span in _fit(pert.base + D, g, tol).spans.items():
+        cols = np.subtract(verts, 1)
+        fbar, vbar, v = fit.proj[cols], vfit.proj[cols], D.T[cols]
+        lam_ok.update(zip(verts, _in_span(fbar + vbar, span, floor, tol).tolist()))
+        full = _in_span(v, vfit.spans[verts], floor, tol) & _in_span(fbar + v, span, floor, tol)
+        full_ok.update(zip(verts, full.tolist()))
+    children = g.child_vertices()
+    return vfit.proj, {i: lam_ok[i] for i in children}, {i: full_ok[i] for i in children}
 
 
 def vertex_system(f, fp, g: Dag, i: int, tol: float = DEFAULT_TOL):
@@ -301,31 +304,21 @@ def limit_mle_numeric(
     pert = _as_perturbation(f, fp, tol, g.m)
     estimates = [mle_at_epsilon(None, pert, g, eps, tol) for eps in grid]
 
+    # per grid point: every child's coefficient vector, ascending, then every variance
     children = g.child_vertices()
-    parents = [g.parents(i) for i in children]
-    keys = [(i, j) for i, pa in zip(children, parents) for j in pa]
-    lam_grid = np.array([[est.lam[k] for k in keys] for est in estimates])
-    widths = np.array([len(pa) for pa in parents], dtype=np.intp)
+    keys = [(i, j) for i in children for j in g.parents(i)]
+    widths = np.array([len(g.parents(i)) for i in children], dtype=np.intp)
     starts = np.cumsum(widths) - widths
+    lam_grid = np.array([[est.lam[k] for k in keys] for est in estimates])
+    omega_grid = np.array([[est.omega[i] for i in range(1, g.m + 1)] for est in estimates])
     norms = _segment_max(np.abs(lam_grid), starts, widths).T.tolist()
-    diverged = [_diverging(nv) or nv[-1] > 1.0 / tol for nv in norms]
-    diverged_vertices = [i for i, bad in zip(children, diverged) if bad]
-    converged = [(i, pa) for i, pa, bad in zip(children, parents, diverged) if not bad]
-
-    # one table over the converging vectors and every variance
-    ok = ~np.array(diverged, dtype=bool)
-    kept = widths[ok]
-    omega_grid = [[est.omega[i] for i in range(1, g.m + 1)] for est in estimates]
-    stack = np.hstack([lam_grid[:, np.repeat(ok, widths)], np.array(omega_grid)])
-    seg_starts = np.concatenate([np.cumsum(kept) - kept, kept.sum() + np.arange(g.m)])
-    values, errors = _neville_zero(grid, stack, seg_starts)
-
-    lam: dict[tuple[int, int], float] = {}
-    err: dict[int, float] = {}
-    for (i, pa), at, est_err in zip(converged, seg_starts.tolist(), errors.tolist()):
-        err[i] = est_err
-        for j, val in zip(pa, values[at:at + len(pa)].tolist()):
-            lam[(i, j)] = val
+    diverged = [i for i, nv in zip(children, norms) if _diverging(nv) or nv[-1] > 1.0 / tol]
+    values, errors = _neville_zero(
+        grid, np.hstack([lam_grid, omega_grid]), np.append(starts, len(keys) + np.arange(g.m))
+    )
+    # diverged vectors went through the table too; their entries are dropped
+    lam = {k: val for k, val in zip(keys, values.tolist()) if k[0] not in diverged}
+    err = {i: e for i, e in zip(children, errors.tolist()) if i not in diverged}
 
     # the variances are the last m segments; each is judged on its largest grid value
     w = values[-g.m:]
@@ -333,7 +326,7 @@ def limit_mle_numeric(
     omega_exists = dict(enumerate(exists.tolist(), start=1))
     omega = {i: x for i, x, ok in zip(omega_exists, w.tolist(), exists.tolist()) if ok}
 
-    eps_ind = check_lambda_condition(None, pert, g, tol) if not diverged_vertices else {}
+    eps_ind = check_lambda_condition(None, pert, g, tol) if not diverged else {}
     return LimitResult(
         lam=lam,
         omega=omega,
@@ -341,8 +334,8 @@ def limit_mle_numeric(
         method="numeric",
         epsilon_independent=eps_ind,
         partial=not all(omega_exists.values()),
-        diverged=bool(diverged_vertices),
-        diverged_vertices=tuple(diverged_vertices),
+        diverged=bool(diverged),
+        diverged_vertices=tuple(diverged),
         extrapolation_error=err,
     )
 
@@ -356,11 +349,16 @@ def limit_lambda_analytic(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResul
     that vertex.
     """
     pert = _as_perturbation(f, fp, tol, g.m)
+    return _lambda_limit(pert, g, tol, _fit(pert.base, g, tol))
+
+
+def _lambda_limit(pert: Perturbation, g: Dag, tol: float, fit) -> LimitResult:
+    """``limit_lambda_analytic`` given ``fit``, the fit of ``f``."""
+    vbar, cond, _ = _conditions(pert, g, tol, fit)
     diagnostics: dict[int, VertexDiagnostics] = {}
-    cond: dict[int, bool] = {}
-    for verts, A, E, fbar, vbar, ok in _projected_groups(pert, g, tol):
-        cond.update(zip(verts, ok.tolist()))
-        for i, A_i, E_i, fb, vb in zip(verts, A, E, fbar, vbar):
+    for verts, (A, _), (E, _) in _groups(g, pert.base, pert.delta):
+        for i, A_i, E_i in zip(verts, A, E):
+            fb, vb = fit.proj[i - 1], vbar[i - 1]
             pencil = pencil_expand(A_i, E_i, tol)
             l = pencil.first_nonzero
             numerator = pencil.adj_coeff(l) @ (A_i.T @ fb) + pencil.adj_coeff(l - 1) @ (E_i.T @ vb)
@@ -376,7 +374,7 @@ def limit_lambda_analytic(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResul
         omega={},
         omega_exists={},
         method="analytic",
-        epsilon_independent={i: cond[i] for i in children},
+        epsilon_independent=cond,
         diagnostics={i: diagnostics[i] for i in children},
     )
 
@@ -391,16 +389,13 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
     ``partial`` (edge-weight limit plus the existing variance entries).
     """
     pert = _as_perturbation(f, fp, tol, g.m)
-    lpart = limit_lambda_analytic(None, pert, g, tol)
-    opart = omega_mle(pert.base, g, tol)
-    result = LimitResult(
-        lam=lpart.lam,
-        omega=opart.omega,
-        omega_exists=opart.omega_exists,
-        method="analytic",
-        epsilon_independent=lpart.epsilon_independent,
-        diagnostics=lpart.diagnostics,
-        partial=not all(opart.omega_exists.values()),
+    fit = _fit(pert.base, g, tol)
+    omega, exists = _omega_part(fit, pert.base.shape[0])
+    result = replace(
+        _lambda_limit(pert, g, tol, fit),
+        omega=omega,
+        omega_exists=exists,
+        partial=not all(exists.values()),
     )
     # The limit solves the degenerate normal system at every child vertex.
     bad = _normal_equation_failures(pert.base, g, result.lam, _verification_tol(tol))
@@ -420,10 +415,8 @@ def check_lambda_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int,
     stabilisation being an edge-weight MLE given ``f`` (and to the estimate
     being independent of ``eps`` along the path).
     """
-    out: dict[int, bool] = {}
-    for verts, *_, ok in _projected_groups(_as_perturbation(f, fp, tol, g.m), g, tol):
-        out.update(zip(verts, ok.tolist()))
-    return {i: out[i] for i in g.child_vertices()}
+    pert = _as_perturbation(f, fp, tol, g.m)
+    return _conditions(pert, g, tol, _fit(pert.base, g, tol))[1]
 
 
 def check_full_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int, bool]:
@@ -440,12 +433,7 @@ def check_full_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int, b
     ``eps -> 0`` path, so the limit machinery is unaffected).
     """
     pert = _as_perturbation(f, fp, tol, g.m)
-    floor = _norms(pert.delta.T).max(initial=0.0)
-    out: dict[int, bool] = {}
-    for verts, (A, b), (E, v) in _groups(g, pert.base, pert.delta):
-        ok = _in_span(v, E, floor, tol) & _in_span(_project(b, A, tol) + v, A + E, floor, tol)
-        out.update(zip(verts, ok.tolist()))
-    return {i: out[i] for i in g.child_vertices()}
+    return _conditions(pert, g, tol, _fit(pert.base, g, tol))[2]
 
 
 def check_alpha_fixed(

@@ -11,15 +11,16 @@ coefficients of the parent columns in the orthogonal projection of
 squared residual of that projection, and exists only when the residual is
 strictly positive.  All functions are pure and thread-safe.
 
-Every estimator and the classification read one fit of the whole sample.
-:func:`_groups` groups the child vertices by parent count ``p`` and stacks
-their parent and target columns; it is the one grouping in the package.
-Each group's parent submatrices go through one stacked ``n x p`` SVD; the
-rank (the cut of :func:`dagstab.linalg._kept`), the minimum-norm
-coefficients, the projection and the residual all come from it, and
-``classify`` reads the parent-and-self ranks from a batched SVD of a small
-matrix built from the same factors.  One normal-equations check, stacked
-per group, serves ``is_lambda_mle``, ``is_mle`` and ``limits.limit_mle``.
+Every estimator, the classification and :mod:`dagstab.limits` read fits of
+whole samples.  :func:`_groups` groups the child vertices by parent count
+``p`` and stacks their parent and target columns; it is the one grouping in
+the package.  Each group's parent submatrices go through one stacked
+``n x p`` SVD; the rank (the cut of :func:`dagstab.linalg._kept`), the
+minimum-norm coefficients, the projection, the residual and the kept left
+singular vectors all come from it, and ``classify`` reads the
+parent-and-self ranks from a batched SVD of a small matrix built from the
+same factors.  One normal-equations check, stacked per group, serves
+``is_lambda_mle``, ``is_mle`` and ``limits.limit_mle``.
 Zero tests go through :func:`dagstab.linalg._negligible`: a variance exists
 when ``|y - proj y| > tol |y|``, and the normal equations hold when
 ``|P^T (y - P x)| <= tol (|P^T y| + |P^T P| |x|)``, so no answer depends on
@@ -118,17 +119,22 @@ class _Fit:
     """Per-vertex projection data, indexed by vertex ``i - 1``.
 
     ``coef`` holds the minimum-norm parent coefficients, ``rank`` the rank
-    of the parent columns, ``resid_sq`` the squared projection residual and
-    ``exists`` the strict-positivity decision on it.  ``self_rank`` is the
-    rank of the parent-and-self columns, computed only on request and only
-    when every residual is positive.
+    of the parent columns, ``proj`` (one row per vertex) the projection onto
+    them, ``resid_sq`` the squared projection residual and ``exists`` the
+    strict-positivity decision on it.  ``self_rank`` is the rank of the
+    parent-and-self columns, computed only on request and only when every
+    residual is positive.  ``spans`` maps each parent-count group's
+    vertices (a tuple) to its left singular vectors ``U`` and which of them
+    are kept, the input of :func:`_projection`.
     """
 
     coef: list[np.ndarray]
     rank: np.ndarray
+    proj: np.ndarray
     resid_sq: np.ndarray
     exists: np.ndarray
     self_rank: np.ndarray | None
+    spans: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]
 
 
 def _groups(g: Dag, *mats: np.ndarray):
@@ -149,6 +155,14 @@ def _groups(g: Dag, *mats: np.ndarray):
         yield verts, *((M.T[idx].transpose(0, 2, 1), M.T[cols]) for M in mats)
 
 
+def _projection(Y: np.ndarray, U: np.ndarray, keep: np.ndarray):
+    """Per row of the stack ``Y``: its coordinates on the matching ``U``,
+    zero on the columns ``keep`` drops, and its orthogonal projection onto
+    the span of the kept columns."""
+    c = np.where(keep, (Y[:, None, :] @ U)[:, 0, :], 0.0)
+    return c, (U @ c[:, :, None])[:, :, 0]
+
+
 def _fit(A: np.ndarray, g: Dag, tol: float, self_rank: bool = False) -> _Fit:
     """Project every column of a validated sample onto its parent columns.
 
@@ -167,32 +181,30 @@ def _fit(A: np.ndarray, g: Dag, tol: float, self_rank: bool = False) -> _Fit:
     m = A.shape[1]
     coef = [np.zeros(0)] * m
     rank = np.zeros(m, dtype=int)
-    resid_sq = np.empty(m)
-    children = set(g.child_vertices())
-    sources = [i - 1 for i in range(1, m + 1) if i not in children]
-    S = A.T[sources]
-    resid_sq[sources] = np.einsum("bn,bn->b", S, S)
+    proj = np.zeros((m, A.shape[0]))
     small: list[tuple[list[int], np.ndarray]] = []
+    spans = {}
     for verts, (P, Y) in _groups(g, A):
         v = [i - 1 for i in verts]
         U, s, Vt = np.linalg.svd(P, full_matrices=False)
         keep = _kept(s, tol)
-        c = (Y[:, None, :] @ U)[:, 0, :]
-        c_kept = np.where(keep, c, 0.0)
-        x = (np.divide(c_kept, s, out=np.zeros_like(c), where=keep)[:, None, :] @ Vt)[:, 0, :]
-        R = Y - (U @ c_kept[:, :, None])[:, :, 0]
-        resid_sq[v] = np.einsum("bn,bn->b", R, R)
+        spans[tuple(verts)] = U, keep
+        c_kept, proj[v] = _projection(Y, U, keep)
+        x = (np.divide(c_kept, s, out=np.zeros_like(c_kept), where=keep)[:, None, :] @ Vt)[:, 0, :]
         rank[v] = keep.sum(axis=1)
         for i, row in zip(v, x):
             coef[i] = row
         if self_rank:
             k, p = s.shape[1], P.shape[2]
+            c = (Y[:, None, :] @ U)[:, 0, :]
             R_all = Y - (U @ c[:, :, None])[:, :, 0]
             M = np.zeros((len(v), k + 1, p + 1))
             M[:, :k, :p] = s[:, :, None] * Vt
             M[:, :k, p] = c
             M[:, k, p] = np.sqrt(np.einsum("bn,bn->b", R_all, R_all))
             small.append((v, M))
+    R = A.T - proj
+    resid_sq = np.einsum("mn,mn->m", R, R)
     exists = ~_negligible(np.sqrt(resid_sq), np.sqrt(np.einsum("nm,nm->m", A, A)), tol)
     srank = None
     if self_rank and exists.all():
@@ -200,7 +212,7 @@ def _fit(A: np.ndarray, g: Dag, tol: float, self_rank: bool = False) -> _Fit:
         srank = np.ones(m, dtype=int)
         for v, M in small:
             srank[v] = _kept(np.linalg.svd(M, compute_uv=False), tol).sum(axis=1)
-    return _Fit(coef, rank, resid_sq, exists, srank)
+    return _Fit(coef, rank, proj, resid_sq, exists, srank, spans)
 
 
 def _lambda_part(fit: _Fit, g: Dag) -> tuple[dict, dict]:

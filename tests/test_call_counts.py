@@ -1,5 +1,5 @@
 """How often one CLI command or one query fits the sample or runs the
-perturbation predicate."""
+perturbation predicate, and which samples the limit routes fit."""
 
 import json
 
@@ -14,6 +14,7 @@ from dagstab import (
     in_Xf,
     in_Xf_alpha,
     in_Xf_alpha_lim,
+    limits,
     mle,
     stabilise,
     varieties,
@@ -167,3 +168,76 @@ class TestEstimateFitsOnce:
             str(i): d for i, d in sorted(est.lambda_kernel_dims.items())
         }
         assert report["omegaExists"] == {str(i): e for i, e in sorted(est.omega_exists.items())}
+
+
+@pytest.fixture
+def fit_samples(monkeypatch):
+    """The sample of every ``mle._fit`` call, wherever ``_fit`` is bound."""
+    samples = []
+    original = mle._fit
+
+    def recorded(A, *args, **kwargs):
+        samples.append(np.array(A))
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(mle, "_fit", recorded)
+    monkeypatch.setattr(limits, "_fit", recorded)
+    return samples
+
+
+@pytest.fixture
+def estimates(monkeypatch):
+    """Calls of ``omega_mle``, ``full_mle`` and ``mle_at_epsilon`` and
+    ``MleEstimate`` objects built."""
+    count = {"omega_mle": 0, "full_mle": 0, "MleEstimate": 0, "mle_at_epsilon": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            count[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in count:
+        wrapper = counted(name, getattr(mle, name, None) or getattr(limits, name))
+        monkeypatch.setattr(mle, name, wrapper, raising=False)
+        monkeypatch.setattr(limits, name, wrapper, raising=False)
+    return count
+
+
+def limit_problem():
+    """The sample and perturbation of ``star_problem``, built with no fit."""
+    f, g = star_instance(np.random.default_rng(5), 4, 6, parent_rank=2)
+    return Perturbation(f, random_perturbation(f, seed=9)), g
+
+
+class TestLimitFits:
+    def test_limit_mle_fits_f_once(self, fit_samples, estimates):
+        pert, g = limit_problem()
+        limits.limit_mle(None, pert, g)
+        assert len(fit_samples) == 3
+        for got, want in zip(fit_samples, (pert.base, pert.delta, pert.base + pert.delta)):
+            assert np.array_equal(got, want)
+        assert estimates == {"omega_mle": 0, "full_mle": 0, "MleEstimate": 0, "mle_at_epsilon": 0}
+
+    @pytest.mark.parametrize("grid", [limits.DEFAULT_EPS_GRID, (1e-2, 1e-3)],
+                             ids=["default", "two"])
+    def test_numeric_route_fits_each_grid_point_once(self, fit_samples, estimates, grid):
+        pert, g = limit_problem()
+        res = limits.limit_mle_numeric(None, pert, g, grid)
+        assert not res.diverged
+        assert len(fit_samples) == len(grid) + 3
+        wanted = [pert.scaled(eps) for eps in grid]
+        wanted += [pert.base, pert.delta, pert.base + pert.delta]  # the condition check
+        for got, want in zip(fit_samples, wanted):
+            assert np.array_equal(got, want)
+        # each grid point goes through the public mle_at_epsilon and full_mle,
+        # the calls the benchmark's trace counts as grid and vertex evaluations
+        n = len(grid)
+        assert estimates == {"omega_mle": 0, "full_mle": n, "MleEstimate": n, "mle_at_epsilon": n}
+
+    def test_mle_at_epsilon_builds_one_estimate(self, fit_samples, estimates):
+        pert, g = limit_problem()
+        limits.mle_at_epsilon(None, pert, g, 1e-3)
+        assert len(fit_samples) == 1
+        assert estimates == {"omega_mle": 0, "full_mle": 1, "MleEstimate": 1, "mle_at_epsilon": 1}
