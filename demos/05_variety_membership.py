@@ -4,7 +4,9 @@
 Candidate perturbations of a fixed sample form a parameter space; inside it
 sit the candidates whose stabilised MLE equals a prescribed estimate, and
 those whose limit MLE does.  Membership of a given candidate is decided by
-linear equations (exact case) or by the pencil data (limit case).
+linear equations (exact case) or by the normal equations of the sample and
+of the perturbation along the kernel of the sample's parent columns (limit
+case).
 
 The sample here has first column e1 and zero second and third columns, a
 case where the limit-variety slice is a quadric: the limit edge-weight

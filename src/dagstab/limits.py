@@ -72,9 +72,9 @@ def _norms(X: np.ndarray) -> np.ndarray:
 
 def _in_span(target, span, floor: float, tol: float) -> np.ndarray:
     """Per row: does ``target``, built from the perturbation, lie in the kept
-    span of the matching ``span = (U, keep)`` of a fit?  ``floor`` is the
+    span of the matching ``span = (U, keep, V)`` of a fit?  ``floor`` is the
     largest column norm of the perturbation, the roundoff in its zero columns."""
-    resid = target - _projection(target, *span)[1]
+    resid = target - _projection(target, *span[:2])[1]
     return _negligible(_norms(resid), _norms(target) + floor, tol)
 
 
@@ -298,11 +298,16 @@ def limit_mle_numeric(
     per-vertex coefficient vector and variance in ``eps^2``, all of them
     through one stacked Neville table.  Variances are marked absent when
     the extrapolated value is indistinguishable from zero at the combined
-    tolerance/extrapolation-error scale.
+    tolerance/extrapolation-error scale.  The limit does not depend on the
+    size of ``f'``: one below ``tol / min(grid)`` times ``f`` (largest column
+    norms) is evaluated at ``s * eps``, ``s`` the power of two that brings it
+    to the size of ``f``, which leaves the table in ``eps^2`` exact.
     """
     grid = _check_grid(eps_grid)
     pert = _as_perturbation(f, fp, tol, g.m)
-    estimates = [mle_at_epsilon(None, pert, g, eps, tol) for eps in grid]
+    nf, nd = (_norms(M.T).max(initial=0.0) for M in (pert.base, pert.delta))
+    s = 2.0 ** math.ceil(math.log2(nf / nd)) if 0 < nd < nf * tol / grid[-1] else 1.0
+    estimates = [mle_at_epsilon(None, pert, g, s * eps, tol) for eps in grid]
 
     # per grid point: every child's coefficient vector, ascending, then every variance
     children = g.child_vertices()

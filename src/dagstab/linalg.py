@@ -186,12 +186,7 @@ def _poly_coeffs(nodes, values) -> np.ndarray:
     return coeffs.reshape(vals.shape)
 
 
-def pencil_expand(
-    A,
-    E,
-    tol: float = DEFAULT_TOL,
-    first_nonzero_tol: float = FIRST_NONZERO_TOL,
-) -> PencilExpansion:
+def pencil_expand(A, E, tol: float = DEFAULT_TOL) -> PencilExpansion:
     """Expand ``det`` and ``adj`` of ``C(eps) = A^T A + eps E^T E`` as
     polynomials in ``eps``.
 
@@ -203,9 +198,6 @@ def pencil_expand(
         column rank (so ``C(eps)`` is positive definite for ``eps > 0``).
     tol:
         Relative tolerance for the orthogonality and rank preconditions.
-    first_nonzero_tol:
-        Relative threshold used to locate the first non-vanishing
-        determinant coefficient.
 
     Raises
     ------
@@ -255,7 +247,7 @@ def pencil_expand(
     cmax = np.max(np.abs(det_coeffs))
     if cmax <= 0.0 or not np.isfinite(cmax):
         raise ValueError("all determinant coefficients vanish; input is numerically invalid")
-    nonzero = np.flatnonzero(np.abs(det_coeffs) > first_nonzero_tol * cmax)
+    nonzero = np.flatnonzero(np.abs(det_coeffs) > FIRST_NONZERO_TOL * cmax)
     if nonzero.size == 0:
         raise ValueError("no determinant coefficient above tolerance")
     first = int(nonzero[0])

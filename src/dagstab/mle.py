@@ -16,11 +16,11 @@ whole samples.  :func:`_groups` groups the child vertices by parent count
 ``p`` and stacks their parent and target columns; it is the one grouping in
 the package.  Each group's parent submatrices go through one stacked
 ``n x p`` SVD; the rank (the cut of :func:`dagstab.linalg._kept`), the
-minimum-norm coefficients, the projection, the residual and the kept left
+minimum-norm coefficients, the projection, the residual and the kept
 singular vectors all come from it, and ``classify`` reads the
 parent-and-self ranks from a batched SVD of a small matrix built from the
 same factors.  One normal-equations check, stacked per group, serves
-``is_lambda_mle``, ``is_mle`` and ``limits.limit_mle``.
+``is_lambda_mle``, ``is_mle``, ``limits.limit_mle`` and ``in_Xf_alpha_lim``.
 Zero tests go through :func:`dagstab.linalg._negligible`: a variance exists
 when ``|y - proj y| > tol |y|``, and the normal equations hold when
 ``|P^T (y - P x)| <= tol (|P^T y| + |P^T P| |x|)``, so no answer depends on
@@ -124,8 +124,8 @@ class _Fit:
     strict-positivity decision on it.  ``self_rank`` is the rank of the
     parent-and-self columns, computed only on request and only when every
     residual is positive.  ``spans`` maps each parent-count group's
-    vertices (a tuple) to its left singular vectors ``U`` and which of them
-    are kept, the input of :func:`_projection`.
+    vertices (a tuple) to ``U, keep, V``, its singular vectors (``V`` as
+    columns) and which are kept: :func:`_projection` takes ``U`` or ``V``.
     """
 
     coef: list[np.ndarray]
@@ -134,7 +134,7 @@ class _Fit:
     resid_sq: np.ndarray
     exists: np.ndarray
     self_rank: np.ndarray | None
-    spans: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]
+    spans: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _groups(g: Dag, *mats: np.ndarray):
@@ -188,7 +188,7 @@ def _fit(A: np.ndarray, g: Dag, tol: float, self_rank: bool = False) -> _Fit:
         v = [i - 1 for i in verts]
         U, s, Vt = np.linalg.svd(P, full_matrices=False)
         keep = _kept(s, tol)
-        spans[tuple(verts)] = U, keep
+        spans[tuple(verts)] = U, keep, Vt.transpose(0, 2, 1)
         c_kept, proj[v] = _projection(Y, U, keep)
         x = (np.divide(c_kept, s, out=np.zeros_like(c_kept), where=keep)[:, None, :] @ Vt)[:, 0, :]
         rank[v] = keep.sum(axis=1)
@@ -318,18 +318,23 @@ def _weight_matrix(lam, g: Dag, missing: float = 0.0) -> np.ndarray:
     return L
 
 
-def _normal_equation_failures(A: np.ndarray, g: Dag, lam, tol: float) -> list[int]:
+def _normal_equation_failures(A: np.ndarray, g: Dag, lam, tol: float, fit=None) -> list[int]:
     """Child vertices, ascending, at which ``lam`` does not solve the normal
     equations ``P^T (y - P x) = 0`` of the sample ``A`` to within
     ``tol * (|P^T y| + |P^T P| |x|)``, with ``P`` the parent columns,
     ``y`` the child column and ``x`` the weights.  A missing or NaN weight
-    fails."""
+    fails.  Given ``fit`` (of another sample), only the part of the residual
+    in the kernel of that sample's parent columns counts."""
     L = _weight_matrix(lam, g, missing=np.nan)
     R = A - A @ L.T  # column i is y - P x at child i
     x_norm = np.sqrt(np.einsum("ij,ij->i", L, L))
     bad: list[int] = []
     for verts, (P, y), (_, r) in _groups(g, A, R):
-        resid = np.linalg.norm(np.einsum("knp,kn->kp", P, r), axis=1)
+        resid = np.einsum("knp,kn->kp", P, r)
+        if fit is not None:
+            _, keep, V = fit.spans[tuple(verts)]
+            resid = resid - _projection(resid, V, keep)[1]
+        resid = np.linalg.norm(resid, axis=1)
         scale = (
             np.linalg.norm(np.einsum("knp,kn->kp", P, y), axis=1)
             + np.linalg.norm(P.transpose(0, 2, 1) @ P, axis=(1, 2)) * x_norm[np.subtract(verts, 1)]

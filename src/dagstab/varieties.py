@@ -7,8 +7,10 @@ are queried pointwise:
 * those whose stabilised MLE equals a prescribed estimate ``alpha`` (cut
   out by the linear equations ``v_i = sum_j lambda_ij v_j`` at every child
   vertex);
-* those whose *limit* MLE equals ``alpha`` (cut out by ``c_l lambda_i = D_l``
-  in the per-vertex pencil data).
+* those whose *limit* MLE equals ``alpha``: ``f`` being orthogonal to ``f'``,
+  the limit at a child vertex is the ``x`` with ``A^T (A x - b) = 0`` and
+  ``N^T E^T (E x - v) = 0`` (``A, b`` and ``E, v`` the parent and child
+  columns of ``f`` and ``f'``, and ``N`` a basis of ``ker A``).
 
 These are membership tests on given points only; deciding emptiness of the
 varieties is out of scope.
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import NONEXISTENT, Dag, is_star
-from .linalg import DEFAULT_TOL, _negligible, _verification_tol
-from .mle import MleEstimate, _classified_mle, is_mle
-from .limits import check_alpha_fixed, limit_lambda_analytic
+from .linalg import DEFAULT_TOL, _verification_tol
+from .mle import MleEstimate, _classified_mle, _fit, _normal_equation_failures, is_mle
+from .limits import check_alpha_fixed
 from .stabilise import (
     InvalidPerturbationError,
     Perturbation,
@@ -97,27 +99,23 @@ def in_Xf_alpha_lim(q: VarietyQuery) -> bool:
     """Is the candidate a perturbation whose limit MLE has the edge-weight
     part of ``alpha``?
 
-    Tested through the per-vertex pencil data: membership holds when
-    ``|c_l * lambda_i - D_l|`` vanishes at scale at every child vertex.
-    Only the edge-weight part of ``alpha`` is consulted.
+    Membership holds when ``alpha``'s edge weights, which must name edges
+    of the DAG only, satisfy both equations of the module docstring at every
+    child vertex, each within the verification tolerance.
     """
     if q.alpha is None:
         raise ValueError("membership in the alpha-indexed variety needs alpha")
     pert = _perturbation(q)
     if pert is None:
         return False
-    analytic = limit_lambda_analytic(None, pert, q.g, q.tol)
     for i in q.g.child_vertices():
-        pa = q.g.parents(i)
-        if any((i, j) not in q.alpha.lam for j in pa):
+        if any((i, j) not in q.alpha.lam for j in q.g.parents(i)):
             raise ValueError(f"alpha is missing edge weights at vertex {i}")
-        lam_i = np.array([q.alpha.lam[(i, j)] for j in pa])
-        d = analytic.diagnostics[i]
-        lhs = np.linalg.norm(d.det_coeff * lam_i - d.numerator)
-        scale = abs(d.det_coeff) * np.linalg.norm(lam_i) + np.linalg.norm(d.numerator)
-        if not _negligible(lhs, scale, q.tol):  # NaN fails too
-            return False
-    return True
+    tol = _verification_tol(q.tol)
+    if _normal_equation_failures(pert.base, q.g, q.alpha.lam, tol):
+        return False
+    fit = _fit(pert.base, q.g, q.tol)
+    return not _normal_equation_failures(pert.delta, q.g, q.alpha.lam, tol, fit)
 
 
 def star_min_norm_mle(f, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dagstab import (
+    Dag,
     Perturbation,
     VarietyQuery,
     classify,
@@ -15,12 +16,13 @@ from dagstab import (
     in_Xf_alpha,
     in_Xf_alpha_lim,
     limits,
+    linalg,
     mle,
     stabilise,
     varieties,
 )
 from dagstab.cli import EXIT_OK, main
-from _helpers import random_perturbation, star_instance, tournament
+from _helpers import random_perturbation, random_rank_deficient, star_instance, tournament
 
 
 def star_problem():
@@ -241,3 +243,41 @@ class TestLimitFits:
         limits.mle_at_epsilon(None, pert, g, 1e-3)
         assert len(fit_samples) == 1
         assert estimates == {"omega_mle": 0, "full_mle": 1, "MleEstimate": 1, "mle_at_epsilon": 1}
+
+
+@pytest.fixture
+def membership_calls(monkeypatch):
+    """The sample of every ``mle._fit`` call and the count of
+    ``pencil_expand`` calls, wherever either is bound."""
+    samples, pencils = [], [0]
+    fit, pencil = mle._fit, linalg.pencil_expand
+
+    def recorded(A, *args, **kwargs):
+        samples.append(np.array(A))
+        return fit(A, *args, **kwargs)
+
+    def counted(*args, **kwargs):
+        pencils[0] += 1
+        return pencil(*args, **kwargs)
+
+    for module in (mle, limits, varieties):
+        monkeypatch.setattr(module, "_fit", recorded, raising=False)
+    for module in (linalg, limits, varieties):
+        monkeypatch.setattr(module, "pencil_expand", counted, raising=False)
+    return samples, pencils
+
+
+class TestLimitMembershipFits:
+    @pytest.mark.parametrize("deep", [False, True], ids=["star", "complete-10"])
+    def test_fits_only_f_and_runs_no_pencil(self, membership_calls, deep):
+        if deep:
+            g = Dag(10, [(j, i) for i in range(2, 11) for j in range(1, i)])
+            f = random_rank_deficient(np.random.default_rng(20231106), 10, 10, 1)
+            alpha = full_mle(f, g)
+        else:
+            f, _, g, alpha = star_problem()
+        fp = random_perturbation(f, seed=3)
+        samples, pencils = membership_calls
+        in_Xf_alpha_lim(VarietyQuery(f=f, candidate=fp, g=g, alpha=alpha))
+        assert pencils[0] == 0
+        assert samples and all(np.array_equal(A, f) for A in samples)

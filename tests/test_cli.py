@@ -272,6 +272,14 @@ class TestMembership:
         code, _ = run_cli(tmp_path, problem, "membership")
         assert code == EXIT_SEMANTIC
 
+    def test_alpha_missing_a_weight_exits_semantic(self, tmp_path, capsys):
+        problem = self.make_problem()
+        problem["alpha"]["lambda"] = problem["alpha"]["lambda"][1:]  # drops 1 -> 3
+        code, _ = run_cli(tmp_path, problem, "membership")
+        assert code == EXIT_SEMANTIC
+        err = capsys.readouterr().err
+        assert err == "error: alpha is missing edge weights at vertex 3\n"
+
 
 class TestErrorHandling:
     def test_schema_violation_missing_sample(self, tmp_path):

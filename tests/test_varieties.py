@@ -11,11 +11,12 @@ from dagstab import (
     in_Xf_alpha,
     in_Xf_alpha_lim,
     limit_mle,
+    limit_mle_numeric,
     stabilize,
     star,
     star_min_norm_mle,
 )
-from _helpers import collider, random_perturbation, star_instance
+from _helpers import collider, random_perturbation, random_rank_deficient, star_instance
 
 
 def sparse_hub_instance(seed):
@@ -153,6 +154,64 @@ class TestInXfAlphaLim:
             lam={(3, 1): unique.lam[(3, 1)] + 0.1, (3, 2): unique.lam[(3, 2)]}
         )
         assert not in_Xf_alpha_lim(VarietyQuery(f=f, candidate=zero, g=g, alpha=off))
+
+
+def nullspace_limit(f, fp, g):
+    """The limit edge weights by the nullspace method, vertex by vertex:
+    ``x_A + N (E N)^+ (v - E x_A)`` with ``x_A`` the minimum-norm solution
+    of ``A x = b`` and ``N`` an orthonormal basis of ``ker A``; also the
+    bases ``N``."""
+    lam, kernels = {}, {}
+    for i in g.child_vertices():
+        idx = [j - 1 for j in g.parents(i)]
+        A, E, b, v = f[:, idx], fp[:, idx], f[:, i - 1], fp[:, i - 1]
+        x_A = np.linalg.lstsq(A, b, rcond=None)[0]
+        _, s, Vt = np.linalg.svd(A)
+        N = Vt[int((s > 1e-10 * s[0]).sum()):].T
+        x = x_A + N @ (np.linalg.pinv(E @ N) @ (v - E @ x_A))
+        lam.update(zip([(i, j) for j in g.parents(i)], x.tolist()))
+        kernels[i] = N
+    return lam, kernels
+
+
+class TestLimitVarietyEquations:
+    def deep_pencil(self):
+        # the complete 10-vertex DAG at sample rank 1, on which the pencil
+        # expansion of the 9-parent vertex loses every digit
+        rng = np.random.default_rng(20231106)
+        g = Dag(10, [(j, i) for i in range(2, 11) for j in range(1, i)])
+        f = random_rank_deficient(rng, 10, 10, 1)
+        return f, random_perturbation(f, seed=3), g
+
+    def test_deep_pencil_exact_limit_is_a_member(self):
+        f, fp, g = self.deep_pencil()
+        lam, _ = nullspace_limit(f, fp, g)
+        num = limit_mle_numeric(f, fp, g)
+        scale = max(1.0, max(abs(x) for x in lam.values()))
+        assert max(abs(num.lam[k] - x) for k, x in lam.items()) < 1e-10 * scale
+        assert in_Xf_alpha_lim(VarietyQuery(f=f, candidate=fp, g=g, alpha=MleEstimate(lam=lam)))
+
+    def test_deep_pencil_shift_along_the_kernel_is_not(self):
+        f, fp, g = self.deep_pencil()
+        lam, kernels = nullspace_limit(f, fp, g)
+        for i in (3, 10):  # the shallowest and the deepest pencil
+            shifted = dict(lam)
+            for j, d in zip(g.parents(i), 1e-3 * kernels[i][:, 0]):
+                shifted[(i, j)] += d
+            q = VarietyQuery(f=f, candidate=fp, g=g, alpha=MleEstimate(lam=shifted))
+            assert not in_Xf_alpha_lim(q)
+
+    def test_alpha_missing_a_weight_raises(self):
+        f, fp, b = sparse_hub_instance(10)
+        alpha = MleEstimate(lam={(3, 2): b})
+        with pytest.raises(ValueError, match="missing edge weights at vertex 3"):
+            in_Xf_alpha_lim(VarietyQuery(f=f, candidate=fp, g=collider(), alpha=alpha))
+
+    def test_alpha_weight_on_a_non_edge_raises(self):
+        f, fp, b = sparse_hub_instance(10)
+        alpha = MleEstimate(lam={(3, 1): 0.0, (3, 2): b, (2, 1): 1.0})
+        with pytest.raises(ValueError, match="non-edge 1 -> 2"):
+            in_Xf_alpha_lim(VarietyQuery(f=f, candidate=fp, g=collider(), alpha=alpha))
 
 
 class TestLimitVarietyConsistency:
