@@ -245,7 +245,7 @@ def cmd_classify(problem: Problem, tol: float, seed, eps_grid) -> dict:
     transitive = graph.is_transitive(g)
     reg = None
     if transitive:
-        r = graph.regime(g, Y.shape[0])
+        r = graph.regime(g, problem.sample.shape[0])
         reg = {"label": r.label, "outcomes": sorted(r.outcomes)}
     return {
         "command": "classify",
@@ -338,8 +338,7 @@ def cmd_limit(problem: Problem, tol: float, seed, eps_grid) -> dict:
 def cmd_check(problem: Problem, tol: float, seed, eps_grid) -> dict:
     g = problem.g
     pert, _, _, _ = _resolve_perturbation(problem, seed, tol)
-    lambda_cond = limits.check_lambda_condition(None, pert, g, tol)
-    full_cond = limits.check_full_condition(None, pert, g, tol)
+    _, lambda_cond, full_cond = limits._conditions(pert, g, tol, mle._fit(pert.base, g, tol))
     alpha_fixed = None
     if problem.alpha is not None:
         alpha_fixed = _vertex_map(limits.check_alpha_fixed(pert, problem.alpha.lam, g, tol))

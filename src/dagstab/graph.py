@@ -37,7 +37,7 @@ class Dag:
         Number of vertices (positive).
     edges:
         Iterable of ``(j, i)`` pairs, each meaning ``j -> i``.  Self-loops,
-        out-of-range endpoints and directed cycles are rejected.
+        non-integral or out-of-range endpoints and directed cycles are rejected.
     """
 
     m: int
@@ -50,6 +50,8 @@ class Dag:
         normalised = set()
         for e in edges:
             j, i = e
+            if int(j) != j or int(i) != i:
+                raise ValueError(f"edge {e!r} has an endpoint that is not an integer")
             j, i = int(j), int(i)
             if not (1 <= j <= m and 1 <= i <= m):
                 raise ValueError(f"edge {e!r} has an endpoint outside 1..{m}")

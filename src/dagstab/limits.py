@@ -16,26 +16,26 @@ two ways:
   columns of ``f`` with the projected target column, and ``w`` the same for
   the perturbation.
 
-Both routes read fits of :func:`dagstab.mle._fit`, which factorises each
-parent-count group once: ``fbar`` is the projection in the fit of ``f``
+The analytic route reads fits of :func:`dagstab.mle._fit`, which factorises
+each parent-count group once: ``fbar`` is the projection in the fit of ``f``
 (whose variances ``limit_mle`` reports), ``vbar`` that in the fit of ``f'``,
-and the two span conditions project onto the kept left singular vectors of
-the fit of ``f + f'``.  The numeric route takes :func:`mle_at_epsilon` at
-each grid point and extrapolates every edge-weight vector and variance through
+and the two span conditions project onto the kept left singular vectors of the
+fit of ``f + f'``.  The numeric route calls only :func:`mle_at_epsilon`, once
+per grid point, and extrapolates every edge-weight vector and variance through
 one stacked Neville table.  Only the pencil expansion still runs vertex by
 vertex.  Zero tests go through :func:`dagstab.linalg._negligible`: a span
 condition holds when the residual of its target is at most ``tol`` times the
 target's norm plus the largest column norm of ``f'``, and a numeric variance
-limit vanishes at ``tol`` times its largest value on the grid.  Scaling
-``(f, f')`` by a constant therefore changes no condition and no existence
-flag.
+limit vanishes at ``tol`` times its largest value on the grid, so scaling
+``(f, f')`` by a constant changes no condition and no existence flag.
 
-The two routes are independent and agree to better than ``1e-6`` on
-shallow pencils.  On deep ones (from about 8 parents at a low sample
-rank) the pencil expansion interpolates on ill-conditioned Vandermonde
-systems and the analytic limit can be wrong with no warning; ``limit_mle``
-raises when its normal-equations check catches it.  ROADMAP.md, open item
-1, has the measurements and the planned exact replacement.
+The two routes are independent and agree to better than ``1e-6`` on shallow
+pencils; only the analytic one fills ``epsilon_independent`` and
+``diagnostics``, only the numeric one ``extrapolation_error`` and the
+divergence flags.  On deep pencils (from about 8 parents at a low sample rank)
+the analytic limit can be wrong with no warning, since the pencil expansion
+interpolates on ill-conditioned Vandermonde systems; ``limit_mle`` raises when
+its normal-equations check catches it (ROADMAP.md, open item 1).
 """
 
 from __future__ import annotations
@@ -135,12 +135,12 @@ class VertexDiagnostics:
 class LimitResult:
     """Limit estimate along the stabilisation path.
 
-    ``lam`` and ``omega`` mirror :class:`dagstab.mle.MleEstimate`;
-    ``epsilon_independent[i]`` records whether the estimate at child ``i``
-    is the same for every ``eps`` (not merely in the limit).  ``partial`` is
-    set when some variance limit vanishes, so the record covers only a
-    subset of vertices.  Numeric results carry per-vertex extrapolation
-    error estimates and divergence flags instead of pencil diagnostics.
+    ``lam`` and ``omega`` mirror :class:`dagstab.mle.MleEstimate`; ``partial``
+    is set when some variance limit vanishes, so the record covers only a
+    subset of vertices.  The analytic route fills ``epsilon_independent[i]``
+    (is the estimate at child ``i`` the same for every ``eps``, not merely in
+    the limit?) and pencil ``diagnostics``, the numeric route per-vertex
+    extrapolation error estimates and divergence flags.
     """
 
     lam: dict[tuple[int, int], float]
@@ -294,14 +294,14 @@ def limit_mle_numeric(
 ) -> LimitResult:
     """Numeric limit of the MLE given ``f + eps f'``.
 
-    Evaluates the estimate at every grid point and extrapolates each
-    per-vertex coefficient vector and variance in ``eps^2``, all of them
-    through one stacked Neville table.  Variances are marked absent when
-    the extrapolated value is indistinguishable from zero at the combined
-    tolerance/extrapolation-error scale.  The limit does not depend on the
-    size of ``f'``: one below ``tol / min(grid)`` times ``f`` (largest column
-    norms) is evaluated at ``s * eps``, ``s`` the power of two that brings it
-    to the size of ``f``, which leaves the table in ``eps^2`` exact.
+    Calls only :func:`mle_at_epsilon`, once per grid point, and extrapolates
+    each per-vertex coefficient vector and variance in ``eps^2`` through one
+    stacked Neville table; ``epsilon_independent`` and ``diagnostics`` stay
+    empty.  A variance is absent when its extrapolated value is zero at the
+    combined tolerance/extrapolation-error scale.  The limit does not depend
+    on the size of ``f'``: one below ``tol / min(grid)`` times ``f`` (largest
+    column norms) is evaluated at ``s * eps``, ``s`` the power of two that
+    brings it to the size of ``f``, leaving the table in ``eps^2`` exact.
     """
     grid = _check_grid(eps_grid)
     pert = _as_perturbation(f, fp, tol, g.m)
@@ -331,13 +331,11 @@ def limit_mle_numeric(
     omega_exists = dict(enumerate(exists.tolist(), start=1))
     omega = {i: x for i, x, ok in zip(omega_exists, w.tolist(), exists.tolist()) if ok}
 
-    eps_ind = check_lambda_condition(None, pert, g, tol) if not diverged else {}
     return LimitResult(
         lam=lam,
         omega=omega,
         omega_exists=omega_exists,
         method="numeric",
-        epsilon_independent=eps_ind,
         partial=not all(omega_exists.values()),
         diverged=bool(diverged),
         diverged_vertices=tuple(diverged),

@@ -228,10 +228,8 @@ class TestLimitFits:
         pert, g = limit_problem()
         res = limits.limit_mle_numeric(None, pert, g, grid)
         assert not res.diverged
-        assert len(fit_samples) == len(grid) + 3
-        wanted = [pert.scaled(eps) for eps in grid]
-        wanted += [pert.base, pert.delta, pert.base + pert.delta]  # the condition check
-        for got, want in zip(fit_samples, wanted):
+        assert len(fit_samples) == len(grid)
+        for got, want in zip(fit_samples, [pert.scaled(eps) for eps in grid]):
             assert np.array_equal(got, want)
         # each grid point goes through the public mle_at_epsilon and full_mle,
         # the calls the benchmark's trace counts as grid and vertex evaluations
@@ -243,6 +241,46 @@ class TestLimitFits:
         limits.mle_at_epsilon(None, pert, g, 1e-3)
         assert len(fit_samples) == 1
         assert estimates == {"omega_mle": 0, "full_mle": 1, "MleEstimate": 1, "mle_at_epsilon": 1}
+
+    def test_numeric_route_runs_no_analytic_step(self, monkeypatch):
+        pert, g = limit_problem()
+        want = limits.limit_mle_numeric(None, pert, g)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the numeric route ran a step of the analytic route")
+
+        for name in ("_conditions", "check_lambda_condition", "pencil_expand"):
+            monkeypatch.setattr(limits, name, forbidden)
+        assert limits.limit_mle_numeric(None, pert, g) == want
+        assert want.epsilon_independent == {} and want.diagnostics == {}
+
+
+class TestCliLimitFits:
+    def problem(self):
+        pert, g = limit_problem()
+        data = {"graph": {"m": g.m, "edges": [list(e) for e in sorted(g.edges)]},
+                "sample": pert.base.tolist(), "perturbation": pert.delta.tolist()}
+        return data, pert, g
+
+    def test_check_fits_each_sample_once(self, tmp_path, capsys, fit_samples):
+        data, pert, g = self.problem()
+        code, report = run(tmp_path, capsys, data, "check")
+        assert code == EXIT_OK
+        assert len(fit_samples) == 3
+        for got, want in zip(fit_samples, (pert.base, pert.delta, pert.base + pert.delta)):
+            assert np.array_equal(got, want)
+        for key, check in (("lambdaCondition", limits.check_lambda_condition),
+                           ("fullCondition", limits.check_full_condition)):
+            assert report[key] == {str(i): ok for i, ok in sorted(check(None, pert, g).items())}
+
+    @pytest.mark.parametrize("grid", [limits.DEFAULT_EPS_GRID, (1e-2, 1e-3)],
+                             ids=["default", "two"])
+    def test_limit_fits_each_grid_point_once(self, tmp_path, capsys, fit_samples, grid):
+        data, _, _ = self.problem()
+        data["settings"] = {"epsilonGrid": list(grid)}
+        code, _ = run(tmp_path, capsys, data, "limit")
+        assert code == EXIT_OK
+        assert len(fit_samples) == len(grid) + 3
 
 
 @pytest.fixture

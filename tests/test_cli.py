@@ -71,6 +71,22 @@ class TestClassify:
         assert report["duplicated"] is None
         assert report["regime"]["label"] == "above-with-colliders"
 
+    def test_regime_of_the_given_sample_count(self, tmp_path):
+        # the sample is duplicated to n >= m for the fit; the regime is for n = 2
+        code, report = run_cli(tmp_path, collider_problem(Y_DEP), "classify")
+        assert code == EXIT_OK
+        assert report["n"] == 2 and report["duplicated"] == {"k": 2}
+        assert report["regime"]["label"] == "between"
+        complete = {
+            "graph": {"m": 4, "edges": [[j, i] for i in range(2, 5) for j in range(1, i)]},
+            "sample": [[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 3.0, 1.0]],
+        }
+        code, report = run_cli(tmp_path, complete, "classify")
+        assert code == EXIT_OK
+        assert_valid_report(report)
+        assert report["n"] == 2 and report["duplicated"] == {"k": 2}
+        assert report["regime"]["label"] == "below-depth"
+
     def test_single_observation_star(self, tmp_path):
         problem = {
             "graph": {"m": 3, "edges": [[1, 3], [2, 3]]},
@@ -405,9 +421,11 @@ def test_console_entry_point(tmp_path):
 
 
 def test_repo_schemas_match_packaged_schemas():
+    # the root schema/, which the benchmark reads, links to the packaged tree
     from pathlib import Path
 
     repo_root = Path(__file__).resolve().parents[1]
+    packaged = repo_root / "src" / "dagstab" / "schema"
     for name in ("problem.json", "report.json"):
-        repo_copy = json.loads((repo_root / "schema" / name).read_text())
-        assert load_schema(name) == repo_copy
+        assert (repo_root / "schema" / name).resolve() == (packaged / name).resolve()
+        assert load_schema(name) == json.loads((packaged / name).read_text())

@@ -52,6 +52,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="outside"):
             Dag(2, [(1, 3)])
 
+    def test_rejects_non_integral_endpoints(self):
+        for edges in ([(1.5, 3), (2.9, 3)], [(1, 2.5)]):
+            with pytest.raises(ValueError, match="not an integer"):
+                Dag(3, edges)
+        assert Dag(3, [(1.0, 3.0), (2, 3.0)]).edges == {(1, 3), (2, 3)}
+
     def test_rejects_bad_vertex_count(self):
         with pytest.raises(ValueError):
             Dag(0)

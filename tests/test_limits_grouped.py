@@ -272,9 +272,7 @@ class TestGroupedMatchesPerVertexLoops:
         assert res.diverged_vertices == diverged
         assert res.omega == omega
         assert res.omega_exists == omega_exists
-        assert res.epsilon_independent == (
-            {} if diverged else _reference_lambda_condition(f, fp, g)
-        )
+        assert res.epsilon_independent == {}
 
     def test_condition_dicts_are_identical(self, case):
         f, fp, g = case
