@@ -3,9 +3,12 @@
 Subcommand-first syntax; every subcommand reads one problem file (JSON,
 ``--input PATH`` or ``-`` for stdin) and writes one report (JSON, ``--output
 PATH`` or stdout).  Problem files are validated against
-``schema/problem.json`` (exit code 2 on violation); semantic errors such as
-cycles or shape mismatches exit with code 3.  Reports validate against
-``schema/report.json``.
+``schema/problem.json`` by jsonschema's Draft 7 validator (exit code 2 on
+violation, with jsonschema's own message); semantic errors such as cycles or
+shape mismatches exit with code 3.  Reports validate against
+``schema/report.json``.  Validation and serialisation each make one pass over
+the entries: an array of plain numbers is checked, and a list of floats
+written, without a call per entry.
 
 ``tol`` (from ``--tol`` or the file) must lie strictly between 0 and 1, and
 the epsilon grid (from ``--eps-grid`` or the file) must be finite, positive
@@ -65,6 +68,12 @@ def dumps_report(obj, indent: int = 2) -> str:
     def go(node, level):
         pad = " " * (indent * level)
         inner = " " * (indent * (level + 1))
+        if type(node) is list and node and set(map(type, node)) == {float}:
+            # a vector or matrix row: one join, the scalar path's format and check
+            if not all(map(math.isfinite, node)):
+                raise ValueError("reports must not contain non-finite numbers")
+            body = (",\n" + inner).join([format(v, ".17g") for v in node])
+            return "[\n" + inner + body + "\n" + pad + "]"
         if isinstance(node, dict):
             if not node:
                 return "{}"
@@ -92,8 +101,27 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+# item schemas of plain numbers, with the Python types json.loads gives such a number
+_PLAIN_LEAVES = (({"type": "number"}, {int, float}), ({"type": "integer"}, {int}))
+_draft7_items = jsonschema.Draft7Validator.VALIDATORS["items"]
+
+
+def _items(validator, items, instance, schema):
+    """Draft 7 ``items``, except that an array under a plain-number item schema
+    whose entries all have the plain types is valid without a descent into
+    each entry.  All else, every error included, goes through Draft 7's own
+    ``items``."""
+    for leaf, kinds in _PLAIN_LEAVES:
+        if items == leaf and isinstance(instance, list) and set(map(type, instance)) <= kinds:
+            return
+    yield from _draft7_items(validator, items, instance, schema)
+
+
+_ProblemValidator = jsonschema.validators.extend(jsonschema.Draft7Validator, {"items": _items})
+
+
 def _validate_schema(data) -> None:
-    jsonschema.validate(instance=data, schema=load_schema("problem.json"))
+    jsonschema.validate(instance=data, schema=load_schema("problem.json"), cls=_ProblemValidator)
 
 
 class Problem:
@@ -289,8 +317,8 @@ def cmd_stabilize(problem: Problem, tol: float, seed, eps_grid) -> dict:
         "tol": tol,
         "seed": used_seed,
         "duplicated": dup,
-        "perturbation": [[float(x) for x in row] for row in pert.delta],
-        "stabilised": [[float(x) for x in row] for row in stabilised],
+        "perturbation": pert.delta.tolist(),
+        "stabilised": stabilised.tolist(),
         "rank": rank(stabilised, tol),
         "stages": stages,
     }

@@ -100,23 +100,6 @@ def _conditions(pert: Perturbation, g: Dag, tol: float, fit):
     return vfit.proj, {i: lam_ok[i] for i in children}, {i: full_ok[i] for i in children}
 
 
-def vertex_system(f, fp, g: Dag, i: int, tol: float = DEFAULT_TOL):
-    """The per-vertex linear system underlying the limit machinery.
-
-    Returns ``(A, E, b, v)`` at child vertex ``i``: the parent columns of
-    the sample and the perturbation, and the two target columns.  The
-    orthogonality of the sample side to the perturbation side is inherited
-    from the perturbation conditions, which are validated here.  Feed the
-    pieces to :func:`limit_solve_numeric` or :func:`dagstab.pencil_expand`
-    to study a single vertex in isolation.
-    """
-    pert = _as_perturbation(f, fp, tol, g.m)
-    if i not in g.child_vertices():
-        raise ValueError(f"vertex {i} has no parents")
-    idx = [j - 1 for j in g.parents(i)]
-    return pert.base[:, idx], pert.delta[:, idx], pert.base[:, i - 1], pert.delta[:, i - 1]
-
-
 @dataclass(frozen=True, eq=False)
 class VertexDiagnostics:
     """Closed-form limit data at one child vertex.

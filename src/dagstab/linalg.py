@@ -1,9 +1,8 @@
 """Dense real linear algebra primitives.
 
-Ranks, orthonormal image/kernel bases, orthogonal projections, minimum-norm
-least squares, and the polynomial expansion of the one-parameter pencil
-``C(eps) = A^T A + eps E^T E`` that drives the closed-form limit machinery
-in :mod:`dagstab.limits`.
+Ranks, orthonormal image/kernel bases, orthogonal projections and the
+polynomial expansion of the one-parameter pencil ``C(eps) = A^T A + eps E^T E``
+that drives the closed-form limit machinery in :mod:`dagstab.limits`.
 
 All operations are pure functions on immutable values; inputs are never
 mutated.  Tolerances are relative, defaulting to ``DEFAULT_TOL``, and each
@@ -41,6 +40,16 @@ def _as_matrix(M, name: str = "matrix") -> np.ndarray:
     if A.size and not np.all(np.isfinite(A)):
         raise ValueError(f"{name} entries must be finite")
     return A
+
+
+def _check_squares(A: np.ndarray, name: str) -> None:
+    """Raise unless each nonzero column's squared norm is a finite normal float:
+    decisions read squared norms, which overflow or underflow near ``1e±154``."""
+    sq = np.einsum("nm,nm->m", A, A)
+    if not np.all(sq <= np.finfo(float).max) or np.any(A[:, sq < np.finfo(float).tiny]):
+        raise ValueError(
+            f"{name} has a column whose squared norm overflows or underflows; rescale it"
+        )
 
 
 def _as_vector(v) -> np.ndarray:
@@ -116,22 +125,6 @@ def project(v, B, tol: float = DEFAULT_TOL) -> np.ndarray:
     return Q @ (Q.T @ x)
 
 
-def min_norm_solve(A, b, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Minimum-2-norm solution of ``A x = proj_A(b)``.
-
-    Equals ``pinv(A) @ b``; reduces to the unique least-squares solution when
-    ``A`` has full column rank.
-    """
-    M = _as_matrix(A)
-    y = _as_vector(b)
-    if M.shape[0] != y.size:
-        raise ValueError(f"shape mismatch: A is {M.shape}, b has length {y.size}")
-    if M.shape[1] == 0:
-        return np.zeros(0)
-    x, *_ = np.linalg.lstsq(M, y, rcond=tol)
-    return x
-
-
 @dataclass(frozen=True, eq=False)
 class PencilExpansion:
     """Polynomial data of the pencil ``C(eps) = A^T A + eps E^T E``.
@@ -152,17 +145,6 @@ class PencilExpansion:
     det_coeffs: np.ndarray
     adj_coeffs: tuple[np.ndarray, ...]
     first_nonzero: int
-
-    def det_at(self, eps: float) -> float:
-        """Evaluate ``det C(eps)`` from the stored coefficients."""
-        return float(np.polynomial.polynomial.polyval(eps, self.det_coeffs))
-
-    def adj_at(self, eps: float) -> np.ndarray:
-        """Evaluate ``adj C(eps)`` from the stored coefficients."""
-        out = np.zeros((self.size, self.size))
-        for k, G in enumerate(self.adj_coeffs):
-            out += G * eps**k
-        return out
 
     def adj_coeff(self, k: int) -> np.ndarray:
         """Taylor coefficient ``k`` of the adjugate; zero outside ``0..p-1``."""

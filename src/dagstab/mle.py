@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import EXISTS_NON_UNIQUE, EXISTS_UNIQUE, NONEXISTENT, Dag
-from .linalg import DEFAULT_TOL, _as_matrix, _kept, _negligible, kernel_basis
+from .linalg import DEFAULT_TOL, _as_matrix, _check_squares, _kept, _negligible, kernel_basis
 
 # Geometric-invariant-theory aliases for the three classification outcomes.
 GIT_LABELS = {
@@ -56,6 +56,7 @@ def _validated(Y, g: Dag) -> np.ndarray:
     A = _as_sample(Y)
     if A.shape[1] != g.m:
         raise ValueError(f"sample has {A.shape[1]} columns but the DAG has {g.m} vertices")
+    _check_squares(A, "sample")
     return A
 
 

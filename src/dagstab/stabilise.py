@@ -27,6 +27,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     _as_matrix,
+    _check_squares,
     _negligible,
     _verification_tol,
     image_basis,
@@ -96,12 +97,15 @@ def is_perturbation(f, fp, tol: float = DEFAULT_TOL) -> PerturbationCheck:
     vanish on the row space of ``f``.  Together with
     ``rank(fp) = m - rank(f)`` these are exactly the defining conditions,
     i.e. membership of ``fp`` in the parameter space of stabilisations.
+    Raises on a column whose squared norm overflows or underflows.
     """
     F = _as_matrix(f, "sample")
     P = _as_matrix(fp, "perturbation")
     _require_tall(F)
     if P.shape != F.shape:
         raise ValueError(f"shape mismatch: sample {F.shape}, perturbation {P.shape}")
+    _check_squares(F, "sample")
+    _check_squares(P, "perturbation")
 
     scale = np.linalg.norm(F, 2) * np.linalg.norm(P, 2) if F.size else 0.0
     max_col = float(np.max(np.abs(F.T @ P), initial=0.0))

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dagstab import graph
-from dagstab.cli import EXIT_OK, EXIT_SCHEMA, EXIT_SEMANTIC, load_schema, main
+from dagstab import cli, graph
+from dagstab.cli import EXIT_OK, EXIT_SCHEMA, EXIT_SEMANTIC, dumps_report, load_schema, main
 
 REPORT_SCHEMA = load_schema("report.json")
 
@@ -429,3 +434,242 @@ def test_repo_schemas_match_packaged_schemas():
     for name in ("problem.json", "report.json"):
         assert (repo_root / "schema" / name).resolve() == (packaged / name).resolve()
         assert load_schema(name) == json.loads((packaged / name).read_text())
+
+
+# ---------------------------------------------------------------------------
+# The validator against plain Draft 7, on valid documents and mutations of them
+
+PROBLEM_SCHEMA = load_schema("problem.json")
+BIG_M = 150
+BIG_SAMPLE = np.random.default_rng(0).standard_normal((BIG_M, BIG_M)).round(6).tolist()
+# every kind of entry a document may carry where a number belongs
+MUTANTS = [True, False, None, "1.0", [1.0], [], {}, 3.0, 2.5, 3, 0, -1e-3, -2, math.nan, math.inf]
+MUTATION_SITES = ["sample", "perturbation", "row", "edge", "epsilon", "alpha", "m", "tol"]
+DEEP_MUTATIONS = [
+    ("sample", True), ("sample", "1.0"), ("sample", None), ("sample", [1.0]), ("sample", {}),
+    ("sample", 3), ("sample", math.nan), ("perturbation", False), ("perturbation", "x"),
+    ("row", []), ("row", 3.0), ("edge", 3.0), ("edge", 2.5), ("edge", 0), ("edge", True),
+    ("epsilon", 0), ("epsilon", -1e-3), ("alpha", True), ("m", 2.5), ("tol", 1),
+]
+
+
+def _best_error(validator_cls, doc):
+    error = jsonschema.exceptions.best_match(validator_cls(PROBLEM_SCHEMA).iter_errors(doc))
+    return None if error is None else (error.message, list(error.path), list(error.schema_path))
+
+
+def _document(m, sample, perturbation=False, alpha=False, settings_=False):
+    doc = {"graph": {"m": m, "edges": [[j, j + 1] for j in range(1, min(m, 4))]}, "sample": sample}
+    if perturbation:
+        doc["perturbation"] = [list(row) for row in sample]
+    if alpha:
+        doc["alpha"] = {"lambda": [[2, 1, 0.5]], "omega": [[1, 1.0]]}
+    if settings_:
+        doc["settings"] = {"tol": 1e-10, "seed": 3, "epsilonGrid": [0.1, 0.01]}
+    return doc
+
+
+def _mutate(doc, site, value, row, col):
+    """Put ``value`` at ``site``; ``row`` and ``col`` pick the entry, modulo the sizes."""
+    sample = doc["sample"]
+    row %= len(sample)
+    if site == "sample":
+        sample[row] = list(sample[row])
+        sample[row][col % len(sample[row])] = value
+    elif site == "perturbation":
+        pert = doc.setdefault("perturbation", [list(r) for r in sample])
+        pert[row] = list(pert[row])
+        pert[row][col % len(pert[row])] = value
+    elif site == "row":
+        sample[row] = value
+    elif site == "edge":
+        doc["graph"]["edges"].append([value, 1] if col % 2 else [1, value])
+    elif site == "epsilon":
+        doc.setdefault("settings", {})["epsilonGrid"] = [0.1, value]
+    elif site == "alpha":
+        doc["alpha"] = {"lambda": [[2, 1, value]]} if col % 2 else {"omega": [[value, 1.0]]}
+    elif site == "m":
+        doc["graph"]["m"] = value
+    else:
+        doc.setdefault("settings", {})["tol"] = value
+    return doc
+
+
+def assert_validates_like_draft7(tmp_path, doc):
+    """Same verdict, message, path and schema path as plain Draft 7; an
+    invalid document makes ``main`` exit 2 with that message."""
+    ref = _best_error(jsonschema.Draft7Validator, doc)
+    assert _best_error(cli._ProblemValidator, doc) == ref
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["classify", "--input", str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    if ref is None:
+        assert code in (EXIT_OK, EXIT_SEMANTIC)
+    else:
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert err == f"error: problem file violates the schema: {ref[0]}\n"
+
+
+@st.composite
+def problem_documents(draw):
+    """A valid problem document, small or with the 150 x 150 sample, and
+    with one entry mutated unless ``site`` is drawn as ``None``."""
+    small = st.one_of(st.integers(-5, 5), st.floats(-10, 10, allow_nan=False))
+    if draw(st.booleans()):
+        m, sample = BIG_M, list(BIG_SAMPLE)
+    else:
+        m = draw(st.integers(1, 4))
+        sample = draw(st.lists(st.lists(small, min_size=m, max_size=m), min_size=1, max_size=4))
+    flags = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    doc = _document(m, sample, *flags)
+    site = draw(st.sampled_from([None] + MUTATION_SITES))
+    if site is not None:
+        value = draw(st.sampled_from(MUTANTS))
+        doc = _mutate(doc, site, value, draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6)))
+    return doc
+
+
+class TestValidatorMatchesDraft7:
+    @settings(max_examples=30)
+    @given(doc=problem_documents())
+    def test_documents_and_mutations(self, tmp_path_factory, doc):
+        assert_validates_like_draft7(tmp_path_factory.mktemp("doc"), doc)
+
+    @pytest.mark.parametrize("site, value", DEEP_MUTATIONS, ids=lambda x: repr(x))
+    def test_deep_inside_the_big_sample(self, tmp_path, site, value):
+        doc = _document(BIG_M, list(BIG_SAMPLE), False, True, True)
+        assert_validates_like_draft7(tmp_path, _mutate(doc, site, value, 97, 113))
+
+    def test_first_of_two_bad_entries(self, tmp_path):
+        doc = _mutate(_document(BIG_M, list(BIG_SAMPLE)), "sample", "a", 120, 9)
+        assert_validates_like_draft7(tmp_path, _mutate(doc, "sample", None, 3, 4))
+
+    @pytest.mark.parametrize("leaf", [{"type": "number"}, {"type": "integer"}])
+    @pytest.mark.parametrize(
+        "instance", [[1, 2.5, 3], [1, 2, 3.0], [1, True], [1, "2"], [1, [2]], [], [1, 2**70]]
+    )
+    def test_leaf_items_alone(self, leaf, instance):
+        inner = {"type": "array", "items": leaf}
+        for schema, doc in ((inner, instance), ({"type": "array", "items": inner}, [instance])):
+            errors = [
+                [(e.message, list(e.path)) for e in cls(schema).iter_errors(doc)]
+                for cls in (jsonschema.Draft7Validator, cli._ProblemValidator)
+            ]
+            assert errors[0] == errors[1]
+
+    def test_validation_goes_through_jsonschema_validate(self, tmp_path, monkeypatch):
+        # perfbench's tracer times cli.jsonschema.validate; the CLI must call it
+        calls = []
+        real = jsonschema.validate
+        monkeypatch.setattr(cli.jsonschema, "validate", lambda *a, **k: calls.append(k) or real(*a, **k))
+        code, _ = run_cli(tmp_path, collider_problem(Y_ID), "classify")
+        assert code == EXIT_OK and calls[0]["cls"] is cli._ProblemValidator
+
+
+# ---------------------------------------------------------------------------
+# The serialiser against the recursive one it replaced
+
+
+def _reference_scalar(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        value = float(x)
+        if not math.isfinite(value):
+            raise ValueError("reports must not contain non-finite numbers")
+        return format(value, ".17g")
+    if isinstance(x, str):
+        return json.dumps(x)
+    raise TypeError(f"cannot serialise {type(x).__name__}")
+
+
+def _reference_dumps(obj, indent: int = 2) -> str:
+    def go(node, level):
+        pad = " " * (indent * level)
+        inner = " " * (indent * (level + 1))
+        if isinstance(node, dict):
+            if not node:
+                return "{}"
+            parts = [f"{inner}{json.dumps(str(k))}: {go(v, level + 1)}" for k, v in node.items()]
+            return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        if isinstance(node, (list, tuple)):
+            if not len(node):
+                return "[]"
+            parts = [f"{inner}{go(v, level + 1)}" for v in node]
+            return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+        return _reference_scalar(node)
+
+    return go(obj, 0) + "\n"
+
+
+def _both(obj):
+    """Both serialisers' output, or the type and message of what each raised."""
+    out = []
+    for dumps in (_reference_dumps, dumps_report):
+        try:
+            out.append(dumps(obj))
+        except (TypeError, ValueError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+report_leaves = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=5),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(-100, 100).map(np.int64),
+)
+reports = st.recursive(
+    report_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestSerialiserMatchesReference:
+    @settings(max_examples=100)
+    @given(obj=reports)
+    def test_byte_identical(self, obj):
+        ref, got = _both(obj)
+        assert got == ref
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [0.1, -0.0, 1e-320, 1.7976931348623157e308, 1 / 3],
+            [[1.5, 2.5], [3.0, -4.0]],
+            {"a": [1.0, 2, 3.0], "b": [1.0, True], "c": [None, 2.0], "d": [2.0, "x"]},
+            [np.float64(0.1), 0.2],
+            [np.float64(0.1), np.int64(2), np.float32(0.5)],
+            (0.5, 0.25),
+            [],
+            {},
+            [[], {}, [0.0]],
+            np.arange(4.0).reshape(2, 2).tolist(),
+        ],
+    )
+    def test_fixed_cases(self, obj):
+        ref, got = _both(obj)
+        assert isinstance(ref, str) and got == ref
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    @pytest.mark.parametrize("where", ["alone", "float-list", "mixed-list"])
+    def test_non_finite_raises(self, bad, where):
+        obj = {"alone": bad, "float-list": [1.0, bad, 2.0], "mixed-list": [1, bad]}[where]
+        ref, got = _both(obj)
+        assert ref == got == (ValueError, "reports must not contain non-finite numbers")

@@ -130,6 +130,7 @@ def _outputs(f, fp, g):
     assert status.witness == (min(witnesses) if witnesses else None)
     lim = limit_mle(f, fp, g)
     num = limit_mle_numeric(f, fp, g)
+    assert num.epsilon_independent == {}  # the numeric route leaves it empty
     stab = full_mle(stabilize(f, fp), g)
     off = MleEstimate(est.lam, omega=_moved(est.omega), omega_exists=est.omega_exists)
     decisions = {
@@ -144,7 +145,6 @@ def _outputs(f, fp, g):
         "limit-independent": lim.epsilon_independent,
         "numeric-exists": num.omega_exists,
         "numeric-diverged": set(num.diverged_vertices),
-        "numeric-independent": num.epsilon_independent,
         "stabilised-kernel": stab.lambda_kernel_dims,
         "stabilised-exists": stab.omega_exists,
         "is-mle": (is_mle(f, g, est), is_mle(f, g, off), is_lambda_mle(f, g, _moved(est.lam))),

@@ -330,7 +330,9 @@ class TestTinyScale:
         ref, got = limit_mle_numeric(f, fp, g), limit_mle_numeric(tiny_f, tiny_fp, g)
         assert got.omega_exists == ref.omega_exists and any(ref.omega_exists.values())
         assert got.diverged_vertices == ref.diverged_vertices
-        assert got.epsilon_independent == ref.epsilon_independent
+        assert got.epsilon_independent == ref.epsilon_independent == {}
+        tiny_lim, lim = limit_mle(tiny_f, tiny_fp, g), limit_mle(f, fp, g)
+        assert tiny_lim.epsilon_independent == lim.epsilon_independent
         assert got.lam.keys() == ref.lam.keys()
         for key, value in ref.lam.items():
             assert abs(got.lam[key] - value) <= 1e-6 * max(1.0, abs(value)), key

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from dagstab.linalg import (
     image_basis,
     kernel_basis,
-    min_norm_solve,
     orth_complement,
     pencil_expand,
     project,
@@ -100,24 +99,14 @@ class TestProject:
         assert np.allclose(project([3.0, 4.0], np.zeros((2, 0))), [0.0, 0.0])
 
 
-class TestMinNormSolve:
-    def test_identity(self):
-        assert np.allclose(min_norm_solve(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
+def _det_at(pe, eps):
+    """``det C(eps)`` from the expansion's Taylor coefficients."""
+    return float(np.polynomial.polynomial.polyval(eps, pe.det_coeffs))
 
-    def test_projection_then_solve(self):
-        assert np.allclose(min_norm_solve([[1.0, 0.0], [0.0, 0.0]], [0.0, 1.0]), [0.0, 0.0])
 
-    def test_equal_columns_split_evenly(self):
-        assert np.allclose(min_norm_solve([[1.0, 1.0], [0.0, 0.0]], [1.0, 0.0]), [0.5, 0.5])
-
-    def test_solution_orthogonal_to_kernel(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            A = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
-            b = rng.standard_normal(6)
-            x = min_norm_solve(A, b)
-            K = kernel_basis(A)
-            assert np.max(np.abs(K.T @ x)) < 1e-10
+def _adj_at(pe, eps):
+    """``adj C(eps)`` from the expansion's Taylor coefficients."""
+    return sum(G * eps**k for k, G in enumerate(pe.adj_coeffs))
 
 
 class TestPencilExpand:
@@ -141,7 +130,7 @@ class TestPencilExpand:
         eps = 0.37
         C = A.T @ A + eps * (E.T @ E)
         direct = np.linalg.det(C)
-        assert abs(pe.det_at(eps) - direct) < 1e-8 * max(1.0, abs(direct))
+        assert abs(_det_at(pe, eps) - direct) < 1e-8 * max(1.0, abs(direct))
 
     def test_rejects_nonorthogonal(self):
         rng = np.random.default_rng(2)
@@ -177,8 +166,8 @@ class TestPencilExpand:
                 det_direct = np.linalg.det(C)
                 adj_direct = det_direct * np.linalg.inv(C)
                 scale = max(1.0, abs(det_direct))
-                assert abs(pe.det_at(eps) - det_direct) < 1e-7 * scale
-                assert np.max(np.abs(pe.adj_at(eps) - adj_direct)) < 1e-7 * max(
+                assert abs(_det_at(pe, eps) - det_direct) < 1e-7 * scale
+                assert np.max(np.abs(_adj_at(pe, eps) - adj_direct)) < 1e-7 * max(
                     1.0, np.max(np.abs(adj_direct))
                 )
 

@@ -15,7 +15,7 @@ from dagstab import (
     omega_mle,
 )
 from dagstab.graph import EXISTS_NON_UNIQUE, EXISTS_UNIQUE, NONEXISTENT
-from dagstab.linalg import DEFAULT_TOL, min_norm_solve, project, rank
+from dagstab.linalg import DEFAULT_TOL, project, rank
 from dagstab.mle import GIT_LABELS, MleEstimate
 from _helpers import collider, random_rank_deficient, random_transitive_dag
 
@@ -284,7 +284,7 @@ def _reference_mle(Y, g: Dag, tol: float = DEFAULT_TOL):
         P = Y[:, [j - 1 for j in pa]]
         col = Y[:, i - 1]
         if pa:
-            lam.update(zip([(i, j) for j in pa], min_norm_solve(P, col, tol)))
+            lam.update(zip([(i, j) for j in pa], np.linalg.lstsq(P, col, rcond=tol)[0]))
         kdims[i] = len(pa) - rank(P, tol)
         resid = col - project(col, P, tol)
         exists[i] = bool(np.linalg.norm(resid) > tol * (1.0 + np.linalg.norm(col)))

@@ -27,9 +27,8 @@ from dagstab import (
     limit_solve_numeric,
     mle_at_epsilon,
     stabilize,
-    vertex_system,
 )
-from dagstab import duplicate, random_lift, stabilise, varieties
+from dagstab import duplicate, full_mle, random_lift, stabilise, varieties
 from dagstab.cli import EXIT_OK, EXIT_SEMANTIC, main
 from _helpers import collider
 
@@ -79,11 +78,10 @@ LIMITS_ENTRY_POINTS = [
     lambda f, p, g: check_lambda_condition(f, p, g),
     lambda f, p, g: check_full_condition(f, p, g),
     lambda f, p, g: mle_at_epsilon(f, p, g, 0.1),
-    lambda f, p, g: vertex_system(f, p, g, 3),
 ]
 LIMITS_IDS = [
     "limit_mle", "limit_mle_numeric", "limit_lambda_analytic", "check_lambda_condition",
-    "check_full_condition", "mle_at_epsilon", "vertex_system",
+    "check_full_condition", "mle_at_epsilon",
 ]
 
 
@@ -265,3 +263,48 @@ class TestIntegralArguments:
     def test_rejects_bad_seeds(self, seed):
         with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
             random_lift(duplicate(Y_ID, 2), seed)
+
+
+class TestSquaredNormRange:
+    """Fits decide from squared column norms, so a sample or perturbation
+    whose nonzero column has a square outside the normal float range is
+    rejected instead of classified wrongly (it came out ``nonexistent`` at
+    witness 1 before)."""
+
+    Y = np.array([[1.0, 3.0], [2.0, -1.0], [0.5, 0.1]])
+    G = Dag(2, [(1, 2)])
+
+    def decisions(self, Y):
+        est = full_mle(Y, self.G)
+        return classify(Y, self.G), est.lambda_kernel_dims, est.omega_exists
+
+    @pytest.mark.parametrize("s", [1e160, 1e-160, 1e200, 1e-200])
+    def test_extreme_scales_raise(self, s):
+        for call in (classify, full_mle):
+            with pytest.raises(ValueError, match="sample has a column whose squared norm"):
+                call(s * self.Y, self.G)
+        f, fp = np.array(LINE_SAMPLE), np.array(LINE_PERT)
+        with pytest.raises(ValueError, match="sample has a column whose squared norm"):
+            Perturbation(s * f, s * fp)
+        with pytest.raises(ValueError, match="perturbation has a column whose squared norm"):
+            Perturbation(f, s * fp)
+
+    @pytest.mark.parametrize("s", [1e150, 1e-150])
+    def test_representable_scales_keep_the_decisions(self, s):
+        assert self.decisions(s * self.Y) == self.decisions(self.Y)
+        assert self.decisions(self.Y)[0].status == "exists-unique"
+        f, fp, g = np.array(LINE_SAMPLE), np.array(LINE_PERT), collider()
+        pert = Perturbation(s * f, s * fp)
+        assert check_lambda_condition(None, pert, g) == check_lambda_condition(f, fp, g)
+        assert check_full_condition(None, pert, g) == check_full_condition(f, fp, g)
+
+    def test_zero_columns_pass(self):
+        Y = np.column_stack([1e-150 * self.Y[:, 0], np.zeros(3)])
+        assert classify(Y, self.G).status == "nonexistent"
+
+    @pytest.mark.parametrize("s", [1e160, 1e-170])
+    @pytest.mark.parametrize("command", ["classify", "estimate", "check"])
+    def test_cli_exits_semantic(self, tmp_path, capsys, s, command):
+        data = {"graph": {"m": 2, "edges": [[1, 2]]}, "sample": (s * self.Y).tolist(),
+                "settings": {"seed": 3}}
+        assert_semantic_error(run(tmp_path, capsys, data, command), "squared norm overflows")
