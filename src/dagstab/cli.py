@@ -240,7 +240,8 @@ def _maybe_duplicate(problem: Problem) -> tuple[np.ndarray, dict | None]:
 def _resolve_perturbation(problem: Problem, seed, tol):
     """Explicit perturbation, or one drawn from the seed (with duplication
     when observations are scarce), validated once.  Returns
-    (perturbation, seed, dup, stages)."""
+    (perturbation, seed, dup, lift), the lift ``None`` for an explicit
+    perturbation."""
     if problem.perturbation is not None and seed is not None:
         raise SemanticError("give either a perturbation or a seed, not both")
     if problem.perturbation is not None:
@@ -250,16 +251,7 @@ def _resolve_perturbation(problem: Problem, seed, tol):
         raise SemanticError("this command needs a perturbation or a seed")
     Y, dup = _maybe_duplicate(problem)
     lift = stabilise.random_lift(Y, seed, tol)
-    pert = stabilise.build_from_lift(lift, tol)
-    stages = [
-        {
-            "kernelDim": st.kernel_basis.shape[1],
-            "cokernelDim": st.cokernel_basis.shape[1],
-            "mapRank": rank(st.stage_map, tol),
-        }
-        for st in lift.stages
-    ]
-    return pert, seed, dup, stages
+    return stabilise.build_from_lift(lift, tol), seed, dup, lift
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +302,16 @@ def cmd_estimate(problem: Problem, tol: float, seed, eps_grid) -> dict:
 
 
 def cmd_stabilize(problem: Problem, tol: float, seed, eps_grid) -> dict:
-    pert, used_seed, dup, stages = _resolve_perturbation(problem, seed, tol)
+    pert, used_seed, dup, lift = _resolve_perturbation(problem, seed, tol)
     stabilised = stabilise.stabilize(None, pert, tol)
+    stages = None if lift is None else [
+        {
+            "kernelDim": st.kernel_basis.shape[1],
+            "cokernelDim": st.cokernel_basis.shape[1],
+            "mapRank": rank(st.stage_map, tol),
+        }
+        for st in lift.stages
+    ]
     return {
         "command": "stabilize",
         "tol": tol,
@@ -319,7 +319,7 @@ def cmd_stabilize(problem: Problem, tol: float, seed, eps_grid) -> dict:
         "duplicated": dup,
         "perturbation": pert.delta.tolist(),
         "stabilised": stabilised.tolist(),
-        "rank": rank(stabilised, tol),
+        "rank": stabilised.shape[1],  # stabilize asserts full column rank
         "stages": stages,
     }
 

@@ -35,7 +35,8 @@ pencils; only the analytic one fills ``epsilon_independent`` and
 divergence flags.  On deep pencils (from about 8 parents at a low sample rank)
 the analytic limit can be wrong with no warning, since the pencil expansion
 interpolates on ill-conditioned Vandermonde systems; ``limit_mle`` raises when
-its normal-equations check catches it (ROADMAP.md, open item 1).
+its check of the two limit-variety equations of :mod:`dagstab.varieties`
+catches it (ROADMAP.md, open item 1).
 """
 
 from __future__ import annotations
@@ -365,14 +366,24 @@ def _lambda_limit(pert: Perturbation, g: Dag, tol: float, fit) -> LimitResult:
     )
 
 
+def _limit_equation_failures(pert: Perturbation, g: Dag, lam, tol: float, fit) -> list[int]:
+    """Child vertices at which ``lam`` fails the normal equations of ``f`` or,
+    if none does, ``N^T E^T (E x - v) = 0`` on ``f'``, ``N`` spanning
+    ``ker A`` in ``fit``, a fit of ``f``; both at the verification tolerance."""
+    check = _verification_tol(tol)
+    bad = _normal_equation_failures(pert.base, g, lam, check)
+    return bad or _normal_equation_failures(pert.delta, g, lam, check, fit)
+
+
 def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
     """Limit MLE given ``f + eps f'``: analytic edge weights plus the
     variance limits ``|f_i - proj(f_i)|^2 / n``.
 
     The variance limit coincides with the variance MLE given ``f`` wherever
     the latter exists; when it exists everywhere the assembled limit is an
-    MLE given ``f``, which is asserted.  Otherwise the record is labelled
-    ``partial`` (edge-weight limit plus the existing variance entries).
+    MLE given ``f``.  Otherwise the record is labelled ``partial``
+    (edge-weight limit plus the existing variance entries).  Edge weights
+    off the limit variety (the check of ``in_Xf_alpha_lim``) raise.
     """
     pert = _as_perturbation(f, fp, tol, g.m)
     fit = _fit(pert.base, g, tol)
@@ -383,8 +394,7 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
         omega_exists=exists,
         partial=not all(exists.values()),
     )
-    # The limit solves the degenerate normal system at every child vertex.
-    bad = _normal_equation_failures(pert.base, g, result.lam, _verification_tol(tol))
+    bad = _limit_equation_failures(pert, g, result.lam, tol, fit)
     if bad:
         raise ValueError(
             f"limit estimate fails the normal equations at vertex {bad[0]}; "

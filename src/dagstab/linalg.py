@@ -1,8 +1,9 @@
 """Dense real linear algebra primitives.
 
-Ranks, orthonormal image/kernel bases, orthogonal projections and the
-polynomial expansion of the one-parameter pencil ``C(eps) = A^T A + eps E^T E``
-that drives the closed-form limit machinery in :mod:`dagstab.limits`.
+Ranks, orthonormal image/kernel bases and the polynomial expansion of the
+one-parameter pencil ``C(eps) = A^T A + eps E^T E`` that drives the
+closed-form limit machinery in :mod:`dagstab.limits`.  Orthogonal
+projections belong to the fits of :mod:`dagstab.mle`.
 
 All operations are pure functions on immutable values; inputs are never
 mutated.  Tolerances are relative, defaulting to ``DEFAULT_TOL``, and each
@@ -50,13 +51,6 @@ def _check_squares(A: np.ndarray, name: str) -> None:
         raise ValueError(
             f"{name} has a column whose squared norm overflows or underflows; rescale it"
         )
-
-
-def _as_vector(v) -> np.ndarray:
-    x = np.asarray(v, dtype=float).reshape(-1)
-    if x.size and not np.all(np.isfinite(x)):
-        raise ValueError("vector entries must be finite")
-    return x
 
 
 def _kept(s: np.ndarray, tol: float) -> np.ndarray:
@@ -108,21 +102,6 @@ def orth_complement(B, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     if Q.shape[1] == 0:
         return np.eye(dim)
     return kernel_basis(Q.T, tol)
-
-
-def project(v, B, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projection of ``v`` onto the column span of ``B``.
-
-    The span of an empty (or zero) ``B`` is the zero space, so the
-    projection is the zero vector.
-    """
-    x = _as_vector(v)
-    Q = image_basis(B, tol)
-    if Q.shape[1] == 0:
-        return np.zeros_like(x)
-    if Q.shape[0] != x.size:
-        raise ValueError(f"cannot project R^{x.size} vector onto span in R^{Q.shape[0]}")
-    return Q @ (Q.T @ x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -325,7 +325,10 @@ def _normal_equation_failures(A: np.ndarray, g: Dag, lam, tol: float, fit=None) 
     ``tol * (|P^T y| + |P^T P| |x|)``, with ``P`` the parent columns,
     ``y`` the child column and ``x`` the weights.  A missing or NaN weight
     fails.  Given ``fit`` (of another sample), only the part of the residual
-    in the kernel of that sample's parent columns counts."""
+    in the kernel of that sample's parent columns counts.  ``A`` is first
+    scaled by a power of two, which is exact, to a largest column norm in
+    ``[1/2, 1)``, so the products of two columns stay finite."""
+    A = np.ldexp(A, -np.frexp(np.sqrt(np.einsum("nm,nm->m", A, A)).max(initial=0.0))[1])
     L = _weight_matrix(lam, g, missing=np.nan)
     R = A - A @ L.T  # column i is y - P x at child i
     x_norm = np.sqrt(np.einsum("ij,ij->i", L, L))
@@ -358,9 +361,13 @@ def is_mle(Y, g: Dag, est: MleEstimate, tol: float = DEFAULT_TOL) -> bool:
     normal equations, the variance MLE exists at every vertex, and the
     variance entries match the projection residuals."""
     A = _validated(Y, g)
+    return _is_mle(A, g, est, tol, _fit(A, g, tol))
+
+
+def _is_mle(A: np.ndarray, g: Dag, est: MleEstimate, tol: float, fit: _Fit) -> bool:
+    """``is_mle`` on a validated sample, given a fit of it."""
     if _normal_equation_failures(A, g, est.lam, tol):
         return False
-    fit = _fit(A, g, tol)
     omega = [est.omega.get(i) if est.omega_exists.get(i) else None for i in range(1, g.m + 1)]
     if not fit.exists.all() or None in omega:
         return False

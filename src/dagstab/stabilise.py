@@ -28,6 +28,7 @@ from .linalg import (
     DEFAULT_TOL,
     _as_matrix,
     _check_squares,
+    _kept,
     _negligible,
     _verification_tol,
     image_basis,
@@ -107,14 +108,16 @@ def is_perturbation(f, fp, tol: float = DEFAULT_TOL) -> PerturbationCheck:
     _check_squares(F, "sample")
     _check_squares(P, "perturbation")
 
-    scale = np.linalg.norm(F, 2) * np.linalg.norm(P, 2) if F.size else 0.0
+    # one singular-value vector per matrix gives its spectral norm and its rank
+    sF, sP = (np.linalg.svd(M, compute_uv=False) for M in (F, P))
+    scale = sF[0] * sP[0] if F.size else 0.0
     max_col = float(np.max(np.abs(F.T @ P), initial=0.0))
     max_row = float(np.max(np.abs(P @ F.T), initial=0.0))
     col_ok = bool(_negligible(max_col, scale, tol))
     row_ok = bool(_negligible(max_row, scale, tol))
 
-    expected = F.shape[1] - rank(F, tol)
-    actual = rank(P, tol)
+    expected = F.shape[1] - int(_kept(sF, tol).sum())
+    actual = int(_kept(sP, tol).sum())
     rank_ok = actual == expected
 
     return PerturbationCheck(
@@ -232,6 +235,13 @@ def _check_orthonormal(B: np.ndarray, what: str, tol: float) -> None:
         raise InvalidLiftError(f"{what} does not have orthonormal columns")
 
 
+def _image(M: np.ndarray, tol: float) -> tuple[int, np.ndarray, float]:
+    """Rank, orthonormal image basis and spectral norm of ``M``, from one SVD."""
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    r = int(_kept(s, tol).sum())
+    return r, U[:, :r], s.max(initial=0.0)
+
+
 def validate_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> None:
     """Check the structural invariants of a lift; raise on violation.
 
@@ -244,82 +254,54 @@ def validate_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> None:
     F = _as_matrix(lift.base, "sample")
     _require_tall(F)
     n, m = F.shape
-    r = rank(F, tol)
-    if not lift.stages:
-        if r < m:
-            raise InvalidLiftError(
-                "rank-deficient sample needs at least one stage beyond the base"
-            )
-        return
+    r, image, prev_norm = _image(F, tol)
+    if not lift.stages and r < m:
+        raise InvalidLiftError("rank-deficient sample needs at least one stage beyond the base")
     ortho_tol = _verification_tol(tol)
-    prev_kernel_dim = m - r
-    prev_cokernel_dim = n - r
-    prev_map: np.ndarray = F
-    prev_basis: np.ndarray | None = None
-    images: list[np.ndarray] = [image_basis(F, tol)]
+    kernel_dim, cokernel_dim = m - r, n - r
+    prev_map, prev_basis, images = F, np.eye(m), [image]
     for idx, st in enumerate(lift.stages):
+        stage = f"stage {idx + 2}"
         K, C, M = (
             _as_matrix(st.kernel_basis, "kernel basis"),
             _as_matrix(st.cokernel_basis, "cokernel basis"),
             _as_matrix(st.stage_map, "stage map"),
         )
         if K.shape[0] != m or C.shape[0] != n:
-            raise InvalidLiftError(f"stage {idx + 2}: basis ambient dimensions wrong")
-        _check_orthonormal(K, f"stage {idx + 2} kernel basis", tol)
-        _check_orthonormal(C, f"stage {idx + 2} cokernel basis", tol)
-        if K.shape[1] != prev_kernel_dim:
+            raise InvalidLiftError(f"{stage}: basis ambient dimensions wrong")
+        _check_orthonormal(K, f"{stage} kernel basis", tol)
+        _check_orthonormal(C, f"{stage} cokernel basis", tol)
+        if K.shape[1] != kernel_dim:
             raise InvalidLiftError(
-                f"stage {idx + 2}: kernel basis has {K.shape[1]} columns, "
-                f"expected {prev_kernel_dim}"
+                f"{stage}: kernel basis has {K.shape[1]} columns, expected {kernel_dim}"
             )
-        if C.shape[1] != prev_cokernel_dim:
+        if C.shape[1] != cokernel_dim:
             raise InvalidLiftError(
-                f"stage {idx + 2}: cokernel basis has {C.shape[1]} columns, "
-                f"expected {prev_cokernel_dim}"
+                f"{stage}: cokernel basis has {C.shape[1]} columns, expected {cokernel_dim}"
             )
         if M.shape != (C.shape[1], K.shape[1]):
-            raise InvalidLiftError(
-                f"stage {idx + 2}: stage map shape {M.shape} does not match bases"
-            )
-        # kernel basis must be annihilated by the previous map
-        if not _negligible(
-            np.max(np.abs(prev_map @ K), initial=0.0), np.linalg.norm(prev_map, 2), ortho_tol
-        ):
-            raise InvalidLiftError(
-                f"stage {idx + 2}: kernel basis does not span the previous kernel"
-            )
-        if prev_basis is not None:
-            # nesting in R^m
-            off = K - prev_basis @ (prev_basis.T @ K)
-            if not _negligible(np.max(np.abs(off)), 1.0, ortho_tol):
-                raise InvalidLiftError(
-                    f"stage {idx + 2}: kernel basis is not nested in the previous one"
-                )
-        # cokernel embedding orthogonal to all previous images
+            raise InvalidLiftError(f"{stage}: stage map shape {M.shape} does not match bases")
+        # K must lie in the previous kernel: annihilated by the previous map
+        # and nested in the previous basis (the first basis is all of R^m)
+        if not _negligible(np.max(np.abs(prev_map @ K), initial=0.0), prev_norm, ortho_tol):
+            raise InvalidLiftError(f"{stage}: kernel basis does not span the previous kernel")
+        if not _negligible(np.max(np.abs(K - prev_basis @ (prev_basis.T @ K))), 1.0, ortho_tol):
+            raise InvalidLiftError(f"{stage}: kernel basis is not nested in the previous one")
         for Q in images:
             if not _negligible(np.max(np.abs(Q.T @ C), initial=0.0), 1.0, ortho_tol):
-                raise InvalidLiftError(
-                    f"stage {idx + 2}: cokernel embedding meets an earlier image"
-                )
-        rk = rank(M, tol)
+                raise InvalidLiftError(f"{stage}: cokernel embedding meets an earlier image")
+        rk, image, norm = _image(M, tol)
         if rk == 0:
-            raise InvalidLiftError(f"stage {idx + 2}: stage map is zero")
-        last = idx == len(lift.stages) - 1
-        if last:
-            if rk < M.shape[1]:
-                raise InvalidLiftError("final stage map must have full column rank")
-        else:
-            if rk >= M.shape[1]:
-                raise InvalidLiftError(
-                    f"stage {idx + 2}: only the final stage map may be non-degenerate"
-                )
-        images.append(C @ image_basis(M, tol))
-        prev_kernel_dim = K.shape[1] - rk
-        prev_cokernel_dim = C.shape[1] - rk
-        prev_map = C @ M @ K.T
-        prev_basis = K
-    if prev_kernel_dim != 0:
-        raise InvalidLiftError("lift terminates with a nonzero kernel")
+            raise InvalidLiftError(f"{stage}: stage map is zero")
+        # the final map has full column rank, so the kernel ends at dimension 0
+        if idx == len(lift.stages) - 1 and rk < M.shape[1]:
+            raise InvalidLiftError("final stage map must have full column rank")
+        if idx < len(lift.stages) - 1 and rk == M.shape[1]:
+            raise InvalidLiftError(f"{stage}: only the final stage map may be non-degenerate")
+        images.append(C @ image)
+        kernel_dim, cokernel_dim = K.shape[1] - rk, C.shape[1] - rk
+        # C and K have orthonormal columns, so C M K^T has the norm of M
+        prev_map, prev_norm, prev_basis = C @ M @ K.T, norm, K
 
 
 def build_from_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> Perturbation:

@@ -12,20 +12,26 @@ are queried pointwise:
   ``N^T E^T (E x - v) = 0`` (``A, b`` and ``E, v`` the parent and child
   columns of ``f`` and ``f'``, and ``N`` a basis of ``ker A``).
 
-These are membership tests on given points only; deciding emptiness of the
-varieties is out of scope.
+Both alpha-indexed predicates read one fit of ``f`` per query, at ``tol``:
+:func:`in_Xf_alpha` checks with it that ``alpha`` is an MLE (the equations
+and the variances to the verification tolerance), and
+:func:`in_Xf_alpha_lim` takes ``ker A`` from it, as
+:func:`dagstab.limits.limit_mle` does from its own fit of ``f``.  These are
+membership tests on given points only; deciding emptiness of the varieties
+is out of scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .graph import NONEXISTENT, Dag, is_star
 from .linalg import DEFAULT_TOL, _verification_tol
-from .mle import MleEstimate, _classified_mle, _fit, _normal_equation_failures, is_mle
-from .limits import check_alpha_fixed
+from .mle import MleEstimate, _classified_mle, _fit, _is_mle, _validated
+from .limits import _limit_equation_failures, check_alpha_fixed
 from .stabilise import (
     InvalidPerturbationError,
     Perturbation,
@@ -54,6 +60,12 @@ class VarietyQuery:
     g: Dag
     alpha: MleEstimate | None = None
     tol: float = DEFAULT_TOL
+
+    @cached_property
+    def _f_fit(self):
+        """``f``, validated, and its fit at ``tol``, shared by the alpha predicates."""
+        A = _validated(self.f, self.g)
+        return A, _fit(A, self.g, self.tol)
 
 
 def _perturbation(q: VarietyQuery) -> Perturbation | None:
@@ -87,7 +99,8 @@ def in_Xf_alpha(q: VarietyQuery) -> bool:
     """
     if q.alpha is None:
         raise ValueError("membership in the alpha-indexed variety needs alpha")
-    if not is_mle(q.f, q.g, q.alpha, _verification_tol(q.tol)):
+    A, fit = q._f_fit
+    if not _is_mle(A, q.g, q.alpha, _verification_tol(q.tol), fit):
         raise AlphaNotMleError("alpha is not an MLE given the sample")
     pert = _perturbation(q)
     if pert is None:
@@ -101,7 +114,9 @@ def in_Xf_alpha_lim(q: VarietyQuery) -> bool:
 
     Membership holds when ``alpha``'s edge weights, which must name edges
     of the DAG only, satisfy both equations of the module docstring at every
-    child vertex, each within the verification tolerance.
+    child vertex, each within the verification tolerance.  The check is the
+    one :func:`dagstab.limits.limit_mle` runs on its own result, so at the
+    same ``tol`` this predicate accepts every limit ``limit_mle`` returns.
     """
     if q.alpha is None:
         raise ValueError("membership in the alpha-indexed variety needs alpha")
@@ -111,11 +126,7 @@ def in_Xf_alpha_lim(q: VarietyQuery) -> bool:
     for i in q.g.child_vertices():
         if any((i, j) not in q.alpha.lam for j in q.g.parents(i)):
             raise ValueError(f"alpha is missing edge weights at vertex {i}")
-    tol = _verification_tol(q.tol)
-    if _normal_equation_failures(pert.base, q.g, q.alpha.lam, tol):
-        return False
-    fit = _fit(pert.base, q.g, q.tol)
-    return not _normal_equation_failures(pert.delta, q.g, q.alpha.lam, tol, fit)
+    return not _limit_equation_failures(pert, q.g, q.alpha.lam, q.tol, q._f_fit[1])
 
 
 def star_min_norm_mle(f, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:

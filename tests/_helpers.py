@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dagstab import Dag, build_from_lift, random_lift, star
+from dagstab import Dag, build_from_lift, image_basis, random_lift, star
 
 
 def collider() -> Dag:
@@ -43,6 +43,13 @@ def random_dag(rng: np.random.Generator, m: int, edge_prob: float = 0.4) -> Dag:
 
 def random_transitive_dag(rng: np.random.Generator, m: int, edge_prob: float = 0.4) -> Dag:
     return transitive_closure(random_dag(rng, m, edge_prob))
+
+
+def project(v, B, tol: float = 1e-10) -> np.ndarray:
+    """Orthogonal projection of ``v`` onto the column span of ``B`` (the zero
+    vector for an empty span): an oracle independent of the stacked fits."""
+    Q = image_basis(B, tol)
+    return Q @ (Q.T @ np.asarray(v, dtype=float))
 
 
 def random_rank_deficient(rng: np.random.Generator, n: int, m: int, r: int) -> np.ndarray:

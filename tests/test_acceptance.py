@@ -23,7 +23,6 @@ from dagstab import (
     limit_solve_numeric,
     mle_at_epsilon,
     mlt,
-    project,
     random_lift,
     rank,
     regime,
@@ -45,6 +44,7 @@ from dagstab.graph import (
 from dagstab.limits import check_full_condition
 from _helpers import (
     collider,
+    project,
     random_perturbation,
     random_rank_deficient,
     random_transitive_dag,

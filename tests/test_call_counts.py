@@ -1,7 +1,10 @@
-"""How often one CLI command or one query fits the sample or runs the
-perturbation predicate, and which samples the limit routes fit."""
+"""How often one CLI command or one query fits the sample, runs the
+perturbation predicate or runs an SVD, and which samples the limit routes
+fit."""
 
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +73,7 @@ def checks(monkeypatch):
 
 @pytest.fixture
 def fits(monkeypatch):
+    """The count of ``mle._fit`` calls, wherever ``_fit`` is bound."""
     count = [0]
     original = mle._fit
 
@@ -77,7 +81,8 @@ def fits(monkeypatch):
         count[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(mle, "_fit", counted)
+    for module in (mle, limits, varieties):
+        monkeypatch.setattr(module, "_fit", counted, raising=False)
     return count
 
 
@@ -319,3 +324,55 @@ class TestLimitMembershipFits:
         in_Xf_alpha_lim(VarietyQuery(f=f, candidate=fp, g=g, alpha=alpha))
         assert pencils[0] == 0
         assert samples and all(np.array_equal(A, f) for A in samples)
+
+
+@pytest.fixture
+def svds(monkeypatch):
+    """SVDs run, wherever ``np.linalg.svd`` is called, counting each spectral
+    norm ``np.linalg.norm(M, 2)`` of a matrix as one (it runs an SVD)."""
+    count = [0]
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counted_svd(*args, **kwargs):
+        count[0] += 1
+        return svd(*args, **kwargs)
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            count[0] += 1
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return count
+
+
+@pytest.fixture
+def bench_cli_cases(monkeypatch):
+    """The CLI calls of one round of the benchmark's ``cli`` workload, seed 1."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    checks = importlib.import_module("checks")
+    return {case["label"]: case for case in checks.cli_cases(1)}
+
+
+class TestSvdsPerCommand:
+    """One SVD per matrix whose rank, image or spectral norm a command reads
+    (``is_perturbation``: one each for ``f`` and ``f'``; ``validate_lift``: one
+    for ``f`` and one per stage map), on the benchmark's m = 20 problem and
+    star membership queries.  The previous counts were 6, 6, 17, 99, 24 and 6."""
+
+    @pytest.mark.parametrize("label,want", [
+        ("classify-m20", 6),
+        ("estimate-m20", 6),
+        ("stabilize-m20", 11),
+        ("limit-m20", 93),
+        ("check-m20", 18),
+        ("membership-star6-inside", 3),
+        ("membership-star6-moved-alpha", 3),
+    ])
+    def test_count(self, tmp_path, capsys, svds, bench_cli_cases, label, want):
+        case = bench_cli_cases[label]
+        svds[0] = 0
+        code, _ = run(tmp_path, capsys, case["problem"], case["command"])
+        assert code == EXIT_OK
+        assert svds[0] == want

@@ -15,13 +15,13 @@ from dagstab import (
     limit_mle_numeric,
     limit_solve_numeric,
     mle_at_epsilon,
-    project,
     star,
 )
 from dagstab.graph import NONEXISTENT
 from dagstab.stabilise import InvalidPerturbationError
 from _helpers import (
     collider,
+    project,
     random_perturbation,
     random_rank_deficient,
     star_instance,

@@ -26,11 +26,10 @@ from dagstab import (
     mle_at_epsilon,
     omega_mle,
     pencil_expand,
-    project,
 )
 from dagstab.limits import DEFAULT_EPS_GRID, _diverging, _neville_zero
 from dagstab.linalg import DEFAULT_TOL
-from _helpers import random_perturbation, random_rank_deficient
+from _helpers import project, random_perturbation, random_rank_deficient
 
 ANALYTIC_RTOL = 1e-12
 

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dagstab.linalg import (
     image_basis,
     kernel_basis,
     orth_complement,
     pencil_expand,
-    project,
     rank,
 )
 from _helpers import fraction_rank, random_orthogonal_pair
@@ -81,22 +78,6 @@ class TestBases:
     def test_complement_of_empty_span(self):
         C = orth_complement(np.zeros((4, 0)), 4)
         assert np.allclose(C @ C.T, np.eye(4))
-
-
-class TestProject:
-    def test_onto_first_axis(self):
-        assert np.allclose(project([1.0, 1.0], [[1.0], [0.0]]), [1.0, 0.0])
-
-    def test_full_span_identity(self):
-        B = np.array([[1.0, 1.0], [0.0, 1.0]])
-        assert np.allclose(project([2.0, 1.0], B), [2.0, 1.0])
-
-    def test_orthogonal_to_repeated_column(self):
-        B = np.array([[1.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(project([0.0, 1.0], B), [0.0, 0.0])
-
-    def test_empty_span_is_zero_map(self):
-        assert np.allclose(project([3.0, 4.0], np.zeros((2, 0))), [0.0, 0.0])
 
 
 def _det_at(pe, eps):
@@ -208,18 +189,3 @@ class TestPencilExpand:
                     1.0, adj_scale
                 )
         assert found >= 5
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_projection_idempotent_and_pythagoras(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 7))
-    k = int(rng.integers(0, n + 1))
-    B = rng.standard_normal((n, k)) if k else np.zeros((n, 0))
-    v = rng.standard_normal(n)
-    p = project(v, B)
-    assert np.max(np.abs(project(p, B) - p)) < 1e-10 * (1 + np.max(np.abs(p)))
-    lhs = v @ v
-    rhs = p @ p + (v - p) @ (v - p)
-    assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))

@@ -15,9 +15,9 @@ from dagstab import (
     omega_mle,
 )
 from dagstab.graph import EXISTS_NON_UNIQUE, EXISTS_UNIQUE, NONEXISTENT
-from dagstab.linalg import DEFAULT_TOL, project, rank
+from dagstab.linalg import DEFAULT_TOL, rank
 from dagstab.mle import GIT_LABELS, MleEstimate
-from _helpers import collider, random_rank_deficient, random_transitive_dag
+from _helpers import collider, project, random_rank_deficient, random_transitive_dag
 
 # The worked three-variable example: two observations of three variables,
 # columns (1,0), (0,1), (1,1) / (1,0), (1,0), (0,1) / the 3x3 identity.

@@ -35,6 +35,26 @@ def example_lift(c1=1.0, c2=0.0) -> CollineationLift:
     return CollineationLift(F_EXAMPLE, (LiftStage(K, C, M),))
 
 
+# Rank-1 sample: only the first column is nonzero.  Its kernel is span{b2, b3}
+# and its cokernel span{e2, e3, e4}.
+F_RANK_ONE = np.zeros((4, 3))
+F_RANK_ONE[0, 0] = 1.0
+K2 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+C2 = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+M2 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])  # rank 1: b2 -> e2, b3 -> 0
+# stage 3 on ker M2 = span{b3}; the cokernel shrinks to span{e3, e4}
+K3 = np.array([[0.0], [0.0], [1.0]])
+C3 = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+M3 = np.array([[1.0], [2.0]])
+
+
+def two_stage_lift(stage2=(K2, C2, M2), stage3=(K3, C3, M3)):
+    """A valid lift of ``F_RANK_ONE`` with a rank-1 first stage map and a
+    full-rank final one; an argument replaces its stage, ``None`` drops it."""
+    stages = tuple(LiftStage(*st) for st in (stage2, stage3) if st is not None)
+    return CollineationLift(F_RANK_ONE, stages)
+
+
 class TestIsPerturbation:
     def test_single_extra_column(self):
         fp = np.zeros((4, 3))
@@ -102,24 +122,10 @@ class TestBuildFromLift:
         assert np.allclose(pert.delta, expect)
 
     def test_two_stage_lift(self):
-        # rank-1 sample: only the first column is nonzero
-        f = np.zeros((4, 3))
-        f[0, 0] = 1.0
-        # kernel of f is span{b2, b3}; cokernel span{e2, e3, e4}
-        K2 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        C2 = np.array(
-            [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-        )
-        M2 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])  # rank 1, degenerate
-        # stage 3 on ker M2 = span{b3}, cokernel shrinks to span{e3, e4}
-        K3 = np.array([[0.0], [0.0], [1.0]])
-        C3 = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        M3 = np.array([[1.0], [2.0]])
-        lift = CollineationLift(f, (LiftStage(K2, C2, M2), LiftStage(K3, C3, M3)))
-        pert = build_from_lift(lift)
+        pert = build_from_lift(two_stage_lift())
         assert rank(pert.delta) == 2
-        assert bool(is_perturbation(f, pert.delta))
-        assert rank(stabilize(f, pert)) == 3
+        assert bool(is_perturbation(F_RANK_ONE, pert.delta))
+        assert rank(stabilize(F_RANK_ONE, pert)) == 3
 
     def test_rejects_degenerate_final_stage(self):
         bad = example_lift(c1=0.0, c2=0.0)
@@ -275,3 +281,68 @@ def test_stabilisation_rank_sweep():
                 assert rank(out) == m
                 count += 1
     assert count == 24
+
+
+E1 = np.array([[1.0], [0.0], [0.0]])
+# one broken variant per InvalidLiftError raised by validate_lift
+BROKEN_LIFTS = {
+    "no-stages": (two_stage_lift(stage2=None, stage3=None), "needs at least one stage"),
+    "ambient": (two_stage_lift(stage3=(np.vstack([K3, [[0.0]]]), C3, M3)),
+                "stage 3: basis ambient dimensions wrong"),
+    "no-columns": (two_stage_lift(stage3=(K3, np.zeros((4, 0)), np.zeros((0, 1)))),
+                   "stage 3 cokernel basis has no columns"),
+    "not-orthonormal": (two_stage_lift(stage2=(2.0 * K2, C2, M2)),
+                        "stage 2 kernel basis does not have orthonormal columns"),
+    "kernel-dim": (two_stage_lift(stage3=(K2, C3, np.ones((2, 2)))),
+                   "stage 3: kernel basis has 2 columns, expected 1"),
+    "cokernel-dim": (two_stage_lift(stage3=(K3, C2, np.ones((3, 1)))),
+                     "stage 3: cokernel basis has 3 columns, expected 2"),
+    "map-shape": (two_stage_lift(stage3=(K3, C3, np.ones((1, 1)))),
+                  r"stage 3: stage map shape \(1, 1\) does not match bases"),
+    "not-annihilated": (two_stage_lift(stage2=(np.eye(3)[:, :2], C2, M2)),
+                        "stage 2: kernel basis does not span the previous kernel"),
+    # b1 is annihilated by the stage 2 map, which vanishes off span{b2, b3}
+    "not-nested": (two_stage_lift(stage3=(E1, C3, M3)),
+                   "stage 3: kernel basis is not nested in the previous one"),
+    # e2 is the image of the stage 2 map
+    "meets-image": (two_stage_lift(stage3=(K3, C2[:, [0, 2]], M3)),
+                    "stage 3: cokernel embedding meets an earlier image"),
+    "zero-map": (two_stage_lift(stage2=(K2, C2, np.zeros((3, 2)))), "stage 2: stage map is zero"),
+    "degenerate-final": (two_stage_lift(stage3=None),
+                         "final stage map must have full column rank"),
+    "non-degenerate-early": (two_stage_lift(stage2=(K2, C2, np.eye(3)[:, :2])),
+                             "stage 2: only the final stage map may be non-degenerate"),
+}
+
+
+class TestValidateLift:
+    def test_two_stage_lift_is_valid(self):
+        lift = two_stage_lift()
+        assert validate_lift(lift) is None
+        pert = build_from_lift(lift)
+        assert isinstance(pert, Perturbation)
+        expect = np.zeros((4, 3))
+        expect[1, 1], expect[2, 2], expect[3, 2] = 1.0, 1.0, 2.0
+        assert np.array_equal(pert.delta, expect)
+
+    @pytest.mark.parametrize("name", BROKEN_LIFTS)
+    def test_each_violation_raises_its_own_message(self, name):
+        lift, message = BROKEN_LIFTS[name]
+        with pytest.raises(InvalidLiftError, match=message):
+            validate_lift(lift)
+        with pytest.raises(InvalidLiftError, match=message):
+            build_from_lift(lift)
+
+    def test_random_lift_with_degenerate_draws_is_valid(self):
+        # near tol = 1 a Gaussian 4 x 2 draw is usually cut to rank 1, so the
+        # sampler runs its multi-stage branch
+        f = np.zeros((4, 2))
+        tol = 0.9
+        lengths = set()
+        for seed in range(8):
+            lift = random_lift(f, seed, tol)
+            validate_lift(lift, tol)
+            lengths.add(lift.length)
+            dims = [st.kernel_basis.shape[1] for st in lift.stages]
+            assert dims == list(range(2, 2 - len(dims), -1))
+        assert 3 in lengths

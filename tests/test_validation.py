@@ -6,6 +6,9 @@ and the number of perturbation-predicate runs per CLI command.
 """
 
 import json
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from dagstab import (
     check_lambda_condition,
     classify,
     in_Xf_alpha_lim,
+    is_lambda_mle,
     is_mle,
     limit_lambda_analytic,
     limit_mle,
@@ -308,3 +312,49 @@ class TestSquaredNormRange:
         data = {"graph": {"m": 2, "edges": [[1, 2]]}, "sample": (s * self.Y).tolist(),
                 "settings": {"seed": 3}}
         assert_semantic_error(run(tmp_path, capsys, data, command), "squared norm overflows")
+
+
+class TestNormalEquationsAtExtremeScales:
+    """The normal-equations check reads products of two columns, which
+    overflowed to ``inf <= tol * inf`` above entries of about 1e77 and
+    underflowed to ``0 <= 0`` below about 1e-77, so a wrong edge weight
+    passed there."""
+
+    Y = TestSquaredNormRange.Y
+    G = TestSquaredNormRange.G
+
+    def wrong(self, Y):
+        """The MLE given ``Y`` with its edge weight scaled by 1.5."""
+        est = full_mle(Y, self.G)
+        return replace(est, lam={(2, 1): 1.5 * est.lam[(2, 1)]})
+
+    @pytest.mark.parametrize("s", [1e80, 1e-80, 1e150, 1e-150])
+    def test_wrong_weight_rejected(self, s):
+        est = full_mle(s * self.Y, self.G)
+        assert is_mle(s * self.Y, self.G, est) and is_lambda_mle(s * self.Y, self.G, est.lam)
+        wrong = self.wrong(s * self.Y)
+        assert not is_mle(s * self.Y, self.G, wrong)
+        assert not is_lambda_mle(s * self.Y, self.G, wrong.lam)
+
+    @pytest.mark.parametrize("s", [1e150, 1e-150])
+    def test_cli_membership_says_not_an_mle(self, tmp_path, s):
+        wrong = self.wrong(s * self.Y)
+        data = {
+            "graph": {"m": 2, "edges": [[1, 2]]},
+            "sample": (s * self.Y).tolist(),
+            "perturbation": np.zeros((3, 2)).tolist(),
+            "alpha": {"lambda": [[2, 1, wrong.lam[(2, 1)]]],
+                      "omega": [[i, v] for i, v in sorted(wrong.omega.items())]},
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(data))
+        command = ["-W", "error", "-m", "dagstab.cli", "membership", "--input", str(path)]
+        proc = subprocess.run(
+            [sys.executable, *command],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        report = json.loads(proc.stdout)
+        assert report["alphaIsMleGivenF"] is False and report["inXfAlphaLim"] is False

@@ -4,6 +4,7 @@ import pytest
 from dagstab import (
     AlphaNotMleError,
     Dag,
+    build_from_lift,
     MleEstimate,
     VarietyQuery,
     full_mle,
@@ -12,6 +13,7 @@ from dagstab import (
     in_Xf_alpha_lim,
     limit_mle,
     limit_mle_numeric,
+    random_lift,
     stabilize,
     star,
     star_min_norm_mle,
@@ -239,6 +241,30 @@ class TestLimitVarietyConsistency:
             )
             assert not in_Xf_alpha_lim(q_bad)
 
+
+    def test_every_returned_limit_is_a_member(self):
+        # low-rank star samples with columns scaled over 1e-3..1e3: where the
+        # pencil expansion loses digits along ker A, limit_mle must raise
+        # rather than return a limit that in_Xf_alpha_lim rejects
+        rng = np.random.default_rng(5)
+        returned = 0
+        for trial in range(300):
+            p = rng.integers(4, 9)
+            m, r = p + 1, rng.integers(1, p)
+            n = m + 2
+            f = rng.standard_normal((n, r)) @ rng.standard_normal((r, m))
+            f = f * 10 ** rng.uniform(-3, 3, m)
+            g = star(int(m))
+            pert = build_from_lift(random_lift(f, trial))
+            try:
+                lim = limit_mle(None, pert, g)
+            except ValueError as exc:
+                assert "fails the normal equations" in str(exc)
+                continue
+            returned += 1
+            q = VarietyQuery(f=f, candidate=pert, g=g, alpha=MleEstimate(lam=lim.lam))
+            assert in_Xf_alpha_lim(q), trial
+        assert returned >= 250
 
 class TestStarMinNorm:
     def test_orthogonal_hub_column(self):
