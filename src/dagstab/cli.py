@@ -201,7 +201,8 @@ def _read_input(path: str) -> dict:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    # an integer of 309 characters or more, invalid in every field, may overflow: read a float
+    return json.loads(text, parse_int=lambda s: int(s) if len(s) < 309 else float(s))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +460,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         data = _read_input(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     try:

@@ -4,6 +4,12 @@ existence and uniqueness in Gaussian DAG models.
 Vertices are labelled ``1..m``.  An edge ``(j, i)`` points from ``j`` to
 ``i``, so ``j`` is a parent of ``i``.  ``Dag`` instances are immutable after
 construction and safe to share across threads.
+
+A ``Dag`` builds once the layout that the per-vertex fits of :mod:`dagstab.mle`
+and :mod:`dagstab.limits` read, as read-only int arrays: ``_parent_groups`` (per
+parent count ``p``, ascending, the ``(k,)`` child and ``(k, p)`` parent indices,
+0-based), ``_edge_keys`` (the ``(E, 2)`` pairs ``(i, j)`` of the edges ``j -> i``,
+ascending: the order of every edge-weight vector) and ``_parent_counts``.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ import itertools
 import numbers
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 Edge = tuple[int, int]
 
@@ -61,21 +69,17 @@ class Dag:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "edges", frozenset(normalised))
 
-        parent_map = {i: [] for i in range(1, m + 1)}
+        for name, value in zip(("_parent_groups", "_edge_keys", "_parent_counts"), self._layout()):
+            object.__setattr__(self, name, value)
         child_map = {i: [] for i in range(1, m + 1)}
-        for j, i in self.edges:
-            parent_map[i].append(j)
+        for i, j in zip(*self._edge_keys.T.tolist()):  # ascending in i: each list comes out sorted
             child_map[j].append(i)
-        for i in parent_map:
-            parent_map[i].sort()
-            child_map[i].sort()
-        object.__setattr__(self, "_parents", parent_map)
         object.__setattr__(self, "_children", child_map)
-        object.__setattr__(self, "_topo", self._toposort(m, parent_map, child_map))
+        object.__setattr__(self, "_topo", self._toposort(m, self._parent_counts, child_map))
 
     @staticmethod
-    def _toposort(m, parent_map, child_map) -> tuple[int, ...]:
-        indeg = {i: len(parent_map[i]) for i in range(1, m + 1)}
+    def _toposort(m, parent_counts, child_map) -> tuple[int, ...]:
+        indeg = dict(enumerate(parent_counts.tolist(), start=1))
         queue = deque(sorted(i for i in indeg if indeg[i] == 0))
         order = []
         while queue:
@@ -89,10 +93,27 @@ class Dag:
             raise ValueError("edge set contains a directed cycle")
         return tuple(order)
 
+    def _layout(self) -> tuple:
+        """The layout of the module docstring, in int32: half the memory of intp."""
+        m, pairs = self.m, itertools.chain.from_iterable(self.edges)  # j, i, j, i, ...
+        ji = np.fromiter(pairs, np.int64, 2 * len(self.edges))
+        key = np.sort(ji[1::2] * (m + 1) + ji[::2])  # by child, then parent
+        i, j = np.array(np.divmod(key, m + 1), dtype=np.int32)
+        counts = np.bincount(i - 1, minlength=m).astype(np.int32)
+        starts = np.cumsum(counts) - counts
+        sizes = sorted(set(counts.tolist()) - {0})
+        cols = [np.flatnonzero(counts == p).astype(np.int32) for p in sizes]
+        groups = tuple((c, j[starts[c, None] + np.arange(counts[c[0]])] - 1) for c in cols)
+        keys = np.column_stack((i, j))
+        for a in (keys, counts, *itertools.chain.from_iterable(groups)):
+            a.setflags(write=False)
+        return groups, keys, counts
+
     def parents(self, i: int) -> list[int]:
         """Sorted parents of vertex ``i``; empty for a source vertex."""
         self._check_vertex(i)
-        return list(self._parents[i])
+        lo, hi = np.searchsorted(self._edge_keys[:, 0], (i, i + 1))
+        return self._edge_keys[lo:hi, 1].tolist()
 
     def children(self, i: int) -> list[int]:
         """Sorted children of vertex ``i``."""
@@ -101,7 +122,7 @@ class Dag:
 
     def child_vertices(self) -> list[int]:
         """Sorted vertices that have at least one parent."""
-        return [i for i in range(1, self.m + 1) if self._parents[i]]
+        return (np.flatnonzero(self._parent_counts) + 1).tolist()
 
     def topological_order(self) -> list[int]:
         """A topological order of the vertices (parents before children)."""
@@ -126,7 +147,7 @@ def mlt(g: Dag) -> int:
     The minimal number of samples for which the MLE exists uniquely given
     generic data.
     """
-    return max(len(g.parents(i)) for i in range(1, g.m + 1)) + 1
+    return int(g._parent_counts.max()) + 1
 
 
 def depth(g: Dag) -> int:

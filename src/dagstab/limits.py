@@ -49,14 +49,8 @@ import numpy as np
 from .graph import Dag
 from .linalg import DEFAULT_TOL, _as_matrix, _negligible, _verification_tol, pencil_expand
 from .mle import (
-    MleEstimate,
-    _fit,
-    _groups,
-    _normal_equation_failures,
-    _omega_part,
-    _projection,
-    _weight_matrix,
-    full_mle,
+    MleEstimate, _edge_pairs, _fit, _groups, _normal_equation_failures, _omega_part, _projection,
+    _weight_matrix, full_mle,
 )
 from .stabilise import Perturbation, _as_perturbation
 
@@ -90,15 +84,15 @@ def _conditions(pert: Perturbation, g: Dag, tol: float, fit):
     D = pert.delta
     vfit = _fit(D, g, tol)
     floor = _norms(D.T).max(initial=0.0)
-    lam_ok, full_ok = {}, {}
-    for verts, span in _fit(pert.base + D, g, tol).spans.items():
-        cols = np.subtract(verts, 1)
+    lam_ok, full_ok = np.zeros(g.m, dtype=bool), np.zeros(g.m, dtype=bool)
+    spans = zip(g._parent_groups, _fit(pert.base + D, g, tol).spans, vfit.spans)
+    for (cols, _), span, vspan in spans:
         fbar, vbar, v = fit.proj[cols], vfit.proj[cols], D.T[cols]
-        lam_ok.update(zip(verts, _in_span(fbar + vbar, span, floor, tol).tolist()))
-        full = _in_span(v, vfit.spans[verts], floor, tol) & _in_span(fbar + v, span, floor, tol)
-        full_ok.update(zip(verts, full.tolist()))
-    children = g.child_vertices()
-    return vfit.proj, {i: lam_ok[i] for i in children}, {i: full_ok[i] for i in children}
+        lam_ok[cols] = _in_span(fbar + vbar, span, floor, tol)
+        full_ok[cols] = _in_span(v, vspan, floor, tol) & _in_span(fbar + v, span, floor, tol)
+    kids = np.flatnonzero(g._parent_counts)
+    children = (kids + 1).tolist()
+    return vfit.proj, *(dict(zip(children, ok[kids].tolist())) for ok in (lam_ok, full_ok))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +132,7 @@ class LimitResult:
     diverged_vertices: tuple[int, ...] = ()
     extrapolation_error: dict[int, float] = field(default_factory=dict)
 
-    def lambda_vector(self, g: Dag, i: int) -> np.ndarray:
-        return np.array([self.lam[(i, j)] for j in g.parents(i)])
+    lambda_vector = MleEstimate.lambda_vector
 
 
 def mle_at_epsilon(f, fp, g: Dag, eps: float, tol: float = DEFAULT_TOL) -> MleEstimate:
@@ -261,11 +254,9 @@ def limit_solve_numeric(
 
 
 def _check_grid(eps_grid) -> tuple[float, ...]:
-    grid = tuple(float(e) for e in eps_grid)
+    grid = tuple(_as_matrix([list(eps_grid)], "epsilon grid")[0].tolist())
     if not grid:
         raise ValueError("epsilon grid must be non-empty")
-    if not all(math.isfinite(e) for e in grid):
-        raise ValueError("epsilon grid entries must be finite")
     if any(e <= 0 for e in grid) or any(
         grid[k + 1] >= grid[k] for k in range(len(grid) - 1)
     ):
@@ -293,10 +284,10 @@ def limit_mle_numeric(
     s = 2.0 ** math.ceil(math.log2(nf / nd)) if 0 < nd < nf * tol / grid[-1] else 1.0
     estimates = [mle_at_epsilon(None, pert, g, s * eps, tol) for eps in grid]
 
-    # per grid point: every child's coefficient vector, ascending, then every variance
+    # per grid point: every child's coefficient vector, in the edge order, then every variance
     children = g.child_vertices()
-    keys = [(i, j) for i in children for j in g.parents(i)]
-    widths = np.array([len(g.parents(i)) for i in children], dtype=np.intp)
+    keys = _edge_pairs(g)
+    widths = g._parent_counts[g._parent_counts > 0]
     starts = np.cumsum(widths) - widths
     lam_grid = np.array([[est.lam[k] for k in keys] for est in estimates])
     omega_grid = np.array([[est.omega[i] for i in range(1, g.m + 1)] for est in estimates])
@@ -343,26 +334,22 @@ def _lambda_limit(pert: Perturbation, g: Dag, tol: float, fit) -> LimitResult:
     """``limit_lambda_analytic`` given ``fit``, the fit of ``f``."""
     vbar, cond, _ = _conditions(pert, g, tol, fit)
     diagnostics: dict[int, VertexDiagnostics] = {}
-    for verts, (A, _), (E, _) in _groups(g, pert.base, pert.delta):
-        for i, A_i, E_i in zip(verts, A, E):
-            fb, vb = fit.proj[i - 1], vbar[i - 1]
+    for cols, (A, _), (E, _) in _groups(g, pert.base, pert.delta):
+        for c, A_i, E_i in zip(cols.tolist(), A, E):
             pencil = pencil_expand(A_i, E_i, tol)
             l = pencil.first_nonzero
+            fb, vb = fit.proj[c], vbar[c]
             numerator = pencil.adj_coeff(l) @ (A_i.T @ fb) + pencil.adj_coeff(l - 1) @ (E_i.T @ vb)
-            diagnostics[i] = VertexDiagnostics(l, float(pencil.det_coeffs[l]), numerator)
-    children = g.child_vertices()
-    lam = {
-        (i, j): float(val)
-        for i in children
-        for j, val in zip(g.parents(i), diagnostics[i].numerator / diagnostics[i].det_coeff)
-    }
+            diagnostics[c + 1] = VertexDiagnostics(l, float(pencil.det_coeffs[l]), numerator)
+    diagnostics = {i: diagnostics[i] for i in g.child_vertices()}
+    values = [np.zeros(0)] + [d.numerator / d.det_coeff for d in diagnostics.values()]
     return LimitResult(
-        lam=lam,
+        lam=dict(zip(_edge_pairs(g), np.concatenate(values).tolist())),
         omega={},
         omega_exists={},
         method="analytic",
         epsilon_independent=cond,
-        diagnostics={i: diagnostics[i] for i in children},
+        diagnostics=diagnostics,
     )
 
 

@@ -35,7 +35,10 @@ FIRST_NONZERO_TOL = 1e-9
 
 def _as_matrix(M, name: str = "matrix") -> np.ndarray:
     """The one check of a finite 2-d array; ``name`` labels the errors."""
-    A = np.asarray(M, dtype=float)
+    try:
+        A = np.asarray(M, dtype=float)
+    except OverflowError:  # a Python integer beyond the float range
+        raise ValueError(f"{name} entries must be finite") from None
     if A.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
@@ -51,6 +54,13 @@ def _check_squares(A: np.ndarray, name: str) -> None:
         raise ValueError(
             f"{name} has a column whose squared norm overflows or underflows; rescale it"
         )
+
+
+def _unit_scaled(A: np.ndarray) -> tuple[np.ndarray, int]:
+    """``A`` times the power of two (exact) that brings its largest column norm
+    into ``[1/2, 1)``, and ``e`` with ``A = scaled * 2**e``: a zero ``A`` as it is."""
+    e = int(np.frexp(np.sqrt(np.einsum("nm,nm->m", A, A)).max(initial=0.0))[1])
+    return np.ldexp(A, -e), e
 
 
 def _kept(s: np.ndarray, tol: float) -> np.ndarray:

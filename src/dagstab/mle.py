@@ -12,9 +12,11 @@ squared residual of that projection, and exists only when the residual is
 strictly positive.  All functions are pure and thread-safe.
 
 Every estimator, the classification and :mod:`dagstab.limits` read fits of
-whole samples.  :func:`_groups` groups the child vertices by parent count
-``p`` and stacks their parent and target columns; it is the one grouping in
-the package.  Each group's parent submatrices go through one stacked
+whole samples.  The grouping of the child vertices by parent count ``p``,
+the edge order and the parent counts are the DAG's layout, built once by
+:class:`dagstab.graph.Dag`; :func:`_groups` stacks each group's parent and
+target columns from it, and every edge-weight vector is stacked in its edge
+order.  Each group's parent submatrices go through one stacked
 ``n x p`` SVD; the rank (the cut of :func:`dagstab.linalg._kept`), the
 minimum-norm coefficients, the projection, the residual and the kept
 singular vectors all come from it, and ``classify`` reads the
@@ -35,7 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import EXISTS_NON_UNIQUE, EXISTS_UNIQUE, NONEXISTENT, Dag
-from .linalg import DEFAULT_TOL, _as_matrix, _check_squares, _kept, _negligible, kernel_basis
+from .linalg import (
+    DEFAULT_TOL, _as_matrix, _check_squares, _kept, _negligible, _unit_scaled, kernel_basis,
+)
 
 # Geometric-invariant-theory aliases for the three classification outcomes.
 GIT_LABELS = {
@@ -119,41 +123,35 @@ def duplicate(Y, k: int) -> np.ndarray:
 class _Fit:
     """Per-vertex projection data, indexed by vertex ``i - 1``.
 
-    ``coef`` holds the minimum-norm parent coefficients, ``rank`` the rank
-    of the parent columns, ``proj`` (one row per vertex) the projection onto
-    them, ``resid_sq`` the squared projection residual and ``exists`` the
-    strict-positivity decision on it.  ``self_rank`` is the rank of the
-    parent-and-self columns, computed only on request and only when every
-    residual is positive.  ``spans`` maps each parent-count group's
-    vertices (a tuple) to ``U, keep, V``, its singular vectors (``V`` as
-    columns) and which are kept: :func:`_projection` takes ``U`` or ``V``.
+    ``coef`` holds the minimum-norm coefficients in the DAG's edge order,
+    ``rank`` the rank of the parent columns, ``proj`` (one row per vertex)
+    the projection onto them, ``resid_sq`` the squared projection residual
+    and ``exists`` the strict-positivity decision on it.  ``self_rank`` is
+    the rank of the parent-and-self columns, computed only on request and
+    only when every residual is positive.  ``spans`` holds, per group of the
+    DAG's layout, ``U, keep, V``: its singular vectors (``V`` as columns)
+    and which are kept; :func:`_projection` takes ``U`` or ``V``.
     """
 
-    coef: list[np.ndarray]
+    coef: np.ndarray
     rank: np.ndarray
     proj: np.ndarray
     resid_sq: np.ndarray
     exists: np.ndarray
     self_rank: np.ndarray | None
-    spans: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    spans: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _groups(g: Dag, *mats: np.ndarray):
     """Child vertices grouped by parent count, with their columns stacked.
 
-    Per group of ``k`` vertices with ``p`` parents each, yields the vertices
-    (ascending) and, for each ``n x m`` matrix ``M`` given, the pair of the
-    ``(k, n, p)`` stack of parent submatrices ``M[:, parents(i)]`` and the
-    ``(k, n)`` stack of columns ``M[:, i]``.
+    Per group of ``k`` vertices with ``p`` parents each in ``g``'s layout,
+    yields their 0-based indices and, for each ``n x m`` matrix ``M`` given,
+    the pair of the ``(k, n, p)`` stack of parent submatrices
+    ``M[:, parents(i)]`` and the ``(k, n)`` stack of columns ``M[:, i]``.
     """
-    parents = {i: g.parents(i) for i in g.child_vertices()}
-    groups: dict[int, list[int]] = {}
-    for i, pa in parents.items():
-        groups.setdefault(len(pa), []).append(i)
-    for verts in groups.values():
-        idx = np.array([parents[i] for i in verts]) - 1
-        cols = np.array(verts) - 1
-        yield verts, *((M.T[idx].transpose(0, 2, 1), M.T[cols]) for M in mats)
+    for cols, idx in g._parent_groups:
+        yield cols, *((M.T[idx].transpose(0, 2, 1), M.T[cols]) for M in mats)
 
 
 def _projection(Y: np.ndarray, U: np.ndarray, keep: np.ndarray):
@@ -179,62 +177,52 @@ def _fit(A: np.ndarray, g: Dag, tol: float, self_rank: bool = False) -> _Fit:
     parent-and-self rank is read from the small one, but only when every
     residual is positive (otherwise it decides nothing).
     """
-    m = A.shape[1]
-    coef = [np.zeros(0)] * m
-    rank = np.zeros(m, dtype=int)
-    proj = np.zeros((m, A.shape[0]))
-    small: list[tuple[list[int], np.ndarray]] = []
-    spans = {}
-    for verts, (P, Y) in _groups(g, A):
-        v = [i - 1 for i in verts]
+    starts = np.cumsum(g._parent_counts) - g._parent_counts  # each vertex's first edge
+    coef = np.zeros(len(g._edge_keys))
+    rank = np.zeros(g.m, dtype=int)
+    proj = np.zeros((g.m, A.shape[0]))
+    spans, stacks = [], []
+    for cols, (P, Y) in _groups(g, A):
         U, s, Vt = np.linalg.svd(P, full_matrices=False)
         keep = _kept(s, tol)
-        spans[tuple(verts)] = U, keep, Vt.transpose(0, 2, 1)
-        c_kept, proj[v] = _projection(Y, U, keep)
+        spans.append((U, keep, Vt.transpose(0, 2, 1)))
+        stacks.append((cols, Y, s))
+        c_kept, proj[cols] = _projection(Y, U, keep)
         x = (np.divide(c_kept, s, out=np.zeros_like(c_kept), where=keep)[:, None, :] @ Vt)[:, 0, :]
-        rank[v] = keep.sum(axis=1)
-        for i, row in zip(v, x):
-            coef[i] = row
-        if self_rank:
-            k, p = s.shape[1], P.shape[2]
-            c = (Y[:, None, :] @ U)[:, 0, :]
-            R_all = Y - (U @ c[:, :, None])[:, :, 0]
-            M = np.zeros((len(v), k + 1, p + 1))
-            M[:, :k, :p] = s[:, :, None] * Vt
-            M[:, :k, p] = c
-            M[:, k, p] = np.sqrt(np.einsum("bn,bn->b", R_all, R_all))
-            small.append((v, M))
+        rank[cols] = keep.sum(axis=1)
+        coef[starts[cols, None] + np.arange(x.shape[1])] = x
     R = A.T - proj
     resid_sq = np.einsum("mn,mn->m", R, R)
     exists = ~_negligible(np.sqrt(resid_sq), np.sqrt(np.einsum("nm,nm->m", A, A)), tol)
     srank = None
     if self_rank and exists.all():
         # a source column with a positive residual is nonzero: rank 1
-        srank = np.ones(m, dtype=int)
-        for v, M in small:
-            srank[v] = _kept(np.linalg.svd(M, compute_uv=False), tol).sum(axis=1)
+        srank = np.ones(g.m, dtype=int)
+        for (cols, Y, s), (U, _, V) in zip(stacks, spans):
+            k, p = s.shape[1], V.shape[1]
+            c = (Y[:, None, :] @ U)[:, 0, :]
+            R_all = Y - (U @ c[:, :, None])[:, :, 0]
+            M = np.zeros((len(cols), k + 1, p + 1))
+            M[:, :k, :p] = s[:, :, None] * V.transpose(0, 2, 1)
+            M[:, :k, p] = c
+            M[:, k, p] = np.sqrt(np.einsum("bn,bn->b", R_all, R_all))
+            srank[cols] = _kept(np.linalg.svd(M, compute_uv=False), tol).sum(axis=1)
     return _Fit(coef, rank, proj, resid_sq, exists, srank, spans)
 
 
+def _edge_pairs(g: Dag) -> list[tuple[int, int]]:
+    """The keys ``(i, j)`` of the edges ``j -> i``, in ``g``'s edge order."""
+    return list(zip(*g._edge_keys.T.tolist()))
+
+
 def _lambda_part(fit: _Fit, g: Dag) -> tuple[dict, dict]:
-    lam: dict[tuple[int, int], float] = {}
-    kdims: dict[int, int] = {}
-    for i in range(1, g.m + 1):
-        pa = g.parents(i)
-        for j, value in zip(pa, fit.coef[i - 1].tolist()):
-            lam[(i, j)] = value
-        kdims[i] = len(pa) - int(fit.rank[i - 1])
-    return lam, kdims
+    kdims = (g._parent_counts - fit.rank).tolist()
+    return dict(zip(_edge_pairs(g), fit.coef.tolist())), dict(enumerate(kdims, start=1))
 
 
 def _omega_part(fit: _Fit, n: int) -> tuple[dict, dict]:
-    omega: dict[int, float] = {}
-    exists: dict[int, bool] = {}
-    for k, (ok, sq) in enumerate(zip(fit.exists.tolist(), fit.resid_sq.tolist())):
-        exists[k + 1] = ok
-        if ok:
-            omega[k + 1] = sq / n
-    return omega, exists
+    exists = dict(enumerate(fit.exists.tolist(), start=1))
+    return {i: sq / n for i, sq in zip(exists, fit.resid_sq.tolist()) if exists[i]}, exists
 
 
 def lambda_mle(Y, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:
@@ -296,8 +284,7 @@ def _classification(fit: _Fit, g: Dag) -> Classification:
     absent = np.flatnonzero(~fit.exists)
     if absent.size:
         return Classification(NONEXISTENT, GIT_LABELS[NONEXISTENT], int(absent[0]) + 1)
-    sizes = np.array([len(g.parents(i)) + 1 for i in range(1, g.m + 1)])
-    deficient = np.flatnonzero(fit.self_rank < sizes)
+    deficient = np.flatnonzero(fit.self_rank < g._parent_counts + 1)
     if deficient.size:
         return Classification(
             EXISTS_NON_UNIQUE, GIT_LABELS[EXISTS_NON_UNIQUE], int(deficient[0]) + 1
@@ -309,13 +296,13 @@ def _weight_matrix(lam, g: Dag, missing: float = 0.0) -> np.ndarray:
     """The ``m x m`` matrix ``L`` with ``L[i-1, j-1]`` the weight of edge
     ``j -> i`` (row = child), ``missing`` at edges ``lam`` leaves out and 0
     elsewhere.  The one check that ``lam`` names edges of ``g`` only."""
+    keys = _edge_pairs(g)
+    stray = lam.keys() - keys
+    if stray:
+        i, j = next(k for k in lam if k in stray)
+        raise ValueError(f"edge weight given for non-edge {j} -> {i}")
     L = np.zeros((g.m, g.m))
-    for j, i in g.edges:
-        L[i - 1, j - 1] = missing
-    for (i, j), value in lam.items():
-        if not g.has_edge(j, i):
-            raise ValueError(f"edge weight given for non-edge {j} -> {i}")
-        L[i - 1, j - 1] = value
+    L[tuple(g._edge_keys.T - 1)] = [lam.get(k, missing) for k in keys]
     return L
 
 
@@ -328,22 +315,22 @@ def _normal_equation_failures(A: np.ndarray, g: Dag, lam, tol: float, fit=None) 
     in the kernel of that sample's parent columns counts.  ``A`` is first
     scaled by a power of two, which is exact, to a largest column norm in
     ``[1/2, 1)``, so the products of two columns stay finite."""
-    A = np.ldexp(A, -np.frexp(np.sqrt(np.einsum("nm,nm->m", A, A)).max(initial=0.0))[1])
+    A = _unit_scaled(A)[0]
     L = _weight_matrix(lam, g, missing=np.nan)
     R = A - A @ L.T  # column i is y - P x at child i
     x_norm = np.sqrt(np.einsum("ij,ij->i", L, L))
     bad: list[int] = []
-    for verts, (P, y), (_, r) in _groups(g, A, R):
+    for grp, (cols, (P, y), (_, r)) in enumerate(_groups(g, A, R)):
         resid = np.einsum("knp,kn->kp", P, r)
         if fit is not None:
-            _, keep, V = fit.spans[tuple(verts)]
+            _, keep, V = fit.spans[grp]
             resid = resid - _projection(resid, V, keep)[1]
         resid = np.linalg.norm(resid, axis=1)
         scale = (
             np.linalg.norm(np.einsum("knp,kn->kp", P, y), axis=1)
-            + np.linalg.norm(P.transpose(0, 2, 1) @ P, axis=(1, 2)) * x_norm[np.subtract(verts, 1)]
+            + np.linalg.norm(P.transpose(0, 2, 1) @ P, axis=(1, 2)) * x_norm[cols]
         )
-        bad += [i for i, ok in zip(verts, _negligible(resid, scale, tol).tolist()) if not ok]
+        bad += (cols[~_negligible(resid, scale, tol)] + 1).tolist()
     return sorted(bad)
 
 

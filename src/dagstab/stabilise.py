@@ -25,16 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
-    _as_matrix,
-    _check_squares,
-    _kept,
-    _negligible,
-    _verification_tol,
-    image_basis,
-    kernel_basis,
-    orth_complement,
-    rank,
+    DEFAULT_TOL, _as_matrix, _check_squares, _kept, _negligible, _unit_scaled, _verification_tol,
+    image_basis, kernel_basis, orth_complement, rank,
 )
 
 
@@ -108,7 +100,9 @@ def is_perturbation(f, fp, tol: float = DEFAULT_TOL) -> PerturbationCheck:
     _check_squares(F, "sample")
     _check_squares(P, "perturbation")
 
-    # one singular-value vector per matrix gives its spectral norm and its rank
+    # each matrix scaled by a power of two (exact) keeps products finite; one singular-value
+    # vector per matrix gives its spectral norm and its rank; products are reported unscaled
+    (F, eF), (P, eP) = _unit_scaled(F), _unit_scaled(P)
     sF, sP = (np.linalg.svd(M, compute_uv=False) for M in (F, P))
     scale = sF[0] * sP[0] if F.size else 0.0
     max_col = float(np.max(np.abs(F.T @ P), initial=0.0))
@@ -127,8 +121,8 @@ def is_perturbation(f, fp, tol: float = DEFAULT_TOL) -> PerturbationCheck:
         rank_ok=rank_ok,
         expected_rank=expected,
         actual_rank=actual,
-        max_column_product=max_col,
-        max_row_product=max_row,
+        max_column_product=float(np.ldexp(max_col, eF + eP)),
+        max_row_product=float(np.ldexp(max_row, eF + eP)),
     )
 
 

@@ -358,3 +358,79 @@ class TestNormalEquationsAtExtremeScales:
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         report = json.loads(proc.stdout)
         assert report["alphaIsMleGivenF"] is False and report["inXfAlphaLim"] is False
+
+
+BIG = 10**400  # an integer literal beyond the float range
+
+
+class TestOversizedIntegers:
+    """A JSON integer beyond the float range is read as an infinite float, so
+    every field that holds one exits with one ``error:`` line, not a
+    traceback; the library's own checks reject such a Python integer."""
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (problem([[BIG, 1.0, 2.0], *LINE_SAMPLE[1:]], perturbation=LINE_PERT),
+             "sample entries must be finite"),
+            (problem(perturbation=[*LINE_PERT[:2], [-BIG, -1.0, 1.0], LINE_PERT[3]]),
+             "perturbation entries must be finite"),
+            (problem(perturbation=LINE_PERT, settings={"epsilonGrid": [BIG, 1e-3]}),
+             "epsilon grid entries must be finite"),
+            (problem(perturbation=LINE_PERT, alpha={"lambda": [[3, 1, BIG], [3, 2, 1.0]]}),
+             "alpha lambda entry for 1 -> 3 must be finite"),
+            (problem(perturbation=LINE_PERT, alpha={"omega": [[1, BIG]]}),
+             "alpha omega at vertex 1 must be positive and finite"),
+            (problem(perturbation=LINE_PERT, alpha={"lambda": [[BIG, 1, 1.0]]}),
+             "alpha lambda child index inf is not an integer"),
+        ],
+        ids=["sample", "perturbation", "epsilonGrid", "alpha-lambda", "alpha-omega", "alpha-index"],
+    )
+    @pytest.mark.parametrize("command", ["classify", "limit", "membership"])
+    def test_cli_exits_semantic(self, tmp_path, capsys, data, message, command):
+        result = run(tmp_path, capsys, data, command)
+        assert_semantic_error(result, message)
+        assert result[2].count("\n") == 1
+
+    def test_cli_integer_longer_than_int_parsing_allows(self, tmp_path, capsys):
+        # Python parses at most 4300 digits into an int
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem(Y_ID)).replace("1.0", "1" + "0" * 5000, 1))
+        assert main(["classify", "--input", str(path)]) == EXIT_SEMANTIC
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: sample entries must be finite\n")
+
+    def test_library_checks(self):
+        with pytest.raises(ValueError, match="sample entries must be finite"):
+            classify([[1.0, 0.0, -BIG]], collider())
+        with pytest.raises(ValueError, match="epsilon grid entries must be finite"):
+            limit_solve_numeric(np.eye(2), np.eye(2), np.zeros(2), np.zeros(2), eps_grid=(BIG, 1.0))
+
+
+class TestUndecodableInput:
+    def test_exits_schema_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_bytes(b'{"graph": \xff}')
+        assert main(["classify", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot read input:") and err.count("\n") == 1
+
+
+class TestPerturbationAtExtremeScales:
+    """``is_perturbation`` compared ``max |f^T f'|`` with ``tol |f| |f'|``, and
+    that product of spectral norms overflowed to ``inf`` near 1.7e154, where
+    a non-perturbation then passed every condition."""
+
+    f = np.array([[0.7, 0.7, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    # the third column meets the image of f
+    fp = np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 0.7], [-0.7, 0.7, 0.0]])
+
+    @pytest.mark.parametrize("s", [1.0, 1e150, 1.7e154])
+    def test_rejected_at_every_scale(self, s):
+        check = stabilise.is_perturbation(s * self.f, s * self.fp)
+        assert not check and check.failures == ("column-orthogonality",)
+        assert (check.expected_rank, check.actual_rank) == (2, 2)
+        # the products are reported in the caller's units
+        assert check.max_column_product == pytest.approx(0.21 * s * s, rel=1e-12)
+        with pytest.raises(stabilise.InvalidPerturbationError):
+            Perturbation(s * self.f, s * self.fp)
