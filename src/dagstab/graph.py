@@ -77,6 +77,9 @@ class Dag:
         object.__setattr__(self, "_children", child_map)
         object.__setattr__(self, "_topo", self._toposort(m, self._parent_counts, child_map))
 
+    def __reduce__(self):  # copies are rebuilt: re-validated, with a read-only layout
+        return Dag, (self.m, sorted(self.edges))
+
     @staticmethod
     def _toposort(m, parent_counts, child_map) -> tuple[int, ...]:
         indeg = dict(enumerate(parent_counts.tolist(), start=1))

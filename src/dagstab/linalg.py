@@ -146,15 +146,11 @@ def _poly_coeffs(nodes, values) -> np.ndarray:
     """Coefficients (ascending) of the polynomial interpolating ``values`` at
     ``nodes``; exact for polynomials of degree ``< len(nodes)``.
 
-    ``values`` may carry trailing axes (e.g. matrices); interpolation is
-    entrywise along axis 0.
+    ``values`` is a float array, one entry per node along axis 0; trailing
+    axes (e.g. matrices) are interpolated entrywise.
     """
-    x = np.asarray(nodes, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    V = np.vander(x, increasing=True)
-    flat = vals.reshape(len(x), -1)
-    coeffs = np.linalg.solve(V, flat)
-    return coeffs.reshape(vals.shape)
+    V = np.vander(np.asarray(nodes, dtype=float), increasing=True)
+    return np.linalg.solve(V, values.reshape(len(V), -1)).reshape(values.shape)
 
 
 def pencil_expand(A, E, tol: float = DEFAULT_TOL) -> PencilExpansion:
@@ -183,7 +179,11 @@ def pencil_expand(A, E, tol: float = DEFAULT_TOL) -> PencilExpansion:
     ``eps = 0..p`` (determinant, degree ``<= p``) and ``eps = 1..p``
     (adjugate, entrywise degree ``<= p-1``) followed by exact-degree
     interpolation.  ``C(eps)`` is positive definite at every positive node,
-    so the adjugate can be formed as ``det * inverse`` there.
+    so the adjugate is ``det * inverse`` there, from the same determinants.
+    Whatever ``p`` is, a call runs one values-only SVD of the stack ``A``,
+    ``E``, ``A + E``, one ``det`` of all nodes, one ``inv`` of the positive
+    ones and the two solves.  A stacked matrix takes the LAPACK path it takes
+    alone, so the coefficients are bit for bit those of node-by-node calls.
     """
     A = _as_matrix(A)
     E = _as_matrix(E)
@@ -193,27 +193,21 @@ def pencil_expand(A, E, tol: float = DEFAULT_TOL) -> PencilExpansion:
     if p == 0:
         return PencilExpansion(0, np.array([1.0]), (), 0)
 
-    scale = np.linalg.norm(A, 2) * np.linalg.norm(E, 2) if A.size else 0.0
+    s = np.linalg.svd(np.stack([A, E, A + E]), compute_uv=False)
+    scale = s[0, 0] * s[1, 0] if A.size else 0.0
     if not _negligible(np.max(np.abs(A.T @ E), initial=0.0), scale, tol):
         raise ValueError("columns of A are not orthogonal to columns of E")
-    if rank(A + E, tol) < p:
+    if np.isnan(s[2]).any():  # A + E overflowed
+        raise ValueError("matrix entries must be finite")
+    if _kept(s[2], tol).sum() < p:
         raise ValueError("A + E must have full column rank")
 
-    AtA = A.T @ A
-    EtE = E.T @ E
-
-    det_vals = np.array([np.linalg.det(AtA + k * EtE) for k in range(p + 1)])
+    C = A.T @ A + np.arange(p + 1.0)[:, None, None] * (E.T @ E)
+    det_vals = np.linalg.det(C)
     det_coeffs = _poly_coeffs(np.arange(p + 1), det_vals)
 
-    adj_vals = []
-    for k in range(1, p + 1):
-        C = AtA + k * EtE
-        adj_vals.append(np.linalg.det(C) * np.linalg.inv(C))
-    if p == 1:
-        adj_coeffs = (np.array([[1.0]]),)
-    else:
-        stacked = _poly_coeffs(np.arange(1, p + 1), np.array(adj_vals))
-        adj_coeffs = tuple(stacked[k] for k in range(p))
+    adj_vals = det_vals[1:, None, None] * np.linalg.inv(C[1:])
+    adj = _poly_coeffs(np.arange(1, p + 1), adj_vals) if p > 1 else np.ones((1, 1, 1))
 
     cmax = np.max(np.abs(det_coeffs))
     if cmax <= 0.0 or not np.isfinite(cmax):
@@ -223,7 +217,6 @@ def pencil_expand(A, E, tol: float = DEFAULT_TOL) -> PencilExpansion:
         raise ValueError("no determinant coefficient above tolerance")
     first = int(nonzero[0])
 
-    det_coeffs.setflags(write=False)
-    for G in adj_coeffs:
-        G.setflags(write=False)
-    return PencilExpansion(p, det_coeffs, adj_coeffs, first)
+    for a in (det_coeffs, adj):  # the adjugate coefficients are views of adj
+        a.setflags(write=False)
+    return PencilExpansion(p, det_coeffs, tuple(adj), first)

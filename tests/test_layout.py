@@ -9,6 +9,7 @@ BLAS product depend on the memory layout of its operands; with that, every
 value must match bit for bit (compared as pickles).
 """
 
+import copy
 import pickle
 
 import numpy as np
@@ -102,6 +103,16 @@ class TestLayout:
     def test_layout_is_read_only(self, g):
         arrays = [g._edge_keys, g._parent_counts, *(a for grp in g._parent_groups for a in grp)]
         assert not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize(
+        "clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_copies_are_equal_and_read_only(self, g, clone):
+        twin = clone(g)
+        assert twin == g and hash(twin) == hash(g)
+        arrays = [twin._edge_keys, twin._parent_counts, *(a for grp in twin._parent_groups for a in grp)]
+        assert not any(a.flags.writeable for a in arrays)
+        assert twin._edge_keys.tolist() == g._edge_keys.tolist()
 
     def test_equality_hash_and_repr_see_only_m_and_edges(self, g):
         twin = Dag(g.m, sorted(g.edges, reverse=True))

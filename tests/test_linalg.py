@@ -1,7 +1,12 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dagstab import Dag, build_from_lift, random_lift
 from dagstab.linalg import (
+    FIRST_NONZERO_TOL,
     image_basis,
     kernel_basis,
     orth_complement,
@@ -80,6 +85,69 @@ class TestBases:
         assert np.allclose(C @ C.T, np.eye(4))
 
 
+def _interpolate(nodes, values):
+    V = np.vander(np.asarray(nodes, dtype=float), increasing=True)
+    return np.linalg.solve(V, values.reshape(len(nodes), -1)).reshape(values.shape)
+
+
+def _reference_pencil(A, E):
+    """``det`` and ``det * inv`` node by node, then the same interpolation:
+    the evaluation that the stacked one replaced."""
+    p = A.shape[1]
+    AtA, EtE = A.T @ A, E.T @ E
+    det_vals = np.array([np.linalg.det(AtA + k * EtE) for k in range(p + 1)])
+    det_coeffs = _interpolate(np.arange(p + 1), det_vals)
+    adj_vals = []
+    for k in range(1, p + 1):
+        C = AtA + k * EtE
+        adj_vals.append(np.linalg.det(C) * np.linalg.inv(C))
+    adj = [np.array([[1.0]])] if p == 1 else list(_interpolate(np.arange(1, p + 1), np.array(adj_vals)))
+    first = np.flatnonzero(np.abs(det_coeffs) > FIRST_NONZERO_TOL * np.max(np.abs(det_coeffs)))[0]
+    return det_coeffs, adj, int(first)
+
+
+def _assert_matches_reference(A, E):
+    pe = pencil_expand(A, E)
+    det_coeffs, adj, first = _reference_pencil(A, E)
+    assert np.array_equal(pe.det_coeffs, det_coeffs)
+    assert len(pe.adj_coeffs) == len(adj)
+    assert all(np.array_equal(G, R) for G, R in zip(pe.adj_coeffs, adj))
+    assert pe.first_nonzero == first
+
+
+@pytest.fixture
+def perfbench_inputs(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module("inputs")
+
+
+class TestStackedPencilIsBitIdentical:
+    """``pencil_expand`` evaluates its nodes in stacked LAPACK calls; every
+    coefficient must equal the node-by-node evaluation bit for bit."""
+
+    @pytest.mark.parametrize("p", range(1, 13))
+    @pytest.mark.parametrize("rank_a", ["full", "half", "zero"])
+    def test_random_pencils(self, p, rank_a):
+        rng = np.random.default_rng(p)
+        ra = {"full": p, "half": p // 2, "zero": 0}[rank_a]
+        for scale in (1.0, 1e-3, 1e3):
+            A, E = random_orthogonal_pair(rng, 2 * p + 2, p, ra, p - ra)
+            _assert_matches_reference(scale * A, E)
+
+    def test_deep_pencils_of_the_known_failures(self, perfbench_inputs):
+        seen = 0
+        for spec in perfbench_inputs.KNOWN_FAILURES:
+            case = perfbench_inputs._known_failure(*spec)
+            g = Dag(case.m, case.edges)
+            pert = build_from_lift(random_lift(case.sample, case.lift_seed))
+            for i in g.child_vertices():
+                cols = np.subtract(g.parents(i), 1)
+                if len(cols) == spec[2]:
+                    _assert_matches_reference(pert.base[:, cols], pert.delta[:, cols])
+                    seen += 1
+        assert seen >= len(perfbench_inputs.KNOWN_FAILURES)
+
+
 def _det_at(pe, eps):
     """``det C(eps)`` from the expansion's Taylor coefficients."""
     return float(np.polynomial.polynomial.polyval(eps, pe.det_coeffs))
@@ -126,6 +194,10 @@ class TestPencilExpand:
         E[2, 1] = 2.0  # E has rank 1, so A + E is rank deficient
         with pytest.raises(ValueError, match="full column rank"):
             pencil_expand(A, E)
+
+    def test_rejects_an_overflowing_sum(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="entries must be finite"):
+            pencil_expand([[1e308]], [[1e308]])
 
     def test_reconstruction_sweep(self):
         rng = np.random.default_rng(31)
