@@ -134,10 +134,7 @@ class Problem:
         # the rows first: building the DAG costs time and memory in proportion to m
         if any(len(r) != m for r in rows):
             raise SemanticError(f"every sample row must have {m} entries")
-        try:
-            self.g = graph.Dag(m, [tuple(e) for e in gdef["edges"]])
-        except ValueError as exc:
-            raise SemanticError(str(exc)) from exc
+        self.g = graph.Dag(m, [tuple(e) for e in gdef["edges"]])
         self.sample = _as_matrix(rows, "sample")
 
         self.perturbation = None
@@ -386,20 +383,14 @@ def cmd_membership(problem: Problem, tol: float, seed, eps_grid) -> dict:
         raise SemanticError("membership queries need an explicit perturbation")
     if problem.alpha is None:
         raise SemanticError("membership queries need alpha")
-    # building the Perturbation is the inXf test; the alpha queries reuse
-    # it, and each re-tests a candidate that failed it
-    try:
-        candidate = stabilise.Perturbation(problem.sample, problem.perturbation, tol)
-        member = True
-    except stabilise.InvalidPerturbationError:
-        candidate, member = problem.perturbation, False
     query = varieties.VarietyQuery(
         f=problem.sample,
-        candidate=candidate,
+        candidate=problem.perturbation,
         g=g,
         alpha=problem.alpha,
         tol=tol,
     )
+    member = varieties.in_Xf(query)
     try:
         in_alpha, alpha_is_mle = varieties.in_Xf_alpha(query), True
     except varieties.AlphaNotMleError:

@@ -209,8 +209,8 @@ def regime(g: Dag, n: int) -> Regime:
     Raises on non-transitive input: the outcome table is only valid for
     transitive DAGs.
     """
-    if n < 1:
-        raise ValueError("sample count must be at least 1")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"sample count must be a positive integer, got {n!r}")
     if not is_transitive(g):
         raise ValueError("regime classification requires a transitive DAG")
     d = depth(g)

@@ -50,7 +50,7 @@ from .graph import Dag
 from .linalg import DEFAULT_TOL, _as_matrix, _negligible, _verification_tol, pencil_expand
 from .mle import (
     MleEstimate, _edge_pairs, _fit, _groups, _normal_equation_failures, _omega_part, _projection,
-    _weight_matrix, full_mle,
+    _validated, _weight_matrix, full_mle,
 )
 from .stabilise import Perturbation, _as_perturbation
 
@@ -141,6 +141,8 @@ def mle_at_epsilon(f, fp, g: Dag, eps: float, tol: float = DEFAULT_TOL) -> MleEs
     Uniqueness (all kernel dimensions zero) is asserted; failure signals
     numerically inconsistent input.
     """
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")
     if eps == 0:
         raise ValueError("eps must be nonzero; the limit operations handle eps -> 0")
     est = full_mle(_as_perturbation(f, fp, tol, g.m).scaled(eps), g, tol)
@@ -235,13 +237,17 @@ def limit_solve_numeric(
 
     Raw entry point: no orthogonality validation is performed, so inputs
     violating the orthogonality hypotheses can and do diverge; divergence is
-    reported as a structured result, not an error.
+    reported as a structured result, not an error.  Non-finite entries and
+    mismatched shapes raise.
     """
     grid = _check_grid(eps_grid)
-    A = np.asarray(A, dtype=float)
-    E = np.asarray(E, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
+    A, E = _as_matrix(A, "A"), _as_matrix(E, "E")
+    b = _as_matrix(np.reshape(b, (1, -1)), "b")[0]
+    v = _as_matrix(np.reshape(v, (1, -1)), "v")[0]
+    if E.shape != A.shape:
+        raise ValueError(f"E has shape {E.shape} but A has shape {A.shape}")
+    if b.size != A.shape[0] or v.size != A.shape[0]:
+        raise ValueError(f"b and v must have {A.shape[0]} entries, one per row of A")
     xs = []
     for eps in grid:
         x, *_ = np.linalg.lstsq(A + eps * E, b + eps * v, rcond=tol)
@@ -429,12 +435,15 @@ def check_alpha_fixed(
     that it is the edge-weight part of an MLE given the base sample.
     All-true is equivalent to every child-vertex component of the MLE given
     the stabilisation equalling that MLE's (see
-    :func:`check_full_condition` on source-vertex variances).
+    :func:`check_full_condition` on source-vertex variances).  A raw ``fp``
+    is validated as a sample is, so a column whose squared norm overflows or
+    underflows raises.
     """
     L = _weight_matrix(alpha_lambda, g)
-    P = fp.delta if isinstance(fp, Perturbation) else _as_matrix(fp, "perturbation")
-    if P.shape[1] != g.m:
-        raise ValueError(f"perturbation has {P.shape[1]} columns but the DAG has {g.m} vertices")
+    if isinstance(fp, Perturbation):
+        P = _as_perturbation(None, fp, tol, g.m).delta
+    else:
+        P = _validated(fp, g, "perturbation")
     # column i of P - P L^T is v_i - sum_j lambda_ij v_j
     cols = _norms(P.T)
     ok = _negligible(_norms((P - P @ L.T).T), cols + cols.max(initial=0.0), tol)

@@ -49,18 +49,19 @@ GIT_LABELS = {
 }
 
 
-def _as_sample(Y) -> np.ndarray:
-    A = _as_matrix(Y, "sample")
+def _as_sample(Y, name: str = "sample") -> np.ndarray:
+    A = _as_matrix(Y, name)
     if A.size == 0:
-        raise ValueError(f"sample must be non-empty, got shape {A.shape}")
+        raise ValueError(f"{name} must be non-empty, got shape {A.shape}")
     return A
 
 
-def _validated(Y, g: Dag) -> np.ndarray:
-    A = _as_sample(Y)
+def _validated(Y, g: Dag, name: str = "sample") -> np.ndarray:
+    """The one check of a matrix with one column per vertex of ``g``."""
+    A = _as_sample(Y, name)
     if A.shape[1] != g.m:
-        raise ValueError(f"sample has {A.shape[1]} columns but the DAG has {g.m} vertices")
-    _check_squares(A, "sample")
+        raise ValueError(f"{name} has {A.shape[1]} columns but the DAG has {g.m} vertices")
+    _check_squares(A, name)
     return A
 
 
@@ -389,8 +390,9 @@ def loglik(Sigma, Y, tol: float = DEFAULT_TOL) -> float:
     Rejects matrices that are not symmetric positive definite under ``tol``;
     boundary cases are the caller's concern.
     """
-    S = np.asarray(Sigma, dtype=float)
+    S = _as_matrix(Sigma, "covariance")
     A = _as_sample(Y)
+    _check_squares(A, "sample")
     m = A.shape[1]
     if S.shape != (m, m):
         raise ValueError(f"covariance must be {m} x {m}, got {S.shape}")

@@ -12,9 +12,10 @@ are queried pointwise:
   ``N^T E^T (E x - v) = 0`` (``A, b`` and ``E, v`` the parent and child
   columns of ``f`` and ``f'``, and ``N`` a basis of ``ker A``).
 
-Both alpha-indexed predicates read one fit of ``f`` per query, at ``tol``:
-:func:`in_Xf_alpha` checks with it that ``alpha`` is an MLE (the equations
-and the variances to the verification tolerance), and
+The three predicates share one test per query of whether the candidate is
+a perturbation of ``f``, and the two alpha-indexed ones one fit of ``f``, at
+``tol``: :func:`in_Xf_alpha` checks with it that ``alpha`` is an MLE (the
+equations and the variances to the verification tolerance), and
 :func:`in_Xf_alpha_lim` takes ``ker A`` from it, as
 :func:`dagstab.limits.limit_mle` does from its own fit of ``f``.  These are
 membership tests on given points only; deciding emptiness of the varieties
@@ -32,12 +33,7 @@ from .graph import NONEXISTENT, Dag, is_star
 from .linalg import DEFAULT_TOL, _verification_tol
 from .mle import MleEstimate, _classified_mle, _fit, _is_mle, _validated
 from .limits import _limit_equation_failures, check_alpha_fixed
-from .stabilise import (
-    InvalidPerturbationError,
-    Perturbation,
-    _as_perturbation,
-    is_perturbation,
-)
+from .stabilise import InvalidPerturbationError, Perturbation, _as_perturbation
 
 
 class AlphaNotMleError(ValueError):
@@ -50,9 +46,8 @@ class VarietyQuery:
 
     ``candidate`` is the matrix whose membership is tested, or a
     :class:`~dagstab.stabilise.Perturbation` of ``f`` built beforehand (the
-    predicates then check only that its base is ``f`` and do not run the
-    perturbation predicate again); ``alpha`` is required by the two
-    alpha-indexed predicates and ignored by the first.
+    predicates then check only that its base is ``f``); ``alpha`` is
+    required by the two alpha-indexed predicates and ignored by the first.
     """
 
     f: np.ndarray
@@ -67,22 +62,20 @@ class VarietyQuery:
         A = _validated(self.f, self.g)
         return A, _fit(A, self.g, self.tol)
 
-
-def _perturbation(q: VarietyQuery) -> Perturbation | None:
-    """The candidate as a validated perturbation of ``f``, or ``None``."""
-    try:
-        return _as_perturbation(q.f, q.candidate, q.tol)
-    except InvalidPerturbationError:
-        return None
+    @cached_property
+    def _pert(self) -> Perturbation | None:
+        """The candidate as a validated perturbation of ``f``, or ``None``,
+        shared by the three predicates."""
+        try:
+            return _as_perturbation(self.f, self.candidate, self.tol)
+        except InvalidPerturbationError:
+            return None
 
 
 def in_Xf(q: VarietyQuery) -> bool:
     """Is the candidate a perturbation of ``f``?  Identical to the
     perturbation predicate."""
-    if isinstance(q.candidate, Perturbation):
-        _as_perturbation(q.f, q.candidate, q.tol)  # raises unless its base is f
-        return True
-    return bool(is_perturbation(q.f, q.candidate, q.tol))
+    return q._pert is not None
 
 
 def in_Xf_alpha(q: VarietyQuery) -> bool:
@@ -102,10 +95,9 @@ def in_Xf_alpha(q: VarietyQuery) -> bool:
     A, fit = q._f_fit
     if not _is_mle(A, q.g, q.alpha, _verification_tol(q.tol), fit):
         raise AlphaNotMleError("alpha is not an MLE given the sample")
-    pert = _perturbation(q)
-    if pert is None:
+    if q._pert is None:
         return False
-    return all(check_alpha_fixed(pert, q.alpha.lam, q.g, q.tol).values())
+    return all(check_alpha_fixed(q._pert, q.alpha.lam, q.g, q.tol).values())
 
 
 def in_Xf_alpha_lim(q: VarietyQuery) -> bool:
@@ -120,13 +112,12 @@ def in_Xf_alpha_lim(q: VarietyQuery) -> bool:
     """
     if q.alpha is None:
         raise ValueError("membership in the alpha-indexed variety needs alpha")
-    pert = _perturbation(q)
-    if pert is None:
+    if q._pert is None:
         return False
     for i in q.g.child_vertices():
         if any((i, j) not in q.alpha.lam for j in q.g.parents(i)):
             raise ValueError(f"alpha is missing edge weights at vertex {i}")
-    return not _limit_equation_failures(pert, q.g, q.alpha.lam, q.tol, q._f_fit[1])
+    return not _limit_equation_failures(q._pert, q.g, q.alpha.lam, q.tol, q._f_fit[1])
 
 
 def star_min_norm_mle(f, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:

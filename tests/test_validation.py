@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dagstab
 from dagstab import (
     Dag,
     MleEstimate,
@@ -29,10 +30,13 @@ from dagstab import (
     limit_mle,
     limit_mle_numeric,
     limit_solve_numeric,
+    loglik,
     mle_at_epsilon,
+    regime,
     stabilize,
+    star,
 )
-from dagstab import duplicate, full_mle, random_lift, stabilise, varieties
+from dagstab import duplicate, full_mle, random_lift, stabilise
 from dagstab.cli import EXIT_OK, EXIT_SEMANTIC, main
 from _helpers import collider
 
@@ -64,6 +68,65 @@ def assert_semantic_error(result, message):
     assert err.startswith("error:") and message in err
 
 
+def with_nan(M) -> np.ndarray:
+    M = np.array(M, dtype=float)
+    M.flat[0] = np.nan
+    return M
+
+
+def nan_entry_points() -> dict:
+    """Per public function that takes a matrix, and per matrix argument, a
+    call with a NaN in that argument.  The sample has full column rank, so
+    its perturbation is zero and the full MLE is an MLE."""
+    f, fp, g = np.array(Y_ID + [[0.0, 0.0, 0.0]]), np.zeros((4, 3)), collider()
+    alpha = full_mle(f, g)
+    A, E, b, v = f[:, :2], fp[:, :2], f[:, 2], fp[:, 2]
+    lift = random_lift(f, 1)
+    calls = {
+        "rank": lambda: dagstab.rank(with_nan(f)),
+        "image_basis": lambda: dagstab.image_basis(with_nan(f)),
+        "kernel_basis": lambda: dagstab.kernel_basis(with_nan(f)),
+        "orth_complement": lambda: dagstab.orth_complement(with_nan(f), 4),
+        "pencil_expand-A": lambda: dagstab.pencil_expand(with_nan(A), E),
+        "pencil_expand-E": lambda: dagstab.pencil_expand(A, with_nan(E)),
+        "duplicate": lambda: duplicate(with_nan(f), 2),
+        "lambda_kernel_basis": lambda: dagstab.lambda_kernel_basis(with_nan(f), g, 3),
+        "is_lambda_mle": lambda: is_lambda_mle(with_nan(f), g, alpha.lam),
+        "is_mle": lambda: is_mle(with_nan(f), g, alpha),
+        "loglik-Sigma": lambda: loglik(with_nan(np.eye(3)), f),
+        "loglik-Y": lambda: loglik(np.eye(3), with_nan(f)),
+        "random_lift": lambda: random_lift(with_nan(f), 1),
+        "validate_lift": lambda: dagstab.validate_lift(replace(lift, base=with_nan(f))),
+        "build_from_lift": lambda: dagstab.build_from_lift(replace(lift, base=with_nan(f))),
+        "check_alpha_fixed": lambda: check_alpha_fixed(with_nan(fp), alpha.lam, g),
+        "star_min_norm_mle": lambda: dagstab.star_min_norm_mle(with_nan(f), star(3)),
+        "mle_at_epsilon-f": lambda: mle_at_epsilon(with_nan(f), fp, g, 0.1),
+        "mle_at_epsilon-fp": lambda: mle_at_epsilon(f, with_nan(fp), g, 0.1),
+        "limit_solve_numeric-A": lambda: limit_solve_numeric(with_nan(A), E, b, v),
+        "limit_solve_numeric-E": lambda: limit_solve_numeric(A, with_nan(E), b, v),
+        "limit_solve_numeric-b": lambda: limit_solve_numeric(A, E, with_nan(b), v),
+        "limit_solve_numeric-v": lambda: limit_solve_numeric(A, E, b, with_nan(v)),
+    }
+    for fn in (classify, full_mle, dagstab.lambda_mle, dagstab.omega_mle):
+        calls[fn.__name__] = lambda fn=fn: fn(with_nan(f), g)
+    for fn in (dagstab.is_perturbation, Perturbation, stabilize):
+        calls[f"{fn.__name__}-f"] = lambda fn=fn: fn(with_nan(f), fp)
+        calls[f"{fn.__name__}-fp"] = lambda fn=fn: fn(f, with_nan(fp))
+    for fn in (check_full_condition, check_lambda_condition, limit_lambda_analytic, limit_mle,
+               limit_mle_numeric):
+        calls[f"{fn.__name__}-f"] = lambda fn=fn: fn(with_nan(f), fp, g)
+        calls[f"{fn.__name__}-fp"] = lambda fn=fn: fn(f, with_nan(fp), g)
+    for fn in (dagstab.in_Xf, dagstab.in_Xf_alpha, in_Xf_alpha_lim):
+        calls[f"{fn.__name__}-f"] = lambda fn=fn: fn(VarietyQuery(with_nan(f), fp, g, alpha))
+        calls[f"{fn.__name__}-candidate"] = lambda fn=fn: fn(
+            VarietyQuery(f, with_nan(fp), g, alpha)
+        )
+    return calls
+
+
+NAN_ENTRY_POINTS = nan_entry_points()
+
+
 class TestFiniteMatrix:
     def test_names_the_input_in_errors(self):
         f = np.array(LINE_SAMPLE)
@@ -73,6 +136,11 @@ class TestFiniteMatrix:
             classify(np.ones(3), collider())
         with pytest.raises(ValueError, match="sample must be non-empty"):
             classify(np.zeros((0, 3)), collider())
+
+    @pytest.mark.parametrize("call", NAN_ENTRY_POINTS.values(), ids=NAN_ENTRY_POINTS.keys())
+    def test_every_matrix_entry_point_rejects_nan(self, call):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            call()
 
 
 LIMITS_ENTRY_POINTS = [
@@ -128,6 +196,34 @@ class TestCheckAlphaFixed:
         with pytest.raises(ValueError, match="perturbation entries must be finite"):
             check_alpha_fixed(np.full((3, 3), np.nan), {}, Dag(3, [(1, 3), (2, 3)]))
 
+    @pytest.mark.parametrize("s", [1e150, 1e-150, 1e200, 1e-200])
+    def test_squared_norm_range(self, s):
+        # v_2 = 2 v_1: the weight 2 holds and 3 fails; at 1e+-200 both used to hold
+        P, g = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]), Dag(2, [(1, 2)])
+        if s in (1e150, 1e-150):
+            for weight, holds in ((2.0, True), (3.0, False)):
+                assert check_alpha_fixed(P, {(2, 1): weight}, g) == {2: holds}
+                assert check_alpha_fixed(s * P, {(2, 1): weight}, g) == {2: holds}
+        else:
+            with pytest.raises(ValueError, match="perturbation has a column whose squared norm"):
+                check_alpha_fixed(s * P, {(2, 1): 3.0}, g)
+
+
+class TestLimitSolveNumeric:
+    @pytest.mark.parametrize(
+        "A,E,b,v",
+        [
+            ([[1.0, 2.0]], np.eye(2), [0.0], [0.0]),
+            (np.eye(2), np.eye(2), [0.0, 0.0, 0.0], [0.0, 0.0]),
+            (np.eye(2), np.eye(2), [0.0, 0.0], [0.0]),
+        ],
+        ids=["E-shape", "b-length", "v-length"],
+    )
+    def test_rejects_mismatched_shapes(self, A, E, b, v):
+        # the E case used to broadcast and return [0, 0]
+        with pytest.raises(ValueError, match="shape|entries, one per row of A"):
+            limit_solve_numeric(A, E, b, v)
+
 
 class TestEpsilonGrid:
     @pytest.mark.parametrize("grid", [(np.nan, 1e-3), (np.inf, 1e-3)], ids=["nan", "inf"])
@@ -137,6 +233,11 @@ class TestEpsilonGrid:
         pert = Perturbation(np.array(LINE_SAMPLE), np.array(LINE_PERT))
         with pytest.raises(ValueError, match="epsilon grid entries must be finite"):
             limit_mle_numeric(None, pert, collider(), eps_grid=grid)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+    def test_mle_at_epsilon_rejects_non_finite_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            mle_at_epsilon(np.array(LINE_SAMPLE), np.array(LINE_PERT), collider(), eps)
 
     @pytest.mark.parametrize("text", ["nan,1e-3", "inf,1e-3"])
     def test_cli_flag_rejects_non_finite_grid(self, tmp_path, capsys, text):
@@ -204,7 +305,6 @@ class TestPerturbationChecksPerCall:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(stabilise, "is_perturbation", counted)
-        monkeypatch.setattr(varieties, "is_perturbation", counted)
         return count
 
     @pytest.mark.parametrize(
@@ -263,6 +363,14 @@ class TestIntegralArguments:
         with pytest.raises(ValueError, match="duplication count must be a positive integer"):
             duplicate(LINE_SAMPLE, k)
 
+    @pytest.mark.parametrize(
+        "n", [np.nan, np.inf, 2.5, 3.0, np.int64(0)], ids=["nan", "inf", "2.5", "3.0", "int64-0"]
+    )
+    def test_rejects_non_integral_or_small_sample_count(self, n):
+        with pytest.raises(ValueError, match="sample count must be a positive integer"):
+            regime(star(5), n)
+        assert regime(star(5), np.int64(3)) == regime(star(5), 3)
+
     @pytest.mark.parametrize("seed", [7.0, np.float64(7.0), np.int64(-1), 2**64])
     def test_rejects_bad_seeds(self, seed):
         with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
@@ -301,6 +409,13 @@ class TestSquaredNormRange:
         pert = Perturbation(s * f, s * fp)
         assert check_lambda_condition(None, pert, g) == check_lambda_condition(f, fp, g)
         assert check_full_condition(None, pert, g) == check_full_condition(f, fp, g)
+
+    @pytest.mark.parametrize("s", [1e200, 1e-200])
+    def test_loglik_raises(self, s):
+        # the sample covariance overflowed to inf, and loglik returned nan
+        assert np.isfinite(loglik(np.eye(2), self.Y))
+        with pytest.raises(ValueError, match="sample has a column whose squared norm"):
+            loglik(np.eye(2), s * self.Y)
 
     def test_zero_columns_pass(self):
         Y = np.column_stack([1e-150 * self.Y[:, 0], np.zeros(3)])
