@@ -47,7 +47,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graph import Dag
-from .linalg import DEFAULT_TOL, _as_matrix, _negligible, _verification_tol, pencil_expand
+from .linalg import (
+    DEFAULT_TOL, _as_matrix, _check_squares, _negligible, _verification_tol, pencil_expand,
+)
 from .mle import (
     MleEstimate, _edge_pairs, _fit, _groups, _normal_equation_failures, _omega_part, _projection,
     _validated, _weight_matrix, full_mle,
@@ -139,13 +141,17 @@ def mle_at_epsilon(f, fp, g: Dag, eps: float, tol: float = DEFAULT_TOL) -> MleEs
     """The unique MLE given ``f + eps * f'`` for ``eps != 0``.
 
     Uniqueness (all kernel dimensions zero) is asserted; failure signals
-    numerically inconsistent input.
+    numerically inconsistent input.  An ``eps`` at which a squared column
+    norm of ``f + eps f'`` leaves the float range is rejected by name.
     """
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps!r}")
     if eps == 0:
         raise ValueError("eps must be nonzero; the limit operations handle eps -> 0")
-    est = full_mle(_as_perturbation(f, fp, tol, g.m).scaled(eps), g, tol)
+    with np.errstate(over="ignore"):
+        S = _as_perturbation(f, fp, tol, g.m).scaled(eps)
+    _check_squares(S, f"the stabilised sample f + eps f' at eps={eps!r}")
+    est = full_mle(S, g, tol)
     bad = [i for i, d in est.lambda_kernel_dims.items() if d != 0]
     bad += [i for i, ok in est.omega_exists.items() if not ok]
     if bad:

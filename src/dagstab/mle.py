@@ -19,10 +19,10 @@ target columns from it, and every edge-weight vector is stacked in its edge
 order.  Each group's parent submatrices go through one stacked
 ``n x p`` SVD; the rank (the cut of :func:`dagstab.linalg._kept`), the
 minimum-norm coefficients, the projection, the residual and the kept
-singular vectors all come from it, and ``classify`` reads the
-parent-and-self ranks from a batched SVD of a small matrix built from the
-same factors.  One normal-equations check, stacked per group, serves
-``is_lambda_mle``, ``is_mle``, ``limits.limit_mle`` and ``in_Xf_alpha_lim``.
+singular vectors all come from it, and ``classify`` reads existence and
+uniqueness from that rank and residual.  One normal-equations check,
+stacked per group, serves ``is_lambda_mle``, ``is_mle``,
+``limits.limit_mle`` and ``in_Xf_alpha_lim``.
 Zero tests go through :func:`dagstab.linalg._negligible`: a variance exists
 when ``|y - proj y| > tol |y|``, and the normal equations hold when
 ``|P^T (y - P x)| <= tol (|P^T y| + |P^T P| |x|)``, so no answer depends on
@@ -99,8 +99,8 @@ class Classification:
     """MLE existence/uniqueness status with its GIT-stability alias.
 
     ``witness`` names a vertex certifying nonexistence (its column lies in
-    the parent span) or non-uniqueness (rank-deficient parent-and-self
-    submatrix); ``None`` in the unique case.
+    the parent span) or non-uniqueness (its parent columns are rank
+    deficient); ``None`` in the unique case.
     """
 
     status: str
@@ -127,11 +127,10 @@ class _Fit:
     ``coef`` holds the minimum-norm coefficients in the DAG's edge order,
     ``rank`` the rank of the parent columns, ``proj`` (one row per vertex)
     the projection onto them, ``resid_sq`` the squared projection residual
-    and ``exists`` the strict-positivity decision on it.  ``self_rank`` is
-    the rank of the parent-and-self columns, computed only on request and
-    only when every residual is positive.  ``spans`` holds, per group of the
-    DAG's layout, ``U, keep, V``: its singular vectors (``V`` as columns)
-    and which are kept; :func:`_projection` takes ``U`` or ``V``.
+    and ``exists`` the strict-positivity decision on it.  ``spans`` holds,
+    per group of the DAG's layout, ``U, keep, V``: its singular vectors
+    (``V`` as columns) and which are kept; :func:`_projection` takes ``U``
+    or ``V``.
     """
 
     coef: np.ndarray
@@ -139,7 +138,6 @@ class _Fit:
     proj: np.ndarray
     resid_sq: np.ndarray
     exists: np.ndarray
-    self_rank: np.ndarray | None
     spans: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -163,7 +161,7 @@ def _projection(Y: np.ndarray, U: np.ndarray, keep: np.ndarray):
     return c, (U @ c[:, :, None])[:, :, 0]
 
 
-def _fit(A: np.ndarray, g: Dag, tol: float, self_rank: bool = False) -> _Fit:
+def _fit(A: np.ndarray, g: Dag, tol: float) -> _Fit:
     """Project every column of a validated sample onto its parent columns.
 
     Vertices with equally many parents share one stacked SVD.  With
@@ -171,23 +169,16 @@ def _fit(A: np.ndarray, g: Dag, tol: float, self_rank: bool = False) -> _Fit:
     :func:`dagstab.linalg._kept`, the minimum-norm coefficients are
     ``V_r S_r^-1 U_r^T y`` and the projection is ``U_r U_r^T y``.  A source
     column is its own residual.
-
-    ``[P | y]`` equals ``[U, q]`` times the small matrix
-    ``[[S V^T, U^T y], [0, |y - U U^T y|]]`` with ``[U, q]`` orthonormal, so
-    both have the same singular values; with ``self_rank`` the
-    parent-and-self rank is read from the small one, but only when every
-    residual is positive (otherwise it decides nothing).
     """
     starts = np.cumsum(g._parent_counts) - g._parent_counts  # each vertex's first edge
     coef = np.zeros(len(g._edge_keys))
     rank = np.zeros(g.m, dtype=int)
     proj = np.zeros((g.m, A.shape[0]))
-    spans, stacks = [], []
+    spans = []
     for cols, (P, Y) in _groups(g, A):
         U, s, Vt = np.linalg.svd(P, full_matrices=False)
         keep = _kept(s, tol)
         spans.append((U, keep, Vt.transpose(0, 2, 1)))
-        stacks.append((cols, Y, s))
         c_kept, proj[cols] = _projection(Y, U, keep)
         x = (np.divide(c_kept, s, out=np.zeros_like(c_kept), where=keep)[:, None, :] @ Vt)[:, 0, :]
         rank[cols] = keep.sum(axis=1)
@@ -195,20 +186,7 @@ def _fit(A: np.ndarray, g: Dag, tol: float, self_rank: bool = False) -> _Fit:
     R = A.T - proj
     resid_sq = np.einsum("mn,mn->m", R, R)
     exists = ~_negligible(np.sqrt(resid_sq), np.sqrt(np.einsum("nm,nm->m", A, A)), tol)
-    srank = None
-    if self_rank and exists.all():
-        # a source column with a positive residual is nonzero: rank 1
-        srank = np.ones(g.m, dtype=int)
-        for (cols, Y, s), (U, _, V) in zip(stacks, spans):
-            k, p = s.shape[1], V.shape[1]
-            c = (Y[:, None, :] @ U)[:, 0, :]
-            R_all = Y - (U @ c[:, :, None])[:, :, 0]
-            M = np.zeros((len(cols), k + 1, p + 1))
-            M[:, :k, :p] = s[:, :, None] * V.transpose(0, 2, 1)
-            M[:, :k, p] = c
-            M[:, k, p] = np.sqrt(np.einsum("bn,bn->b", R_all, R_all))
-            srank[cols] = _kept(np.linalg.svd(M, compute_uv=False), tol).sum(axis=1)
-    return _Fit(coef, rank, proj, resid_sq, exists, srank, spans)
+    return _Fit(coef, rank, proj, resid_sq, exists, spans)
 
 
 def _edge_pairs(g: Dag) -> list[tuple[int, int]]:
@@ -268,16 +246,19 @@ def classify(Y, g: Dag, tol: float = DEFAULT_TOL) -> Classification:
 
     Nonexistent iff some column lies in its parent span (the span of an
     empty parent set is the zero space, so a zero column always certifies
-    nonexistence).  Unique iff every parent-and-self submatrix has full
-    column rank.  The witness is the lowest-numbered certifying vertex.
+    nonexistence).  Otherwise every column lies off its parent span, so a
+    parent-and-self submatrix has full column rank exactly when its parent
+    columns do: the MLE is unique iff every kernel dimension of
+    :func:`full_mle` is 0.  The witness is the lowest-numbered certifying
+    vertex.
     """
-    return _classification(_fit(_validated(Y, g), g, tol, self_rank=True), g)
+    return _classification(_fit(_validated(Y, g), g, tol), g)
 
 
 def _classified_mle(Y, g: Dag, tol: float = DEFAULT_TOL) -> tuple[MleEstimate, Classification]:
     """``full_mle`` and ``classify`` from one fit of the sample."""
     A = _validated(Y, g)
-    fit = _fit(A, g, tol, self_rank=True)
+    fit = _fit(A, g, tol)
     return _estimate(fit, g, A.shape[0]), _classification(fit, g)
 
 
@@ -285,7 +266,7 @@ def _classification(fit: _Fit, g: Dag) -> Classification:
     absent = np.flatnonzero(~fit.exists)
     if absent.size:
         return Classification(NONEXISTENT, GIT_LABELS[NONEXISTENT], int(absent[0]) + 1)
-    deficient = np.flatnonzero(fit.self_rank < g._parent_counts + 1)
+    deficient = np.flatnonzero(fit.rank < g._parent_counts)
     if deficient.size:
         return Classification(
             EXISTS_NON_UNIQUE, GIT_LABELS[EXISTS_NON_UNIQUE], int(deficient[0]) + 1

@@ -10,6 +10,10 @@ not see.
 * Replacing ``f'`` by ``U f'``, with ``U`` orthogonal and fixing ``im f``
   pointwise, leaves the stabilised MLE and the limit unchanged: both depend
   on ``f'`` only through ``f'^T f'``.
+* Scaling a sink column (no vertex's parent) by an exact power of two
+  changes no classification, kernel dimension or existence flag.
+* ``classify`` and ``full_mle`` never contradict each other, also with every
+  column scaled by its own power of two.
 
 Decisions (statuses, witnesses, kernel dimensions, existence flags,
 condition dicts, pencil orders, membership and ``is_mle`` answers) must be
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 
 from dagstab import (
     EXISTS_NON_UNIQUE,
+    EXISTS_UNIQUE,
     NONEXISTENT,
     Dag,
     MleEstimate,
@@ -251,3 +256,34 @@ def test_rotating_the_perturbation_off_the_image(inst):
     U = B @ B.T + C @ _orthogonal(rng, C.shape[1]) @ C.T
     assert np.allclose(U @ f, f)
     _assert_same(_outputs(f, U @ fp, g), _outputs(f, fp, g))
+
+
+def _decisions(f, g) -> tuple:
+    status, est = classify(f, g), full_mle(f, g)
+    return status.status, status.witness, est.lambda_kernel_dims, est.omega_exists
+
+
+@settings(max_examples=50)
+@given(instances())
+def test_classify_agrees_with_full_mle(inst):
+    f, _, g, rng = inst
+    for A in (f, np.ldexp(f, rng.integers(-40, 41, g.m))):
+        status, witness, kdims, exists = _decisions(A, g)
+        absent = [i for i, ok in exists.items() if not ok]
+        deficient = [i for i, d in kdims.items() if d > 0]
+        if absent:
+            assert (status, witness) == (NONEXISTENT, absent[0])
+        elif deficient:
+            assert (status, witness) == (EXISTS_NON_UNIQUE, deficient[0])
+        else:
+            assert (status, witness) == (EXISTS_UNIQUE, None)
+
+
+@settings(max_examples=50)
+@given(instances())
+def test_scaling_the_sink_columns(inst):
+    f, _, g, rng = inst
+    sinks = [i - 1 for i in range(1, g.m + 1) if not g.children(i)]
+    A = f.copy()
+    A[:, sinks] = np.ldexp(f[:, sinks], rng.integers(-60, 61, len(sinks)))
+    assert _decisions(A, g) == _decisions(f, g)

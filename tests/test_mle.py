@@ -294,13 +294,19 @@ def _reference_mle(Y, g: Dag, tol: float = DEFAULT_TOL):
 
 
 def _reference_classify(Y, g: Dag, tol: float = DEFAULT_TOL):
+    """The paper's definition: nonexistent at the first vertex whose
+    variance does not exist, else non-unique at the first vertex whose
+    parent-and-self submatrix is rank deficient.  That rank is taken with
+    each column scaled to unit norm (a zero column stays zero), which
+    cannot change it in exact arithmetic."""
     ref = _reference_mle(Y, g, tol)
     for i in range(1, g.m + 1):
         if not ref.omega_exists[i]:
             return NONEXISTENT, i
     for i in range(1, g.m + 1):
-        cols = sorted(g.parents(i) + [i])
-        if rank(Y[:, [c - 1 for c in cols]], tol) < len(cols):
+        M = Y[:, [c - 1 for c in sorted(g.parents(i) + [i])]]
+        norms = np.linalg.norm(M, axis=0)
+        if rank(M / np.where(norms > 0, norms, 1.0), tol) < M.shape[1]:
             return EXISTS_NON_UNIQUE, i
     return EXISTS_UNIQUE, None
 

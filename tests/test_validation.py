@@ -6,6 +6,7 @@ and the number of perturbation-predicate runs per CLI command.
 """
 
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -237,6 +238,12 @@ class TestEpsilonGrid:
     @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
     def test_mle_at_epsilon_rejects_non_finite_eps(self, eps):
         with pytest.raises(ValueError, match="eps must be finite"):
+            mle_at_epsilon(np.array(LINE_SAMPLE), np.array(LINE_PERT), collider(), eps)
+
+    @pytest.mark.parametrize("eps", [1e160, -1e200, 1e300, 1.7e308])
+    def test_mle_at_epsilon_names_eps_when_the_sum_overflows(self, eps):
+        # the sample is at scale 1; only f + eps f' leaves the float range
+        with pytest.raises(ValueError, match=re.escape(f"f + eps f' at eps={eps!r} has a column")):
             mle_at_epsilon(np.array(LINE_SAMPLE), np.array(LINE_PERT), collider(), eps)
 
     @pytest.mark.parametrize("text", ["nan,1e-3", "inf,1e-3"])
