@@ -21,7 +21,7 @@ from dagstab import (
     VarietyQuery,
     in_Xf,
     in_Xf_alpha_lim,
-    limit_lambda_analytic,
+    limit_mle,
 )
 
 rng = np.random.default_rng(3)
@@ -38,7 +38,7 @@ print("candidate perturbation columns: (0, v2, v3) with independent v2, v3")
 print(f"membership in the perturbation space: {in_Xf(VarietyQuery(f=f, candidate=fp, g=g))}")
 print(f"projection ratio b = v2.v3 / v2.v2 = {b_true:+.6f}\n")
 
-limit = limit_lambda_analytic(f, fp, g)
+limit = limit_mle(f, fp, g)
 print(f"limit edge-weight estimate: {limit.lambda_vector(g, 3)}\n")
 
 print("sweep of candidate estimates (0, b) against the limit variety:")

@@ -16,13 +16,14 @@ two ways:
   columns of ``f`` with the projected target column, and ``w`` the same for
   the perturbation.
 
-The analytic route reads fits of :func:`dagstab.mle._fit`, which factorises
-each parent-count group once: ``fbar`` is the projection in the fit of ``f``
-(whose variances ``limit_mle`` reports), ``vbar`` that in the fit of ``f'``,
-and the two span conditions project onto the kept left singular vectors of the
-fit of ``f + f'``.  The numeric route calls only :func:`mle_at_epsilon`, once
-per grid point, and extrapolates every edge-weight vector and variance through
-one stacked Neville table.  Only the pencil expansion still runs vertex by
+The analytic route is :func:`limit_mle`, the one analytic entry.  It reads
+fits of :func:`dagstab.mle._fit`, which factorises each parent-count group
+once: ``fbar`` is the projection in the fit of ``f`` (whose variances it
+reports), ``vbar`` that in the fit of ``f'``, and the two span conditions
+project onto the kept left singular vectors of the fit of ``f + f'``.  The
+numeric route calls only :func:`mle_at_epsilon`, once per grid point, and
+extrapolates every edge-weight vector and variance through one stacked
+Neville table.  Only the pencil expansion still runs vertex by
 vertex.  Zero tests go through :func:`dagstab.linalg._negligible`: a span
 condition holds when the residual of its target is at most ``tol`` times the
 target's norm plus the largest column norm of ``f'``, and a numeric variance
@@ -32,17 +33,18 @@ limit vanishes at ``tol`` times its largest value on the grid, so scaling
 The two routes are independent and agree to better than ``1e-6`` on shallow
 pencils; only the analytic one fills ``epsilon_independent`` and
 ``diagnostics``, only the numeric one ``extrapolation_error`` and the
-divergence flags.  On deep pencils (from about 8 parents at a low sample rank)
-the analytic limit can be wrong with no warning, since the pencil expansion
-interpolates on ill-conditioned Vandermonde systems; ``limit_mle`` raises when
-its check of the two limit-variety equations of :mod:`dagstab.varieties`
-catches it (ROADMAP.md, open item 1).
+divergence flags.  Every analytic limit is checked against the two
+limit-variety equations of :mod:`dagstab.varieties` before it is returned.
+On deep pencils (from about 8 parents at a low sample rank) the pencil
+expansion interpolates on ill-conditioned Vandermonde systems and can lose
+every digit; ``limit_mle`` then raises instead of returning wrong weights
+(ROADMAP.md, open item 1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,10 +119,11 @@ class LimitResult:
 
     ``lam`` and ``omega`` mirror :class:`dagstab.mle.MleEstimate`; ``partial``
     is set when some variance limit vanishes, so the record covers only a
-    subset of vertices.  The analytic route fills ``epsilon_independent[i]``
-    (is the estimate at child ``i`` the same for every ``eps``, not merely in
-    the limit?) and pencil ``diagnostics``, the numeric route per-vertex
-    extrapolation error estimates and divergence flags.
+    subset of vertices.  The analytic route, :func:`limit_mle`, fills
+    ``epsilon_independent[i]`` (is the estimate at child ``i`` the same for
+    every ``eps``, not merely in the limit?) and pencil ``diagnostics``; the
+    numeric route, :func:`limit_mle_numeric`, per-vertex extrapolation error
+    estimates and divergence flags.
     """
 
     lam: dict[tuple[int, int], float]
@@ -330,20 +333,29 @@ def limit_mle_numeric(
     )
 
 
-def limit_lambda_analytic(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
-    """Closed-form limit of the edge-weight estimate given ``f + eps f'``.
+def _limit_equation_failures(pert: Perturbation, g: Dag, lam, tol: float, fit) -> list[int]:
+    """Child vertices at which ``lam`` fails the normal equations of ``f`` or,
+    if none does, ``N^T E^T (E x - v) = 0`` on ``f'``, ``N`` spanning
+    ``ker A`` in ``fit``, a fit of ``f``; both at the verification tolerance."""
+    check = _verification_tol(tol)
+    bad = _normal_equation_failures(pert.base, g, lam, check)
+    return bad or _normal_equation_failures(pert.delta, g, lam, check, fit)
+
+
+def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
+    """Limit MLE given ``f + eps f'``: the closed-form edge weights plus the
+    variance limits ``|f_i - proj(f_i)|^2 / n``.
 
     Per child vertex the pencil of the parent submatrices is expanded and
-    the limit is ``(G_l u + G_{l-1} w) / c_l`` as described in the module
-    docstring; the limit solves the degenerate normal system of ``f`` at
-    that vertex.
+    the edge-weight limit is ``(G_l u + G_{l-1} w) / c_l`` as described in
+    the module docstring.  The variance limit coincides with the variance MLE
+    given ``f`` wherever the latter exists; when it exists everywhere the
+    assembled limit is an MLE given ``f``.  Otherwise the record is labelled
+    ``partial`` (edge-weight limit plus the existing variance entries).  Edge
+    weights off the limit variety (the check of ``in_Xf_alpha_lim``) raise.
     """
     pert = _as_perturbation(f, fp, tol, g.m)
-    return _lambda_limit(pert, g, tol, _fit(pert.base, g, tol))
-
-
-def _lambda_limit(pert: Perturbation, g: Dag, tol: float, fit) -> LimitResult:
-    """``limit_lambda_analytic`` given ``fit``, the fit of ``f``."""
+    fit = _fit(pert.base, g, tol)
     vbar, cond, _ = _conditions(pert, g, tol, fit)
     diagnostics: dict[int, VertexDiagnostics] = {}
     for cols, (A, _), (E, _) in _groups(g, pert.base, pert.delta):
@@ -355,51 +367,23 @@ def _lambda_limit(pert: Perturbation, g: Dag, tol: float, fit) -> LimitResult:
             diagnostics[c + 1] = VertexDiagnostics(l, float(pencil.det_coeffs[l]), numerator)
     diagnostics = {i: diagnostics[i] for i in g.child_vertices()}
     values = [np.zeros(0)] + [d.numerator / d.det_coeff for d in diagnostics.values()]
-    return LimitResult(
-        lam=dict(zip(_edge_pairs(g), np.concatenate(values).tolist())),
-        omega={},
-        omega_exists={},
-        method="analytic",
-        epsilon_independent=cond,
-        diagnostics=diagnostics,
-    )
-
-
-def _limit_equation_failures(pert: Perturbation, g: Dag, lam, tol: float, fit) -> list[int]:
-    """Child vertices at which ``lam`` fails the normal equations of ``f`` or,
-    if none does, ``N^T E^T (E x - v) = 0`` on ``f'``, ``N`` spanning
-    ``ker A`` in ``fit``, a fit of ``f``; both at the verification tolerance."""
-    check = _verification_tol(tol)
-    bad = _normal_equation_failures(pert.base, g, lam, check)
-    return bad or _normal_equation_failures(pert.delta, g, lam, check, fit)
-
-
-def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
-    """Limit MLE given ``f + eps f'``: analytic edge weights plus the
-    variance limits ``|f_i - proj(f_i)|^2 / n``.
-
-    The variance limit coincides with the variance MLE given ``f`` wherever
-    the latter exists; when it exists everywhere the assembled limit is an
-    MLE given ``f``.  Otherwise the record is labelled ``partial``
-    (edge-weight limit plus the existing variance entries).  Edge weights
-    off the limit variety (the check of ``in_Xf_alpha_lim``) raise.
-    """
-    pert = _as_perturbation(f, fp, tol, g.m)
-    fit = _fit(pert.base, g, tol)
-    omega, exists = _omega_part(fit, pert.base.shape[0])
-    result = replace(
-        _lambda_limit(pert, g, tol, fit),
-        omega=omega,
-        omega_exists=exists,
-        partial=not all(exists.values()),
-    )
-    bad = _limit_equation_failures(pert, g, result.lam, tol, fit)
+    lam = dict(zip(_edge_pairs(g), np.concatenate(values).tolist()))
+    bad = _limit_equation_failures(pert, g, lam, tol, fit)
     if bad:
         raise ValueError(
             f"limit estimate fails the normal equations at vertex {bad[0]}; "
             "input is numerically inconsistent"
         )
-    return result
+    omega, exists = _omega_part(fit, pert.base.shape[0])
+    return LimitResult(
+        lam=lam,
+        omega=omega,
+        omega_exists=exists,
+        method="analytic",
+        epsilon_independent=cond,
+        diagnostics=diagnostics,
+        partial=not all(exists.values()),
+    )
 
 
 def check_lambda_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int, bool]:
@@ -408,7 +392,8 @@ def check_lambda_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int,
 
     All-true is equivalent to the edge-weight estimate given the
     stabilisation being an edge-weight MLE given ``f`` (and to the estimate
-    being independent of ``eps`` along the path).
+    being independent of ``eps`` along the path).  :func:`limit_mle`, the
+    analytic limit route, reports the same dict as ``epsilon_independent``.
     """
     pert = _as_perturbation(f, fp, tol, g.m)
     return _conditions(pert, g, tol, _fit(pert.base, g, tol))[1]

@@ -14,7 +14,9 @@ complements), with every stage degenerate except the last.
 Randomised lifts draw stage maps with independent standard Gaussian entries
 from ``numpy.random.default_rng`` (PCG64); given a seed, the drawn stream is
 reproducible bit-for-bit across platforms.  Kernel and cokernel bases are
-the deterministic singular-vector bases produced by :mod:`dagstab.linalg`.
+deterministic singular-vector bases: each map's kernel comes from its one
+thin SVD, bit for bit the basis of :func:`dagstab.linalg.kernel_basis`, and
+each cokernel from :func:`dagstab.linalg.orth_complement`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL, _as_matrix, _check_squares, _kept, _negligible, _unit_scaled, _verification_tol,
-    image_basis, kernel_basis, orth_complement, rank,
+    orth_complement, rank,
 )
 
 
@@ -189,17 +191,13 @@ class LiftStage:
     the previous stage (a subspace of the previous kernel).
     ``cokernel_basis``: orthonormal columns in ``R^n`` spanning the current
     cokernel, embedded via iterated orthogonal complements.
-    ``stage_map``: the stage's matrix in those bases; nonzero.
+    ``stage_map``: the stage's matrix in those bases; nonzero.  As a map
+    ``R^m -> R^n`` the stage is ``cokernel_basis @ stage_map @ kernel_basis.T``.
     """
 
     kernel_basis: np.ndarray
     cokernel_basis: np.ndarray
     stage_map: np.ndarray
-
-    def as_matrix(self) -> np.ndarray:
-        """The stage as a map ``R^m -> R^n`` (pre-composed with the kernel
-        projection, post-composed with the cokernel embedding)."""
-        return self.cokernel_basis @ self.stage_map @ self.kernel_basis.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,11 +227,15 @@ def _check_orthonormal(B: np.ndarray, what: str, tol: float) -> None:
         raise InvalidLiftError(f"{what} does not have orthonormal columns")
 
 
-def _image(M: np.ndarray, tol: float) -> tuple[int, np.ndarray, float]:
-    """Rank, orthonormal image basis and spectral norm of ``M``, from one SVD."""
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
+def _image(M: np.ndarray, tol: float) -> tuple[int, np.ndarray, float, np.ndarray]:
+    """Rank, orthonormal image basis, spectral norm and the trailing right
+    singular vectors of ``M``, from one thin SVD.  For ``M`` with at least as
+    many rows as columns the last are an orthonormal kernel basis, equal bit
+    for bit to :func:`dagstab.linalg.kernel_basis`; otherwise they miss the
+    part of the kernel that the thin SVD does not compute."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
     r = int(_kept(s, tol).sum())
-    return r, U[:, :r], s.max(initial=0.0)
+    return r, U[:, :r], s.max(initial=0.0), Vt[r:].T
 
 
 def validate_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> None:
@@ -245,15 +247,23 @@ def validate_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> None:
     embeddings must be pairwise orthogonal and orthogonal to the image of
     everything before them.
     """
+    _lift_delta(lift, tol)
+
+
+def _lift_delta(lift: CollineationLift, tol: float) -> np.ndarray:
+    """Run :func:`validate_lift`'s checks and return the sum of the stage
+    maps as maps ``R^m -> R^n``, the products ``C M K^T`` the checks form,
+    added to zeros in stage order."""
     F = _as_matrix(lift.base, "sample")
     _require_tall(F)
     n, m = F.shape
-    r, image, prev_norm = _image(F, tol)
+    r, image, prev_norm, _ = _image(F, tol)
     if not lift.stages and r < m:
         raise InvalidLiftError("rank-deficient sample needs at least one stage beyond the base")
     ortho_tol = _verification_tol(tol)
     kernel_dim, cokernel_dim = m - r, n - r
-    prev_map, prev_basis, images = F, np.eye(m), [image]
+    delta = np.zeros((n, m))
+    prev_map, prev_basis, images = F, None, [image]
     for idx, st in enumerate(lift.stages):
         stage = f"stage {idx + 2}"
         K, C, M = (
@@ -276,15 +286,17 @@ def validate_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> None:
         if M.shape != (C.shape[1], K.shape[1]):
             raise InvalidLiftError(f"{stage}: stage map shape {M.shape} does not match bases")
         # K must lie in the previous kernel: annihilated by the previous map
-        # and nested in the previous basis (the first basis is all of R^m)
+        # and nested in the previous basis (the first stage nests in all of R^m)
         if not _negligible(np.max(np.abs(prev_map @ K), initial=0.0), prev_norm, ortho_tol):
             raise InvalidLiftError(f"{stage}: kernel basis does not span the previous kernel")
-        if not _negligible(np.max(np.abs(K - prev_basis @ (prev_basis.T @ K))), 1.0, ortho_tol):
+        if prev_basis is not None and not _negligible(
+            np.max(np.abs(K - prev_basis @ (prev_basis.T @ K))), 1.0, ortho_tol
+        ):
             raise InvalidLiftError(f"{stage}: kernel basis is not nested in the previous one")
         for Q in images:
             if not _negligible(np.max(np.abs(Q.T @ C), initial=0.0), 1.0, ortho_tol):
                 raise InvalidLiftError(f"{stage}: cokernel embedding meets an earlier image")
-        rk, image, norm = _image(M, tol)
+        rk, image, norm, _ = _image(M, tol)
         if rk == 0:
             raise InvalidLiftError(f"{stage}: stage map is zero")
         # the final map has full column rank, so the kernel ends at dimension 0
@@ -296,6 +308,8 @@ def validate_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> None:
         kernel_dim, cokernel_dim = K.shape[1] - rk, C.shape[1] - rk
         # C and K have orthonormal columns, so C M K^T has the norm of M
         prev_map, prev_norm, prev_basis = C @ M @ K.T, norm, K
+        delta += prev_map
+    return delta
 
 
 def build_from_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> Perturbation:
@@ -305,11 +319,7 @@ def build_from_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> Perturb
     ``R^m -> R^n``; successive kernel projections collapse to a single
     orthogonal projection because the kernels are nested.
     """
-    validate_lift(lift, tol)
-    delta = np.zeros(np.shape(lift.base))
-    for st in lift.stages:
-        delta += st.as_matrix()
-    return Perturbation(lift.base, delta, tol)
+    return Perturbation(lift.base, _lift_delta(lift, tol), tol)
 
 
 def stabilize(f, fp, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -353,8 +363,10 @@ def random_lift(f, seed: int, tol: float = DEFAULT_TOL) -> CollineationLift:
     rng = np.random.default_rng(seed)
     bump = seed
 
-    K = kernel_basis(F, tol)
-    C = orth_complement(image_basis(F, tol), n, tol)
+    # every stage map is tall (cokernel at least as wide as kernel, as n >= m),
+    # so one thin SVD gives its rank, image and kernel
+    _, image, _, K = _image(F, tol)
+    C = orth_complement(image, n, tol)
     stages: list[LiftStage] = []
     while K.shape[1] > 0:
         M = rng.standard_normal((C.shape[1], K.shape[1]))
@@ -363,9 +375,9 @@ def random_lift(f, seed: int, tol: float = DEFAULT_TOL) -> CollineationLift:
             rng = np.random.default_rng(bump)
             M = rng.standard_normal((C.shape[1], K.shape[1]))
         stages.append(LiftStage(K, C, M))
-        rk = rank(M, tol)
+        rk, image, _, kernel = _image(M, tol)
         if rk == K.shape[1]:
             break
-        K = K @ kernel_basis(M, tol)
-        C = C @ orth_complement(image_basis(M, tol), C.shape[1], tol)
+        K = K @ kernel
+        C = C @ orth_complement(image, C.shape[1], tol)
     return CollineationLift(F, tuple(stages), seed=seed)

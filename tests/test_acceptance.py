@@ -18,7 +18,7 @@ from dagstab import (
     duplicate,
     full_mle,
     in_Xf_alpha_lim,
-    limit_lambda_analytic,
+    limit_mle,
     limit_mle_numeric,
     limit_solve_numeric,
     mle_at_epsilon,
@@ -135,7 +135,7 @@ def test_criterion_3_dependent_line_closed_form():
         got = mle_at_epsilon(f, fp, g, eps).lambda_vector(g, 3)
         expect = np.array([(1.0 - 2.0 * eps**2) / (1.0 + eps**2), 1.0])
         assert np.max(np.abs(got - expect)) < 1e-10
-    limit = limit_lambda_analytic(f, fp, g).lambda_vector(g, 3)
+    limit = limit_mle(f, fp, g).lambda_vector(g, 3)
     assert np.max(np.abs(limit - [1.0, 1.0])) < 1e-12
 
 
@@ -210,7 +210,7 @@ def test_criterion_7_cross_method_agreement():
         r = int(rng.integers(1, m))
         f = random_rank_deficient(rng, n, m, r)
         fp = random_perturbation(f, seed=int(rng.integers(0, 2**32)))
-        ana = limit_lambda_analytic(f, fp, g)
+        ana = limit_mle(f, fp, g)
         num = limit_mle_numeric(f, fp, g)
         assert not num.diverged
         for i in g.child_vertices():

@@ -10,7 +10,6 @@ from dagstab import (
     duplicate,
     full_mle,
     is_mle,
-    limit_lambda_analytic,
     limit_mle,
     limit_mle_numeric,
     limit_solve_numeric,
@@ -81,7 +80,7 @@ class TestMleAtEpsilon:
             got = mle_at_epsilon(f, fp, g, eps).lambda_vector(g, 3)
             expect = np.array([(1.0 - 2.0 * eps**2 * s) / (1.0 + eps**2 * s), 1.0])
             assert np.max(np.abs(got - expect)) < 1e-12
-        limit = limit_lambda_analytic(f, fp, g).lambda_vector(g, 3)
+        limit = limit_mle(f, fp, g).lambda_vector(g, 3)
         assert np.max(np.abs(limit - [1.0, 1.0])) < 1e-12
 
     def test_full_rank_sample_constant_in_eps(self):
@@ -186,14 +185,14 @@ class TestLimitAnalytic:
         f[:, 1] = rng.standard_normal(5)
         f[:, 2] = 2.0 * f[:, 0] - f[:, 1]
         fp = random_perturbation(f, seed=11)
-        res = limit_lambda_analytic(f, fp, g)
+        res = limit_mle(f, fp, g)
         assert res.diagnostics[3].first_nonzero == 0
         assert np.max(np.abs(res.lambda_vector(g, 3) - [2.0, -1.0])) < 1e-9
 
     def test_dependent_line_limit(self):
         f, fp = dependent_line_instance()
         g = collider()
-        res = limit_lambda_analytic(f, fp, g)
+        res = limit_mle(f, fp, g)
         assert np.max(np.abs(res.lambda_vector(g, 3) - [1.0, 1.0])) < 1e-12
         assert res.epsilon_independent == {3: False}
 
@@ -203,7 +202,7 @@ class TestLimitAnalytic:
             f, g = star_instance(rng, 4, 7, parent_rank=int(rng.integers(1, 3)))
             hub = 4
             fp = random_perturbation(f, seed=trial)
-            res = limit_lambda_analytic(f, fp, g)
+            res = limit_mle(f, fp, g)
             oracle = np.linalg.lstsq(f[:, :3], f[:, hub - 1], rcond=1e-10)[0]
             assert np.max(np.abs(res.lambda_vector(g, hub) - oracle)) < 1e-8
 
@@ -365,7 +364,7 @@ class TestCrossMethod:
             r = int(rng.integers(1, m))
             f = random_rank_deficient(rng, n, m, r)
             fp = random_perturbation(f, seed=int(rng.integers(0, 2**32)))
-            ana = limit_lambda_analytic(f, fp, g)
+            ana = limit_mle(f, fp, g)
             num = limit_mle_numeric(f, fp, g)
             assert not num.diverged
             for i in g.child_vertices():
@@ -381,7 +380,7 @@ class TestCrossMethod:
             g = star(4)
             f = random_rank_deficient(rng, 6, 4, int(rng.integers(1, 4)))
             fp = random_perturbation(f, seed=trial)
-            res = limit_lambda_analytic(f, fp, g)
+            res = limit_mle(f, fp, g)
             A = f[:, :3]
             fbar = project(f[:, 3], A)
             assert np.max(np.abs(A @ res.lambda_vector(g, 4) - fbar)) < 1e-8
@@ -407,7 +406,7 @@ def test_ill_scaled_columns_stay_cross_consistent():
     f[:, 1] = 1e-6 * rng.standard_normal(5)
     f[:, 2] = 2.0 * f[:, 0] + 3.0 * f[:, 1]
     fp = random_perturbation(f, seed=123)
-    ana = limit_lambda_analytic(f, fp, g)
+    ana = limit_mle(f, fp, g)
     num = limit_mle_numeric(f, fp, g, eps_grid=(1e-1, 1e-2, 1e-3))
     assert np.max(np.abs(ana.lambda_vector(g, 3) - num.lambda_vector(g, 3))) < 1e-4
     default = limit_mle_numeric(f, fp, g)

@@ -1,5 +1,3 @@
-import importlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,12 +111,6 @@ def _assert_matches_reference(A, E):
     assert len(pe.adj_coeffs) == len(adj)
     assert all(np.array_equal(G, R) for G, R in zip(pe.adj_coeffs, adj))
     assert pe.first_nonzero == first
-
-
-@pytest.fixture
-def perfbench_inputs(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    return importlib.import_module("inputs")
 
 
 class TestStackedPencilIsBitIdentical:

@@ -8,12 +8,17 @@ from dagstab import (
     LiftStage,
     Perturbation,
     build_from_lift,
+    image_basis,
     is_perturbation,
+    kernel_basis,
+    orth_complement,
     random_lift,
     rank,
     stabilize,
     validate_lift,
 )
+from dagstab.linalg import DEFAULT_TOL
+from dagstab.stabilise import _image
 from _helpers import random_rank_deficient
 
 # Coordinate-projection sample: columns e1, e2, 0 in R^4, rank 2.
@@ -281,6 +286,71 @@ def test_stabilisation_rank_sweep():
                 assert rank(out) == m
                 count += 1
     assert count == 24
+
+
+def _reference_delta(f, seed):
+    """``random_lift`` then ``build_from_lift`` stage by stage from the public
+    bases: ``kernel_basis`` of each map and ``orth_complement`` of its
+    ``image_basis``, each stage ``C M K^T`` added to zeros in order."""
+    rng = np.random.default_rng(seed)
+    K = kernel_basis(f)
+    C = orth_complement(image_basis(f), f.shape[0])
+    delta = np.zeros(f.shape)
+    while K.shape[1] > 0:
+        M = rng.standard_normal((C.shape[1], K.shape[1]))
+        assert np.any(M)  # an all-zero draw, redrawn by random_lift, has measure zero
+        delta += C @ M @ K.T
+        if rank(M) == K.shape[1]:
+            break
+        K = K @ kernel_basis(M)
+        C = C @ orth_complement(image_basis(M), C.shape[1])
+    return delta
+
+
+class TestLiftBits:
+    """The drawn perturbation is fixed bit for bit by the seed: the benchmark
+    counts its known-failing inputs, and whether a deep pencil fails depends
+    on the last bits of ``delta``."""
+
+    @pytest.mark.parametrize("extra", [0, 3], ids=["square", "tall"])
+    def test_seeded_samples(self, extra):
+        rng = np.random.default_rng(31 + extra)
+        for m in (2, 5, 9):
+            for r in range(m + 1):
+                f = random_rank_deficient(rng, m + extra, m, r)
+                seed = int(rng.integers(2**32))
+                delta = build_from_lift(random_lift(f, seed)).delta
+                assert np.array_equal(delta, _reference_delta(f, seed))
+
+    def test_known_failures(self, perfbench_inputs):
+        for spec in perfbench_inputs.KNOWN_FAILURES:
+            case = perfbench_inputs._known_failure(*spec)
+            delta = build_from_lift(random_lift(case.sample, case.lift_seed)).delta
+            assert np.array_equal(delta, _reference_delta(case.sample, case.lift_seed))
+
+
+class TestImage:
+    """``random_lift`` reads rank, image and kernel of each stage map from the
+    one thin SVD of ``_image``; they must be the ones the public helpers give."""
+
+    @pytest.mark.parametrize("shape", [(6, 6), (9, 6), (4, 7)], ids=["square", "tall", "wide"])
+    def test_rank_and_image_match_the_helpers(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        n, p = shape
+        for r in range(min(n, p) + 1):
+            M = random_rank_deficient(rng, n, p, r)
+            rk, image, norm, _ = _image(M, DEFAULT_TOL)
+            assert rk == rank(M) == r
+            assert np.array_equal(image, image_basis(M))
+            assert abs(norm - np.linalg.norm(M, 2)) <= 1e-12 * max(1.0, norm)
+
+    @pytest.mark.parametrize("extra", [0, 3], ids=["square", "tall"])
+    def test_kernel_matches_kernel_basis_bit_for_bit(self, extra):
+        rng = np.random.default_rng(41 + extra)
+        for p in (1, 4, 8):
+            for r in range(p + 1):
+                M = random_rank_deficient(rng, p + extra, p, r)
+                assert np.array_equal(_image(M, DEFAULT_TOL)[3], kernel_basis(M))
 
 
 E1 = np.array([[1.0], [0.0], [0.0]])

@@ -27,7 +27,6 @@ from dagstab import (
     in_Xf_alpha_lim,
     is_lambda_mle,
     is_mle,
-    limit_lambda_analytic,
     limit_mle,
     limit_mle_numeric,
     limit_solve_numeric,
@@ -113,8 +112,7 @@ def nan_entry_points() -> dict:
     for fn in (dagstab.is_perturbation, Perturbation, stabilize):
         calls[f"{fn.__name__}-f"] = lambda fn=fn: fn(with_nan(f), fp)
         calls[f"{fn.__name__}-fp"] = lambda fn=fn: fn(f, with_nan(fp))
-    for fn in (check_full_condition, check_lambda_condition, limit_lambda_analytic, limit_mle,
-               limit_mle_numeric):
+    for fn in (check_full_condition, check_lambda_condition, limit_mle, limit_mle_numeric):
         calls[f"{fn.__name__}-f"] = lambda fn=fn: fn(with_nan(f), fp, g)
         calls[f"{fn.__name__}-fp"] = lambda fn=fn: fn(f, with_nan(fp), g)
     for fn in (dagstab.in_Xf, dagstab.in_Xf_alpha, in_Xf_alpha_lim):
@@ -147,14 +145,13 @@ class TestFiniteMatrix:
 LIMITS_ENTRY_POINTS = [
     lambda f, p, g: limit_mle(f, p, g),
     lambda f, p, g: limit_mle_numeric(f, p, g),
-    lambda f, p, g: limit_lambda_analytic(f, p, g),
     lambda f, p, g: check_lambda_condition(f, p, g),
     lambda f, p, g: check_full_condition(f, p, g),
     lambda f, p, g: mle_at_epsilon(f, p, g, 0.1),
 ]
 LIMITS_IDS = [
-    "limit_mle", "limit_mle_numeric", "limit_lambda_analytic", "check_lambda_condition",
-    "check_full_condition", "mle_at_epsilon",
+    "limit_mle", "limit_mle_numeric", "check_lambda_condition", "check_full_condition",
+    "mle_at_epsilon",
 ]
 
 

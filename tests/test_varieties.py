@@ -220,7 +220,7 @@ class TestLimitVarietyConsistency:
     def test_membership_holds_exactly_at_the_limit(self):
         # the analytic limit satisfies the defining relation of its own
         # variety by construction; shifting any coordinate breaks it
-        from dagstab import limit_lambda_analytic, star
+        from dagstab import star
         from _helpers import random_rank_deficient
 
         rng = np.random.default_rng(71)
@@ -229,7 +229,7 @@ class TestLimitVarietyConsistency:
             m = g.m
             f = random_rank_deficient(rng, m + 2, m, int(rng.integers(1, m)))
             fp = random_perturbation(f, seed=trial + 1000)
-            lim = limit_lambda_analytic(f, fp, g)
+            lim = limit_mle(f, fp, g)
             alpha = MleEstimate(lam=dict(lim.lam))
             q = VarietyQuery(f=f, candidate=fp, g=g, alpha=alpha, tol=1e-8)
             assert in_Xf_alpha_lim(q)
