@@ -6,9 +6,11 @@ PATH`` or stdout).  Problem files are validated against
 ``schema/problem.json`` by jsonschema's Draft 7 validator (exit code 2 on
 violation, with jsonschema's own message); semantic errors such as cycles or
 shape mismatches exit with code 3.  Reports validate against
-``schema/report.json``.  Validation and serialisation each make one pass over
-the entries: an array of plain numbers is checked, and a list of floats
-written, without a call per entry.
+``schema/report.json``.  :func:`main` writes each report's first two keys,
+``command`` and ``tol``, and a ``stabilize`` stage's ``mapRank`` is the rank
+that :func:`dagstab.stabilise.build_from_lift` validated.  Validation and
+serialisation each make one pass over the entries: an array of plain numbers
+is checked, and a list of floats written, without a call per entry.
 
 ``tol`` (from ``--tol`` or the file) must lie strictly between 0 and 1, and
 the epsilon grid (from ``--eps-grid`` or the file) must be finite, positive
@@ -30,7 +32,7 @@ import jsonschema
 import numpy as np
 
 from . import graph, limits, mle, stabilise, varieties
-from .linalg import DEFAULT_TOL, _as_matrix, rank
+from .linalg import DEFAULT_TOL, _as_matrix
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -62,12 +64,12 @@ def _format_scalar(x) -> str:
     raise TypeError(f"cannot serialise {type(x).__name__}")
 
 
-def dumps_report(obj, indent: int = 2) -> str:
-    """Serialise a report with floats at 17 significant digits."""
+def dumps_report(obj) -> str:
+    """Serialise a report, two spaces per level, with floats at 17 significant digits."""
 
     def go(node, level):
-        pad = " " * (indent * level)
-        inner = " " * (indent * (level + 1))
+        pad = "  " * level
+        inner = "  " * (level + 1)
         if type(node) is list and node and set(map(type, node)) == {float}:
             # a vector or matrix row: one join, the scalar path's format and check
             if not all(map(math.isfinite, node)):
@@ -266,8 +268,6 @@ def cmd_classify(problem: Problem, tol: float, seed, eps_grid) -> dict:
         r = graph.regime(g, problem.sample.shape[0])
         reg = {"label": r.label, "outcomes": sorted(r.outcomes)}
     return {
-        "command": "classify",
-        "tol": tol,
         "n": problem.sample.shape[0],
         "m": g.m,
         "duplicated": dup,
@@ -285,8 +285,6 @@ def cmd_estimate(problem: Problem, tol: float, seed, eps_grid) -> dict:
     g = problem.g
     est, status = mle._classified_mle(problem.sample, g, tol)
     return {
-        "command": "estimate",
-        "tol": tol,
         "n": problem.sample.shape[0],
         "m": g.m,
         "classification": status.status,
@@ -302,17 +300,12 @@ def cmd_estimate(problem: Problem, tol: float, seed, eps_grid) -> dict:
 def cmd_stabilize(problem: Problem, tol: float, seed, eps_grid) -> dict:
     pert, used_seed, dup, lift = _resolve_perturbation(problem, seed, tol)
     stabilised = stabilise.stabilize(None, pert, tol)
+    dims = [] if lift is None else [st.kernel_basis.shape[1] for st in lift.stages]
     stages = None if lift is None else [
-        {
-            "kernelDim": st.kernel_basis.shape[1],
-            "cokernelDim": st.cokernel_basis.shape[1],
-            "mapRank": rank(st.stage_map, tol),
-        }
-        for st in lift.stages
+        {"kernelDim": k, "cokernelDim": st.cokernel_basis.shape[1], "mapRank": k - k_next}
+        for st, k, k_next in zip(lift.stages, dims, dims[1:] + [0])
     ]
     return {
-        "command": "stabilize",
-        "tol": tol,
         "seed": used_seed,
         "duplicated": dup,
         "perturbation": pert.delta.tolist(),
@@ -344,8 +337,6 @@ def cmd_limit(problem: Problem, tol: float, seed, eps_grid) -> dict:
         for i, d in sorted(analytic.diagnostics.items())
     }
     return {
-        "command": "limit",
-        "tol": tol,
         "seed": used_seed,
         "epsilonGrid": [float(e) for e in grid],
         "lambdaLimit": _vertex_vectors(analytic, g),
@@ -369,8 +360,6 @@ def cmd_check(problem: Problem, tol: float, seed, eps_grid) -> dict:
     if problem.alpha is not None:
         alpha_fixed = _vertex_map(limits.check_alpha_fixed(pert, problem.alpha.lam, g, tol))
     return {
-        "command": "check",
-        "tol": tol,
         "lambdaCondition": _vertex_map(lambda_cond),
         "fullCondition": _vertex_map(full_cond),
         "alphaFixed": alpha_fixed,
@@ -396,8 +385,6 @@ def cmd_membership(problem: Problem, tol: float, seed, eps_grid) -> dict:
     except varieties.AlphaNotMleError:
         in_alpha, alpha_is_mle = None, False
     return {
-        "command": "membership",
-        "tol": tol,
         "inXf": member,
         "alphaIsMleGivenF": alpha_is_mle,
         "inXfAlpha": in_alpha,
@@ -473,7 +460,7 @@ def main(argv=None) -> int:
     except (SemanticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
-    text = dumps_report(report)
+    text = dumps_report({"command": args.command, "tol": tol, **report})
     if args.output == "stdout":
         sys.stdout.write(text)
     else:

@@ -50,7 +50,8 @@ import numpy as np
 
 from .graph import Dag
 from .linalg import (
-    DEFAULT_TOL, _as_matrix, _check_squares, _negligible, _verification_tol, pencil_expand,
+    DEFAULT_TOL, _as_matrix, _check_squares, _negligible, _unit_scaled, _verification_tol,
+    pencil_expand,
 )
 from .mle import (
     MleEstimate, _edge_pairs, _fit, _groups, _normal_equation_failures, _omega_part, _projection,
@@ -83,17 +84,17 @@ def _conditions(pert: Perturbation, g: Dag, tol: float, fit):
 
     ``fbar`` comes from ``fit``, the fit of ``f``, and ``vbar`` from the fit
     of ``f'``; ``fbar + vbar`` and ``fbar + v`` are projected through the
-    fit of ``f + f'``, and ``v`` through that of ``f'``.
+    fit of ``f + f'``, and ``v`` is compared with ``vbar``.
     """
     D = pert.delta
     vfit = _fit(D, g, tol)
     floor = _norms(D.T).max(initial=0.0)
     lam_ok, full_ok = np.zeros(g.m, dtype=bool), np.zeros(g.m, dtype=bool)
-    spans = zip(g._parent_groups, _fit(pert.base + D, g, tol).spans, vfit.spans)
-    for (cols, _), span, vspan in spans:
+    for (cols, _), span in zip(g._parent_groups, _fit(pert.base + D, g, tol).spans):
         fbar, vbar, v = fit.proj[cols], vfit.proj[cols], D.T[cols]
         lam_ok[cols] = _in_span(fbar + vbar, span, floor, tol)
-        full_ok[cols] = _in_span(v, vspan, floor, tol) & _in_span(fbar + v, span, floor, tol)
+        in_E = _negligible(_norms(v - vbar), _norms(v) + floor, tol)
+        full_ok[cols] = in_E & _in_span(fbar + v, span, floor, tol)
     kids = np.flatnonzero(g._parent_counts)
     children = (kids + 1).tolist()
     return vfit.proj, *(dict(zip(children, ok[kids].tolist())) for ok in (lam_ok, full_ok))
@@ -216,7 +217,9 @@ def _diverging(norms) -> bool:
     last three points still grow by more than DIVERGENCE_FACTOR.  Convergent
     paths flatten at the tail even when they approach the limit from below,
     and roundoff noise around a zero limit can grow in ratio but never in
-    absolute size, hence the absolute floor.
+    size, hence the floor ``50 (1 + min(norms))``.  The floor is absolute, so
+    ``norms`` must be in the system's units, as :func:`limit_solve_numeric`
+    scales them; :func:`limit_mle_numeric` passes edge weights as they are.
     """
     if len(norms) < 3:
         return False
@@ -257,12 +260,13 @@ def limit_solve_numeric(
         raise ValueError(f"E has shape {E.shape} but A has shape {A.shape}")
     if b.size != A.shape[0] or v.size != A.shape[0]:
         raise ValueError(f"b and v must have {A.shape[0]} entries, one per row of A")
-    xs = []
-    for eps in grid:
-        x, *_ = np.linalg.lstsq(A + eps * E, b + eps * v, rcond=tol)
-        xs.append(x)
+    xs = [np.linalg.lstsq(A + eps * E, b + eps * v, rcond=tol)[0] for eps in grid]
     norms = tuple(float(np.max(np.abs(x), initial=0.0)) for x in xs)
-    if _diverging(norms) or (norms and norms[-1] > 1.0 / tol):
+    # judged in the system's units: x scales as the right-hand side over the matrices
+    k = _unit_scaled(np.column_stack([b, v]))[1] - _unit_scaled(np.hstack([A, E]))[1]
+    with np.errstate(over="ignore"):
+        unit = np.ldexp(norms, -k).tolist()
+    if _diverging(unit) or unit[-1] > 1.0 / tol:
         return NumericLimit(None, True, np.inf, norms)
     value, est = _neville_zero(grid, np.array(xs), [0])
     return NumericLimit(value, False, float(est[0]), norms)

@@ -361,14 +361,19 @@ class TestSvdsPerCommand:
     one for ``A``, ``E`` and ``A + E``, and the fit one per parent-count group
     (3 groups here), which is all ``classify`` and ``estimate`` run.
     ``random_lift`` reads each map's rank, image and kernel from one thin SVD.
-    The previous counts were 6 and 6 (a second batched SVD per group gave the
-    parent-and-self ranks), 17 then 11, 99, 93 then 55, 24 then 18, and 6; at
-    11, 55 and 18 ``random_lift`` still factored the sample twice."""
+    ``stabilize`` runs 9: ``random_lift`` 4 (the sample, the two of
+    ``orth_complement`` and the one stage map), ``validate_lift`` 2,
+    ``is_perturbation`` 2 and the rank of ``f + f'``; the report's stage ranks
+    are the ones ``validate_lift`` checked.  The previous counts were 6 and 6
+    (a second batched SVD per group gave the parent-and-self ranks), 17, 11
+    then 10, 99, 93 then 55, 24 then 18, and 6; at 11, 55 and 18
+    ``random_lift`` still factored the sample twice, and at 10 the CLI decided
+    each stage map's rank again."""
 
     @pytest.mark.parametrize("label,want", [
         ("classify-m20", 3),
         ("estimate-m20", 3),
-        ("stabilize-m20", 10),
+        ("stabilize-m20", 9),
         ("limit-m20", 54),
         ("check-m20", 17),
         ("membership-star6-inside", 3),

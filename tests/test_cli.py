@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from dagstab import cli, graph
 from dagstab.cli import EXIT_OK, EXIT_SCHEMA, EXIT_SEMANTIC, dumps_report, load_schema, main
+from dagstab.linalg import DEFAULT_TOL
 
 REPORT_SCHEMA = load_schema("report.json")
 
@@ -391,6 +392,25 @@ class TestSerialisation:
             code, report = run_cli(tmp_path, problem, command)
             assert code == EXIT_OK, command
             assert_valid_report(report)
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("settings,flags,tol", [
+        ({}, ["--tol", "1e-9"], 1e-9),
+        ({"tol": 1e-8}, [], 1e-8),
+        ({"tol": 1e-8}, ["--tol", "1e-9"], 1e-9),
+        ({}, [], DEFAULT_TOL),
+    ], ids=["flag", "file", "flag-over-file", "default"])
+    def test_envelope_first(self, tmp_path, command, settings, flags, tol):
+        problem = collider_problem(
+            LINE_SAMPLE,
+            perturbation=LINE_PERT,
+            alpha={"lambda": [[3, 1, 1.0], [3, 2, 1.0]]},
+            settings=settings,
+        )
+        code, report = run_cli(tmp_path, problem, command, *flags)
+        assert code == EXIT_OK
+        assert list(report)[:2] == ["command", "tol"]
+        assert report["command"] == command and report["tol"] == tol
 
     def test_seventeen_digit_floats(self, tmp_path):
         problem = collider_problem([[1.0, 0.0, 1 / 3], [0.0, 1.0, 0.123456789012345678]])

@@ -133,6 +133,20 @@ class TestLimitSolveNumeric:
         with pytest.raises(ValueError, match="decreasing"):
             limit_solve_numeric(A, A, np.zeros(2), np.zeros(2), eps_grid=(1e-3, 1e-2))
 
+    @pytest.mark.parametrize(
+        "rhs,mat", [(10.0**k, 1.0) for k in range(-12, 13)] + [(1.0, 1e-6), (1.0, 1e6)]
+    )
+    def test_flags_do_not_depend_on_units(self, rhs, mat):
+        # divergence is judged in the system's units, so scaling the right-hand
+        # side or the matrices moves no flag; values stay in the caller's units
+        A, E = mat * np.diag([1.0, 0.0]), mat * np.diag([0.0, 1.0])
+        e2, zero = np.array([0.0, 1.0]), np.zeros(2)
+        far = limit_solve_numeric(A, E, rhs * e2, zero)
+        assert far.diverged and far.norms[0] == pytest.approx(10.0 * rhs / mat)
+        near = limit_solve_numeric(A, E, zero, rhs * e2)
+        assert not near.diverged
+        np.testing.assert_allclose(near.value, [0.0, rhs / mat], rtol=1e-8, atol=0.0)
+
 
 class TestLimitNumeric:
     def test_dependent_line(self):
