@@ -4,8 +4,9 @@ Subcommand-first syntax; every subcommand reads one problem file (JSON,
 ``--input PATH`` or ``-`` for stdin) and writes one report (JSON, ``--output
 PATH`` or stdout).  Problem files are validated against
 ``schema/problem.json`` by jsonschema's Draft 7 validator (exit code 2 on
-violation, with jsonschema's own message); semantic errors such as cycles or
-shape mismatches exit with code 3.  Reports validate against
+violation, with jsonschema's own message, as on an unreadable input or an
+unwritable output); semantic errors such as cycles or shape mismatches exit
+with code 3.  Reports validate against
 ``schema/report.json``.  :func:`main` writes each report's first two keys,
 ``command`` and ``tol``, and a ``stabilize`` stage's ``mapRank`` is the rank
 that :func:`dagstab.stabilise.build_from_lift` validated.  Validation and
@@ -463,9 +464,13 @@ def main(argv=None) -> int:
     text = dumps_report({"command": args.command, "tol": tol, **report})
     if args.output == "stdout":
         sys.stdout.write(text)
-    else:
+        return EXIT_OK
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     return EXIT_OK
 
 

@@ -23,12 +23,13 @@ reports), ``vbar`` that in the fit of ``f'``, and the two span conditions
 project onto the kept left singular vectors of the fit of ``f + f'``.  The
 numeric route calls only :func:`mle_at_epsilon`, once per grid point, and
 extrapolates every edge-weight vector and variance through one stacked
-Neville table.  Only the pencil expansion still runs vertex by
-vertex.  Zero tests go through :func:`dagstab.linalg._negligible`: a span
-condition holds when the residual of its target is at most ``tol`` times the
-target's norm plus the largest column norm of ``f'``, and a numeric variance
-limit vanishes at ``tol`` times its largest value on the grid, so scaling
-``(f, f')`` by a constant changes no condition and no existence flag.
+Neville table.  The pencil expansion and the numerators run once per
+parent-count group too, on stacks of the group's pencils.  Zero tests go
+through :func:`dagstab.linalg._negligible`: a span condition holds when the
+residual of its target is at most ``tol`` times the target's norm plus the
+largest column norm of ``f'``, and a numeric variance limit vanishes at
+``tol`` times its largest value on the grid, so scaling ``(f, f')`` by a
+constant changes no condition and no existence flag.
 
 The two routes are independent and agree to better than ``1e-6`` on shallow
 pencils; only the analytic one fills ``epsilon_independent`` and
@@ -249,8 +250,9 @@ def limit_solve_numeric(
 
     Raw entry point: no orthogonality validation is performed, so inputs
     violating the orthogonality hypotheses can and do diverge; divergence is
-    reported as a structured result, not an error.  Non-finite entries and
-    mismatched shapes raise.
+    reported as a structured result, not an error.  Non-finite entries,
+    mismatched shapes and, as for a sample, a column of ``[A E]`` or
+    ``[b v]`` whose squared norm overflows or underflows raise.
     """
     grid = _check_grid(eps_grid)
     A, E = _as_matrix(A, "A"), _as_matrix(E, "E")
@@ -260,10 +262,13 @@ def limit_solve_numeric(
         raise ValueError(f"E has shape {E.shape} but A has shape {A.shape}")
     if b.size != A.shape[0] or v.size != A.shape[0]:
         raise ValueError(f"b and v must have {A.shape[0]} entries, one per row of A")
+    AE, bv = np.hstack([A, E]), np.column_stack([b, v])
+    _check_squares(AE, "[A E]")
+    _check_squares(bv, "[b v]")
     xs = [np.linalg.lstsq(A + eps * E, b + eps * v, rcond=tol)[0] for eps in grid]
     norms = tuple(float(np.max(np.abs(x), initial=0.0)) for x in xs)
     # judged in the system's units: x scales as the right-hand side over the matrices
-    k = _unit_scaled(np.column_stack([b, v]))[1] - _unit_scaled(np.hstack([A, E]))[1]
+    k = _unit_scaled(bv)[1] - _unit_scaled(AE)[1]
     with np.errstate(over="ignore"):
         unit = np.ldexp(norms, -k).tolist()
     if _diverging(unit) or unit[-1] > 1.0 / tol:
@@ -350,28 +355,34 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
     """Limit MLE given ``f + eps f'``: the closed-form edge weights plus the
     variance limits ``|f_i - proj(f_i)|^2 / n``.
 
-    Per child vertex the pencil of the parent submatrices is expanded and
-    the edge-weight limit is ``(G_l u + G_{l-1} w) / c_l`` as described in
-    the module docstring.  The variance limit coincides with the variance MLE
-    given ``f`` wherever the latter exists; when it exists everywhere the
-    assembled limit is an MLE given ``f``.  Otherwise the record is labelled
-    ``partial`` (edge-weight limit plus the existing variance entries).  Edge
+    The pencils of the parent submatrices are expanded one stack per
+    parent-count group, and the edge-weight limit at each child is
+    ``(G_l u + G_{l-1} w) / c_l`` as described in the module docstring.
+    The variance limit coincides with the variance MLE given ``f`` wherever
+    the latter exists; when it exists everywhere the assembled limit is an
+    MLE given ``f``.  Otherwise the record is labelled ``partial``
+    (edge-weight limit plus the existing variance entries).  Edge
     weights off the limit variety (the check of ``in_Xf_alpha_lim``) raise.
     """
     pert = _as_perturbation(f, fp, tol, g.m)
     fit = _fit(pert.base, g, tol)
     vbar, cond, _ = _conditions(pert, g, tol, fit)
+    starts = np.cumsum(g._parent_counts) - g._parent_counts  # each vertex's first edge
+    weights = np.zeros(len(g._edge_keys))
     diagnostics: dict[int, VertexDiagnostics] = {}
     for cols, (A, _), (E, _) in _groups(g, pert.base, pert.delta):
-        for c, A_i, E_i in zip(cols.tolist(), A, E):
-            pencil = pencil_expand(A_i, E_i, tol)
-            l = pencil.first_nonzero
-            fb, vb = fit.proj[c], vbar[c]
-            numerator = pencil.adj_coeff(l) @ (A_i.T @ fb) + pencil.adj_coeff(l - 1) @ (E_i.T @ vb)
-            diagnostics[c + 1] = VertexDiagnostics(l, float(pencil.det_coeffs[l]), numerator)
+        pencil = pencil_expand(A, E, tol)
+        l = pencil.first_nonzero
+        c_l = pencil.det_coeffs[np.arange(len(l)), l]
+        D_l = (
+            pencil.adj_coeff(l) @ (A.mT @ fit.proj[cols][:, :, None])
+            + pencil.adj_coeff(l - 1) @ (E.mT @ vbar[cols][:, :, None])
+        )[:, :, 0]
+        weights[starts[cols, None] + np.arange(pencil.size)] = D_l / c_l[:, None]
+        records = map(VertexDiagnostics, l.tolist(), c_l.tolist(), D_l)
+        diagnostics.update(zip((cols + 1).tolist(), records))
     diagnostics = {i: diagnostics[i] for i in g.child_vertices()}
-    values = [np.zeros(0)] + [d.numerator / d.det_coeff for d in diagnostics.values()]
-    lam = dict(zip(_edge_pairs(g), np.concatenate(values).tolist()))
+    lam = dict(zip(_edge_pairs(g), weights.tolist()))
     bad = _limit_equation_failures(pert, g, lam, tol, fit)
     if bad:
         raise ValueError(

@@ -2,8 +2,9 @@
 
 Ranks, orthonormal image/kernel bases and the polynomial expansion of the
 one-parameter pencil ``C(eps) = A^T A + eps E^T E`` that drives the
-closed-form limit machinery in :mod:`dagstab.limits`.  Orthogonal
-projections belong to the fits of :mod:`dagstab.mle`.
+closed-form limit machinery in :mod:`dagstab.limits`; the expansion takes
+one pencil or the ``(K, n, p)`` stack of one parent-count group's pencils.
+Orthogonal projections belong to the fits of :mod:`dagstab.mle`.
 
 All operations are pure functions on immutable values; inputs are never
 mutated.  Tolerances are relative, defaulting to ``DEFAULT_TOL``, and each
@@ -20,6 +21,7 @@ norms of its factors, e.g. ``|P^T y| + |P^T P| |x|`` for ``P^T (y - P x)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +35,16 @@ DEFAULT_TOL = 1e-10
 FIRST_NONZERO_TOL = 1e-9
 
 
-def _as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """The one check of a finite 2-d array; ``name`` labels the errors."""
+def _as_matrix(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """The one check of a finite 2-d array, or with ``stack`` also of a 3-d
+    stack of them; ``name`` labels the errors."""
     try:
         A = np.asarray(M, dtype=float)
     except OverflowError:  # a Python integer beyond the float range
         raise ValueError(f"{name} entries must be finite") from None
-    if A.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d array, got shape {A.shape}")
+    if A.ndim != 2 and not (stack and A.ndim == 3):
+        kind = "a 2-d array or a 3-d stack" if stack else "a 2-d array"
+        raise ValueError(f"{name} must be {kind}, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
         raise ValueError(f"{name} entries must be finite")
     return A
@@ -116,7 +120,8 @@ def orth_complement(B, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PencilExpansion:
-    """Polynomial data of the pencil ``C(eps) = A^T A + eps E^T E``.
+    """Polynomial data of the pencil ``C(eps) = A^T A + eps E^T E``, or of
+    each pencil of a stack.
 
     ``det_coeffs`` and ``adj_coeffs`` hold Taylor coefficients: writing
     ``det C(eps) = sum_k c_k eps^k`` and ``adj C(eps) = sum_k G_k eps^k``,
@@ -128,50 +133,73 @@ class PencilExpansion:
     ``first_nonzero`` is the smallest ``k`` with ``|c_k|`` above
     ``FIRST_NONZERO_TOL`` relative to the largest coefficient.  It exists
     because ``C(1) = (A+E)^T (A+E)`` is positive definite.
+
+    For one pencil ``det_coeffs`` has shape ``(p+1,)``, ``adj_coeffs``
+    ``(p, p, p)`` with ``adj_coeffs[k]`` the matrix ``G_k``, and
+    ``first_nonzero`` is an int.  A stack adds one leading axis to each, and
+    slice ``i`` of every field is bit for bit the expansion of pencil ``i``.
     """
 
     size: int
     det_coeffs: np.ndarray
-    adj_coeffs: tuple[np.ndarray, ...]
-    first_nonzero: int
+    adj_coeffs: np.ndarray
+    first_nonzero: int | np.ndarray
 
-    def adj_coeff(self, k: int) -> np.ndarray:
-        """Taylor coefficient ``k`` of the adjugate; zero outside ``0..p-1``."""
-        if 0 <= k < len(self.adj_coeffs):
-            return self.adj_coeffs[k]
-        return np.zeros((self.size, self.size))
+    def adj_coeff(self, k) -> np.ndarray:
+        """Taylor coefficient ``k`` of the adjugate; zero outside ``0..p-1``.
+        For a stack, ``k`` holds one index per pencil."""
+        zero = np.zeros_like(self.adj_coeffs[..., :1, :, :])
+        padded = np.concatenate([zero, self.adj_coeffs, zero], axis=-3)
+        k = np.clip(np.asarray(k) + 1, 0, self.size + 1)[..., None, None, None]
+        return np.take_along_axis(padded, k, axis=-3)[..., 0, :, :]
 
 
 def _poly_coeffs(nodes, values) -> np.ndarray:
-    """Coefficients (ascending) of the polynomial interpolating ``values`` at
-    ``nodes``; exact for polynomials of degree ``< len(nodes)``.
+    """Per pencil of a stack, the coefficients (ascending) of the polynomial
+    interpolating ``values`` at ``nodes``; exact for polynomials of degree
+    ``< len(nodes)``.
 
-    ``values`` is a float array, one entry per node along axis 0; trailing
-    axes (e.g. matrices) are interpolated entrywise.
+    ``values`` is a ``(K, len(nodes), ...)`` float array; trailing axes
+    (e.g. matrices) are interpolated entrywise.  The Vandermonde matrix is
+    broadcast over ``K``, so each pencil runs the solve it runs alone.
     """
     V = np.vander(np.asarray(nodes, dtype=float), increasing=True)
-    return np.linalg.solve(V, values.reshape(len(V), -1)).reshape(values.shape)
+    flat = values.reshape(*values.shape[:2], math.prod(values.shape[2:]))
+    return np.linalg.solve(V, flat).reshape(values.shape)
+
+
+# The pencil's checks, in the order they are made; an error names the first
+# check that the first failing pencil of a stack fails.
+_PENCIL_ERRORS = (
+    "columns of A are not orthogonal to columns of E",
+    "matrix entries must be finite",
+    "A + E must have full column rank",
+    "all determinant coefficients vanish; input is numerically invalid",
+    "no determinant coefficient above tolerance",
+)
 
 
 def pencil_expand(A, E, tol: float = DEFAULT_TOL) -> PencilExpansion:
     """Expand ``det`` and ``adj`` of ``C(eps) = A^T A + eps E^T E`` as
-    polynomials in ``eps``.
+    polynomials in ``eps``, for one pencil or for a stack of them.
 
     Parameters
     ----------
     A, E:
-        Same-shape ``n x p`` matrices.  Every column of ``A`` must be
-        orthogonal to every column of ``E``, and ``A + E`` must have full
-        column rank (so ``C(eps)`` is positive definite for ``eps > 0``).
+        Same-shape ``n x p`` matrices, or ``(K, n, p)`` stacks of ``K``
+        pencils.  Every column of ``A`` must be orthogonal to every column
+        of ``E``, and ``A + E`` must have full column rank (so ``C(eps)`` is
+        positive definite for ``eps > 0``).
     tol:
         Relative tolerance for the orthogonality and rank preconditions.
 
     Raises
     ------
     ValueError
-        On shape mismatch, violated orthogonality, rank-deficient ``A + E``,
-        or a determinant with all coefficients below tolerance (numerically
-        invalid input).
+        On shape mismatch, violated orthogonality, an ``A + E`` that
+        overflows or is rank-deficient, or a determinant with all
+        coefficients below tolerance (numerically invalid input).  A stack
+        raises what the first failing pencil raises alone.
 
     Notes
     -----
@@ -180,43 +208,48 @@ def pencil_expand(A, E, tol: float = DEFAULT_TOL) -> PencilExpansion:
     (adjugate, entrywise degree ``<= p-1``) followed by exact-degree
     interpolation.  ``C(eps)`` is positive definite at every positive node,
     so the adjugate is ``det * inverse`` there, from the same determinants.
-    Whatever ``p`` is, a call runs one values-only SVD of the stack ``A``,
-    ``E``, ``A + E``, one ``det`` of all nodes, one ``inv`` of the positive
-    ones and the two solves.  A stacked matrix takes the LAPACK path it takes
-    alone, so the coefficients are bit for bit those of node-by-node calls.
+    One pencil is a stack of one.  Whatever ``K`` and ``p`` are, a call runs
+    one values-only SVD of the stack ``A``, ``E``, ``A + E``, one ``det`` of
+    all nodes, one ``inv`` of the positive ones and the two solves.  A
+    stacked matrix takes the LAPACK path it takes alone, so the coefficients
+    are bit for bit those of pencil-by-pencil, node-by-node calls.
     """
-    A = _as_matrix(A)
-    E = _as_matrix(E)
+    A = _as_matrix(A, stack=True)
+    E = _as_matrix(E, stack=True)
     if A.shape != E.shape:
         raise ValueError(f"shape mismatch: A is {A.shape}, E is {E.shape}")
-    p = A.shape[1]
-    if p == 0:
-        return PencilExpansion(0, np.array([1.0]), (), 0)
+    one = A.ndim == 2
+    A, E = A.reshape(-1, *A.shape[-2:]), E.reshape(-1, *E.shape[-2:])
+    p = A.shape[2]
 
-    s = np.linalg.svd(np.stack([A, E, A + E]), compute_uv=False)
-    scale = s[0, 0] * s[1, 0] if A.size else 0.0
-    if not _negligible(np.max(np.abs(A.T @ E), initial=0.0), scale, tol):
-        raise ValueError("columns of A are not orthogonal to columns of E")
-    if np.isnan(s[2]).any():  # A + E overflowed
-        raise ValueError("matrix entries must be finite")
-    if _kept(s[2], tol).sum() < p:
-        raise ValueError("A + E must have full column rank")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails a check instead
+        S = A + E
+        finite = np.isfinite(S).all(axis=(1, 2))
+        S[~finite] = 0.0
+        s = np.linalg.svd(np.stack([A, E, S], axis=1), compute_uv=False)
+        top = s.max(axis=2, initial=0.0)
+        cross = np.abs(A.mT @ E).max(axis=(1, 2), initial=0.0)
+        orth = _negligible(cross, top[:, 0] * top[:, 1], tol)
+        full = _kept(s[:, 2], tol).sum(axis=1) == p
+        ok = orth & finite & full
+        C = (A.mT @ A)[ok, None] + np.arange(p + 1.0)[:, None, None] * (E.mT @ E)[ok, None]
+        det_vals = np.linalg.det(C)
+        det_coeffs = _poly_coeffs(np.arange(p + 1), det_vals)
+        adj_vals = det_vals[:, 1:, None, None] * np.linalg.inv(C[:, 1:])
+        adj = _poly_coeffs(np.arange(1, p + 1), adj_vals) if p > 1 else np.ones((len(C), p, p, p))
 
-    C = A.T @ A + np.arange(p + 1.0)[:, None, None] * (E.T @ E)
-    det_vals = np.linalg.det(C)
-    det_coeffs = _poly_coeffs(np.arange(p + 1), det_vals)
+    cmax = np.abs(det_coeffs).max(axis=1)
+    nonzero = np.abs(det_coeffs) > FIRST_NONZERO_TOL * cmax[:, None]
+    passed = np.ones((len(_PENCIL_ERRORS), len(A)), dtype=bool)
+    passed[:3] = orth, finite, full
+    passed[3:, ok] = np.isfinite(cmax) & (cmax > 0.0), nonzero.any(axis=1)
+    failed = np.flatnonzero(~passed.all(axis=0))
+    if failed.size:
+        raise ValueError(_PENCIL_ERRORS[np.argmin(passed[:, failed[0]])])
+    first = nonzero.argmax(axis=1)
 
-    adj_vals = det_vals[1:, None, None] * np.linalg.inv(C[1:])
-    adj = _poly_coeffs(np.arange(1, p + 1), adj_vals) if p > 1 else np.ones((1, 1, 1))
-
-    cmax = np.max(np.abs(det_coeffs))
-    if cmax <= 0.0 or not np.isfinite(cmax):
-        raise ValueError("all determinant coefficients vanish; input is numerically invalid")
-    nonzero = np.flatnonzero(np.abs(det_coeffs) > FIRST_NONZERO_TOL * cmax)
-    if nonzero.size == 0:
-        raise ValueError("no determinant coefficient above tolerance")
-    first = int(nonzero[0])
-
-    for a in (det_coeffs, adj):  # the adjugate coefficients are views of adj
+    for a in (det_coeffs, adj, first):
         a.setflags(write=False)
-    return PencilExpansion(p, det_coeffs, tuple(adj), first)
+    if one:
+        return PencilExpansion(p, det_coeffs[0], adj[0], int(first[0]))
+    return PencilExpansion(p, det_coeffs, adj, first)

@@ -287,7 +287,7 @@ class TestCliLimitFits:
 
 
 @pytest.fixture
-def membership_calls(monkeypatch):
+def fit_and_pencil_calls(monkeypatch):
     """The sample of every ``mle._fit`` call and the count of
     ``pencil_expand`` calls, wherever either is bound."""
     samples, pencils = [], [0]
@@ -310,7 +310,7 @@ def membership_calls(monkeypatch):
 
 class TestLimitMembershipFits:
     @pytest.mark.parametrize("deep", [False, True], ids=["star", "complete-10"])
-    def test_fits_only_f_and_runs_no_pencil(self, membership_calls, deep):
+    def test_fits_only_f_and_runs_no_pencil(self, fit_and_pencil_calls, deep):
         if deep:
             g = Dag(10, [(j, i) for i in range(2, 11) for j in range(1, i)])
             f = random_rank_deficient(np.random.default_rng(20231106), 10, 10, 1)
@@ -318,10 +318,22 @@ class TestLimitMembershipFits:
         else:
             f, _, g, alpha = star_problem()
         fp = random_perturbation(f, seed=3)
-        samples, pencils = membership_calls
+        samples, pencils = fit_and_pencil_calls
         in_Xf_alpha_lim(VarietyQuery(f=f, candidate=fp, g=g, alpha=alpha))
         assert pencils[0] == 0
         assert samples and all(np.array_equal(A, f) for A in samples)
+
+
+class TestLimitPencils:
+    def test_one_pencil_per_parent_count_group(
+        self, tmp_path, capsys, fit_and_pencil_calls, bench_cli_cases
+    ):
+        case = bench_cli_cases["limit-m20"]
+        _, pencils = fit_and_pencil_calls
+        code, _ = run(tmp_path, capsys, case["problem"], case["command"])
+        assert code == EXIT_OK
+        graph = case["problem"]["graph"]
+        assert pencils[0] == len(Dag(graph["m"], graph["edges"])._parent_groups) == 3
 
 
 @pytest.fixture
@@ -358,23 +370,28 @@ class TestSvdsPerCommand:
     (``is_perturbation``: one each for ``f`` and ``f'``; ``validate_lift``: one
     for ``f`` and one per stage map), on the benchmark's m = 20 problem and
     star membership queries.  A stacked SVD counts once: ``pencil_expand`` runs
-    one for ``A``, ``E`` and ``A + E``, and the fit one per parent-count group
-    (3 groups here), which is all ``classify`` and ``estimate`` run.
+    one for ``A``, ``E`` and ``A + E`` of every pencil of a parent-count group,
+    and the fit one per group (3 groups here), which is all ``classify`` and
+    ``estimate`` run.
     ``random_lift`` reads each map's rank, image and kernel from one thin SVD.
     ``stabilize`` runs 9: ``random_lift`` 4 (the sample, the two of
     ``orth_complement`` and the one stage map), ``validate_lift`` 2,
     ``is_perturbation`` 2 and the rank of ``f + f'``; the report's stage ranks
-    are the ones ``validate_lift`` checked.  The previous counts were 6 and 6
-    (a second batched SVD per group gave the parent-and-self ranks), 17, 11
-    then 10, 99, 93 then 55, 24 then 18, and 6; at 11, 55 and 18
-    ``random_lift`` still factored the sample twice, and at 10 the CLI decided
-    each stage map's rank again."""
+    are the ones ``validate_lift`` checked.  ``limit`` runs 38: ``random_lift``
+    4, ``validate_lift`` 2, ``is_perturbation`` 2, 27 in 9 fits (``f``,
+    ``f'`` and ``f + f'`` in ``limit_mle``, one per grid point of the numeric
+    route) and ``pencil_expand`` 3, one per group.  The previous counts were 6
+    and 6 (a second batched SVD per group gave the parent-and-self ranks), 17,
+    11 then 10, 99, 93, 55 then 54, 24 then 18, and 6; at 11, 55 and 18
+    ``random_lift`` still factored the sample twice, at 10 the CLI decided
+    each stage map's rank again, and at 54 the pencil ran once per child
+    vertex (19 times)."""
 
     @pytest.mark.parametrize("label,want", [
         ("classify-m20", 3),
         ("estimate-m20", 3),
         ("stabilize-m20", 9),
-        ("limit-m20", 54),
+        ("limit-m20", 38),
         ("check-m20", 17),
         ("membership-star6-inside", 3),
         ("membership-star6-moved-alpha", 3),

@@ -318,6 +318,16 @@ class TestErrorHandling:
         path.write_text("{not json")
         assert main(["classify", "--input", str(path)]) == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_unwritable_output(self, tmp_path, capsys, where):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(collider_problem(Y_ID)))
+        out = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+        assert main(["estimate", "--input", str(path), "--output", str(out)]) == EXIT_SCHEMA
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("error: cannot write output:")
+        assert err.count("\n") == 1
+
     def test_semantic_cycle(self, tmp_path):
         problem = {
             "graph": {"m": 2, "edges": [[1, 2], [2, 1]]},

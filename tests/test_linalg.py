@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from dagstab.linalg import (
     pencil_expand,
     rank,
 )
+from dagstab.mle import _groups
 from _helpers import fraction_rank, random_orthogonal_pair
 
 
@@ -104,6 +107,20 @@ def _reference_pencil(A, E):
     return det_coeffs, adj, int(first)
 
 
+def _assert_stack_matches_single_calls(A, E):
+    """Slice ``i`` of the stacked expansion is the 2-d call on ``(A[i], E[i])``."""
+    stacked = pencil_expand(A, E)
+    assert stacked.det_coeffs.shape == (len(A), A.shape[2] + 1)
+    for i, (A_i, E_i) in enumerate(zip(A, E)):
+        pe = pencil_expand(A_i, E_i)
+        assert np.array_equal(stacked.det_coeffs[i], pe.det_coeffs)
+        assert np.array_equal(stacked.adj_coeffs[i], pe.adj_coeffs)
+        assert stacked.first_nonzero[i] == pe.first_nonzero
+        for shift in (-1, 0):  # the two coefficients the limit reads
+            G = stacked.adj_coeff(stacked.first_nonzero + shift)[i]
+            assert np.array_equal(G, pe.adj_coeff(pe.first_nonzero + shift))
+
+
 def _assert_matches_reference(A, E):
     pe = pencil_expand(A, E)
     det_coeffs, adj, first = _reference_pencil(A, E)
@@ -138,6 +155,55 @@ class TestStackedPencilIsBitIdentical:
                     _assert_matches_reference(pert.base[:, cols], pert.delta[:, cols])
                     seen += 1
         assert seen >= len(perfbench_inputs.KNOWN_FAILURES)
+
+    @pytest.mark.parametrize("layout", ["c", "groups"])
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_random_stacks(self, p, layout):
+        rng = np.random.default_rng(100 + p)
+        pairs = [random_orthogonal_pair(rng, 2 * p + 2, p, ra, p - ra) for ra in range(p + 1)]
+        A, E = (np.stack(M) for M in zip(*pairs))
+        if layout == "groups":  # the column-major slices that mle._groups stacks
+            A, E = (np.ascontiguousarray(M.transpose(0, 2, 1)).transpose(0, 2, 1) for M in (A, E))
+        _assert_stack_matches_single_calls(A, E)
+
+    def test_known_failures_stacked_per_group(self, perfbench_inputs):
+        groups = 0
+        for spec in perfbench_inputs.KNOWN_FAILURES:
+            case = perfbench_inputs._known_failure(*spec)
+            pert = build_from_lift(random_lift(case.sample, case.lift_seed))
+            for _, (A, _), (E, _) in _groups(Dag(case.m, case.edges), pert.base, pert.delta):
+                _assert_stack_matches_single_calls(A, E)
+                groups += 1
+        assert groups >= 2 * len(perfbench_inputs.KNOWN_FAILURES)
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize("fault,message", [
+        ("orthogonality", "orthogonal"),
+        ("overflow", "entries must be finite"),
+        ("rank", "full column rank"),
+        ("scale", "all determinant coefficients vanish"),
+    ])
+    def test_a_failing_pencil_raises_its_own_message(self, fault, message, at):
+        rng = np.random.default_rng(5)
+        A, E = (np.stack(M) for M in zip(*[random_orthogonal_pair(rng, 8, 3, 2, 2)] * 5))
+        if fault == "orthogonality":
+            E[at] = A[at]
+        elif fault == "overflow":
+            A[at, 0, 0] = E[at, 0, 0] = 1e308
+        elif fault == "rank":
+            E[at] = 0.0
+        else:  # det C overflows
+            A[at], E[at] = 1e100 * A[at], 1e100 * E[at]
+        first = at
+        if at > 0:  # an earlier pencil that fails only a later check still comes first
+            first = at - 1
+            A[first], E[first] = 1e100 * A[first], 1e100 * E[first]
+            message = "all determinant coefficients vanish"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for args in ((A, E), (A[first], E[first])):
+                with pytest.raises(ValueError, match=message):
+                    pencil_expand(*args)
 
 
 def _det_at(pe, eps):
@@ -188,8 +254,11 @@ class TestPencilExpand:
             pencil_expand(A, E)
 
     def test_rejects_an_overflowing_sum(self):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="entries must be finite"):
-            pencil_expand([[1e308]], [[1e308]])
+        # no np.errstate: the overflow of A + E must be the error, not a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="entries must be finite"):
+                pencil_expand([[1e308]], [[1e308]])
 
     def test_reconstruction_sweep(self):
         rng = np.random.default_rng(31)

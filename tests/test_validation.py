@@ -222,6 +222,17 @@ class TestLimitSolveNumeric:
         with pytest.raises(ValueError, match="shape|entries, one per row of A"):
             limit_solve_numeric(A, E, b, v)
 
+    @pytest.mark.parametrize("s", [1e200, 1e-200])
+    def test_rejects_a_squared_norm_out_of_range(self, s):
+        # a divergent system; at 1e200 it came back diverged=False with [0, 1.009e-198]
+        A, E = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        b, v = np.array([0.0, 1.0]), np.zeros(2)
+        assert limit_solve_numeric(A, E, b, v).diverged
+        with pytest.raises(ValueError, match=r"\[A E\] has a column whose squared norm"):
+            limit_solve_numeric(s * A, s * E, b, v)
+        with pytest.raises(ValueError, match=r"\[b v\] has a column whose squared norm"):
+            limit_solve_numeric(A, E, s * b, v)
+
 
 class TestEpsilonGrid:
     @pytest.mark.parametrize("grid", [(np.nan, 1e-3), (np.inf, 1e-3)], ids=["nan", "inf"])
