@@ -3,8 +3,9 @@
 
 Writes a problem file, then drives the classify / stabilize / limit
 subcommands as separate processes, exactly as a shell pipeline would.
-Reports are JSON with floats at 17 significant digits, so identical inputs
-and seeds are byte-reproducible.
+Reports are JSON written by ``json.dumps``; each float is its shortest text
+that reads back to the same double, so identical inputs and seeds are
+byte-reproducible.
 """
 
 import json

@@ -9,16 +9,17 @@ unwritable output); semantic errors such as cycles or shape mismatches exit
 with code 3.  Reports validate against
 ``schema/report.json``.  :func:`main` writes each report's first two keys,
 ``command`` and ``tol``, and a ``stabilize`` stage's ``mapRank`` is the rank
-that :func:`dagstab.stabilise.build_from_lift` validated.  Validation and
-serialisation each make one pass over the entries: an array of plain numbers
-is checked, and a list of floats written, without a call per entry.
+that :func:`dagstab.stabilise.build_from_lift` validated.  Validation makes
+one pass over the entries: an array of plain numbers is checked without a
+call per entry.
 
 ``tol`` (from ``--tol`` or the file) must lie strictly between 0 and 1, and
 the epsilon grid (from ``--eps-grid`` or the file) must be finite, positive
 and strictly decreasing; anything else exits with code 3.
 
-Floats are serialised at 17 significant digits, so identical input and seed
-produce byte-identical output.
+Reports are written by :func:`json.dumps`, two spaces per level.  Each float
+is its shortest text that reads back to the same double, so identical input
+and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -42,57 +43,6 @@ EXIT_SEMANTIC = 3
 
 class SemanticError(ValueError):
     """Problem file is schema-valid but semantically unusable."""
-
-
-# ---------------------------------------------------------------------------
-# JSON serialisation with fixed float formatting
-
-
-def _format_scalar(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if x is None:
-        return "null"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        value = float(x)
-        if not math.isfinite(value):
-            raise ValueError("reports must not contain non-finite numbers")
-        return format(value, ".17g")
-    if isinstance(x, str):
-        return json.dumps(x)
-    raise TypeError(f"cannot serialise {type(x).__name__}")
-
-
-def dumps_report(obj) -> str:
-    """Serialise a report, two spaces per level, with floats at 17 significant digits."""
-
-    def go(node, level):
-        pad = "  " * level
-        inner = "  " * (level + 1)
-        if type(node) is list and node and set(map(type, node)) == {float}:
-            # a vector or matrix row: one join, the scalar path's format and check
-            if not all(map(math.isfinite, node)):
-                raise ValueError("reports must not contain non-finite numbers")
-            body = (",\n" + inner).join([format(v, ".17g") for v in node])
-            return "[\n" + inner + body + "\n" + pad + "]"
-        if isinstance(node, dict):
-            if not node:
-                return "{}"
-            parts = [
-                f"{inner}{json.dumps(str(k))}: {go(v, level + 1)}"
-                for k, v in node.items()
-            ]
-            return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-        if isinstance(node, (list, tuple)):
-            if not len(node):
-                return "[]"
-            parts = [f"{inner}{go(v, level + 1)}" for v in node]
-            return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-        return _format_scalar(node)
-
-    return go(obj, 0) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +383,11 @@ def _parse_eps_grid(text: str) -> tuple[float, ...]:
     except ValueError as exc:
         raise SemanticError(f"bad epsilon grid: {exc}") from exc
     return limits._check_grid(values)
+
+
+def dumps_report(report) -> str:
+    """Serialise a report, two spaces per level; non-finite numbers raise ``ValueError``."""
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def main(argv=None) -> int:

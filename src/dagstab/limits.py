@@ -298,14 +298,20 @@ def limit_mle_numeric(
     stacked Neville table; ``epsilon_independent`` and ``diagnostics`` stay
     empty.  A variance is absent when its extrapolated value is zero at the
     combined tolerance/extrapolation-error scale.  The limit does not depend
-    on the size of ``f'``: one below ``tol / min(grid)`` times ``f`` (largest
-    column norms) is evaluated at ``s * eps``, ``s`` the power of two that
-    brings it to the size of ``f``, leaving the table in ``eps^2`` exact.
+    on the size of ``f'`` against ``f`` (largest column norms): one below
+    ``tol / min(grid)`` times ``f`` is evaluated at ``s * eps``, ``s`` the
+    power of two that brings it up to the size of ``f``, and one above ``f``
+    at the ``s`` that brings it down to at most that size, leaving the table
+    in ``eps^2`` exact.
     """
     grid = _check_grid(eps_grid)
     pert = _as_perturbation(f, fp, tol, g.m)
     nf, nd = (_norms(M.T).max(initial=0.0) for M in (pert.base, pert.delta))
-    s = 2.0 ** math.ceil(math.log2(nf / nd)) if 0 < nd < nf * tol / grid[-1] else 1.0
+    s = 1.0
+    if 0 < nd < nf * tol / grid[-1]:
+        s = 2.0 ** math.ceil(math.log2(nf / nd))
+    elif nd > nf > 0:
+        s = 2.0 ** math.floor(math.log2(nf / nd))
     estimates = [mle_at_epsilon(None, pert, g, s * eps, tol) for eps in grid]
 
     # per grid point: every child's coefficient vector, in the edge order, then every variance

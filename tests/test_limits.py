@@ -187,6 +187,25 @@ class TestLimitNumeric:
         for key, value in ref.lam.items():
             assert abs(got.lam[key] - value) < 1e-8, key
 
+    @pytest.mark.parametrize("s", [1e5, 1e8])
+    def test_large_perturbation_gives_the_unscaled_limit(self, s):
+        # unscaled, the grid's eps leave f + eps s f' far from f, where the
+        # extrapolation gives (-0.5, -0.5) with no divergence flag;
+        # limit_mle is not compared: its pencil raises on these inputs
+        f = np.zeros((4, 3))
+        f[0, 0] = f[1, 1] = 1.0
+        f[:, 2] = f[:, 0] + f[:, 1]
+        fp = np.outer(np.eye(4)[2], [1.0, 1.0, -1.0]) / np.sqrt(3.0)
+        g = collider()
+        ref, got = limit_mle_numeric(f, fp, g), limit_mle_numeric(f, s * fp, g)
+        assert (got.omega_exists, got.partial, got.diverged) == (
+            ref.omega_exists, ref.partial, ref.diverged
+        ) == ({1: True, 2: True, 3: False}, True, False)
+        assert got.lam.keys() == ref.lam.keys()
+        assert np.max(np.abs(got.lambda_vector(g, 3) - [1.0, 1.0])) < 1e-8
+        for key, value in ref.lam.items():
+            assert abs(got.lam[key] - value) < 1e-8, key
+
 
 class TestLimitAnalytic:
     def test_full_rank_parents_reduce_to_normal_equations(self):

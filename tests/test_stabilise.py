@@ -241,6 +241,19 @@ class TestRandomLift:
         with pytest.raises(ValueError, match="tol"):
             random_lift(np.zeros((4, 2)), seed=7, tol=tol)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValueError,
+        reason="random_lift draws its stage maps at unit scale, not in the sample's units, "
+        "so far from unit scale f + f' loses rank to roundoff",
+    )
+    @pytest.mark.parametrize("k", [40, -40])
+    def test_stabilises_the_sample_in_any_units(self, k):
+        f = np.array([[1.0, 1.0, 2.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        F = np.ldexp(f, k)
+        out = stabilize(F, build_from_lift(random_lift(F, seed=7)))
+        assert rank(out) == 3
+
 
 def test_deep_lift_chain():
     # force a five-term lift on a rank-1 sample with a four-dimensional

@@ -309,6 +309,43 @@ class TestAlpha:
         assert not is_mle(Y, g, est)
 
 
+class TestCliErrorBranches:
+    """Each semantic check of the CLI's own parsing exits 3 with one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "data,command,flags,message",
+        [
+            (problem(perturbation=LINE_PERT[:3]), "limit", [],
+             "perturbation must have the same shape as the sample"),
+            (problem(perturbation=[row[:2] for row in LINE_PERT]), "limit", [],
+             "perturbation must have the same shape as the sample"),
+            (problem(perturbation=LINE_PERT, alpha={"lambda": [[4, 1, 1.0]]}), "membership", [],
+             "alpha lambda child index 4 outside 1..3"),
+            (problem(perturbation=LINE_PERT, alpha={"omega": [[0, 1.0]]}), "membership", [],
+             "alpha omega vertex index 0 outside 1..3"),
+            (problem(), "stabilize", ["--seed", str(2**64)],
+             "seed must fit in an unsigned 64-bit integer"),
+            (problem(settings={"seed": 2**64}), "stabilize", [],
+             "seed must fit in an unsigned 64-bit integer"),
+            (problem(alpha={"lambda": [[3, 1, 1.0], [3, 2, 1.0]]}), "membership", [],
+             "membership queries need an explicit perturbation"),
+            (problem(perturbation=LINE_PERT), "limit", ["--eps-grid", "abc,1e-3"],
+             "bad epsilon grid: could not convert string to float: 'abc'"),
+            (problem(perturbation=LINE_PERT), "limit", ["--eps-grid", ","],
+             "epsilon grid must be non-empty"),
+        ],
+        ids=[
+            "perturbation-rows", "perturbation-columns", "alpha-lambda-index",
+            "alpha-omega-index", "seed-flag", "seed-file", "membership-without-perturbation",
+            "eps-grid-token", "eps-grid-empty",
+        ],
+    )
+    def test_exits_semantic(self, tmp_path, capsys, data, command, flags, message):
+        result = run(tmp_path, capsys, data, command, *flags)
+        assert_semantic_error(result, message)
+        assert result[2].count("\n") == 1
+
+
 class TestPerturbationChecksPerCall:
     @pytest.fixture
     def calls(self, monkeypatch):
