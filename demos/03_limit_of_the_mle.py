@@ -3,9 +3,11 @@
 
 For every nonzero eps the estimate is unique; as eps -> 0 it converges, and
 the limit is computable two independent ways: by extrapolating estimates
-along an eps grid, and in closed form from the determinant/adjugate
-expansion of the parent-column pencil.  When the original sample admits an
-MLE, the limit is one.
+along an eps grid, and in closed form.  The closed form is the unique fit
+of f where the parent columns have full rank, as at vertex 3 here, and
+otherwise comes from the determinant/adjugate expansion of the
+parent-column pencil.  When the original sample admits an MLE, the limit
+is one.
 
 The sample below has its third column inside the span of the first two, so
 no MLE exists given f; the unique edge-weight MLE (1, 1) given f is still

@@ -10,6 +10,8 @@ membership in the parameter-space varieties that classify which estimates
 arise this way.
 """
 
+from types import ModuleType as _ModuleType
+
 from .graph import (
     ABOVE_NO_COLLIDERS,
     ABOVE_WITH_COLLIDERS,
@@ -89,69 +91,8 @@ from .varieties import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ABOVE_NO_COLLIDERS",
-    "ABOVE_WITH_COLLIDERS",
-    "AlphaNotMleError",
-    "BELOW_DEPTH",
-    "BETWEEN",
-    "Classification",
-    "CollineationLift",
-    "Dag",
-    "DEFAULT_EPS_GRID",
-    "DEFAULT_TOL",
-    "EXISTS_NON_UNIQUE",
-    "EXISTS_UNIQUE",
-    "InvalidLiftError",
-    "InvalidPerturbationError",
-    "LiftStage",
-    "LimitResult",
-    "MleEstimate",
-    "NONEXISTENT",
-    "NumericLimit",
-    "PencilExpansion",
-    "Perturbation",
-    "PerturbationCheck",
-    "Regime",
-    "VarietyQuery",
-    "VertexDiagnostics",
-    "build_from_lift",
-    "check_alpha_fixed",
-    "check_full_condition",
-    "check_lambda_condition",
-    "classify",
-    "covariance",
-    "depth",
-    "duplicate",
-    "full_mle",
-    "image_basis",
-    "in_Xf",
-    "in_Xf_alpha",
-    "in_Xf_alpha_lim",
-    "is_lambda_mle",
-    "is_mle",
-    "is_perturbation",
-    "is_star",
-    "is_transitive",
-    "kernel_basis",
-    "lambda_kernel_basis",
-    "lambda_mle",
-    "limit_mle",
-    "limit_mle_numeric",
-    "limit_solve_numeric",
-    "loglik",
-    "mle_at_epsilon",
-    "mlt",
-    "omega_mle",
-    "orth_complement",
-    "parents",
-    "pencil_expand",
-    "random_lift",
-    "rank",
-    "regime",
-    "stabilize",
-    "star",
-    "star_min_norm_mle",
-    "unshielded_colliders",
-    "validate_lift",
-]
+# every public name imported above, and no submodule
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -14,7 +14,9 @@ two ways:
   child vertex is ``(G_l u + G_{l-1} w) / c_l`` where ``l`` is the first
   index with ``c_l != 0``, ``u`` collects the inner products of the parent
   columns of ``f`` with the projected target column, and ``w`` the same for
-  the perturbation.
+  the perturbation.  Where the parent columns ``A`` have full rank this is
+  ``l = 0``: the limit is the unique MLE given ``f``, ``x_A``, with
+  ``c_0 = det(A^T A)`` and ``D_0 = c_0 x_A``.
 
 The analytic route is :func:`limit_mle`, the one analytic entry.  It reads
 fits of :func:`dagstab.mle._fit`, which factorises each parent-count group
@@ -23,8 +25,12 @@ reports), ``vbar`` that in the fit of ``f'``, and the two span conditions
 project onto the kept left singular vectors of the fit of ``f + f'``.  The
 numeric route calls only :func:`mle_at_epsilon`, once per grid point, and
 extrapolates every edge-weight vector and variance through one stacked
-Neville table.  The pencil expansion and the numerators run once per
-parent-count group too, on stacks of the group's pencils.  Zero tests go
+Neville table.  A child whose parent block has full rank in the fit of
+``f`` (the fit's ``_kept`` cut, not ``FIRST_NONZERO_TOL``) takes ``x_A``
+from that fit, with ``l = 0``, ``c_0`` the product of the fit's squared
+singular values and ``D_0 = c_0 x_A``.  The pencil expansion and the
+numerators run only at children whose parent block has a kernel, once per
+parent-count group that has one, on the stack of those pencils.  Zero tests go
 through :func:`dagstab.linalg._negligible`: a span condition holds when the
 residual of its target is at most ``tol`` times the target's norm plus the
 largest column norm of ``f'``, and a numeric variance limit vanishes at
@@ -36,10 +42,10 @@ pencils; only the analytic one fills ``epsilon_independent`` and
 ``diagnostics``, only the numeric one ``extrapolation_error`` and the
 divergence flags.  Every analytic limit is checked against the two
 limit-variety equations of :mod:`dagstab.varieties` before it is returned.
-On deep pencils (from about 8 parents at a low sample rank) the pencil
-expansion interpolates on ill-conditioned Vandermonde systems and can lose
-every digit; ``limit_mle`` then raises instead of returning wrong weights
-(ROADMAP.md, open item 1).
+On deep pencils with a kernel (from about 8 parents at a low sample rank)
+the pencil expansion interpolates on ill-conditioned Vandermonde systems
+and can lose every digit; ``limit_mle`` then raises instead of returning
+wrong weights (ROADMAP.md, open item 2).
 """
 
 from __future__ import annotations
@@ -361,8 +367,13 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
     """Limit MLE given ``f + eps f'``: the closed-form edge weights plus the
     variance limits ``|f_i - proj(f_i)|^2 / n``.
 
-    The pencils of the parent submatrices are expanded one stack per
-    parent-count group, and the edge-weight limit at each child is
+    At a child whose parent columns ``A`` have full rank in the fit of
+    ``f`` the edge-weight limit is that fit's unique ``x_A``, with ``l = 0``,
+    ``c_0 = det(A^T A)`` (the product of the fit's squared singular values)
+    and ``D_0 = c_0 x_A``; a ``c_0`` that overflows or underflows, or a
+    ``D_0`` that overflows, raises the pencil's "all determinant
+    coefficients vanish" error.  At the other children the pencils are
+    expanded one stack per parent-count group, and the limit is
     ``(G_l u + G_{l-1} w) / c_l`` as described in the module docstring.
     The variance limit coincides with the variance MLE given ``f`` wherever
     the latter exists; when it exists everywhere the assembled limit is an
@@ -374,19 +385,36 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
     fit = _fit(pert.base, g, tol)
     vbar, cond, _ = _conditions(pert, g, tol, fit)
     starts = np.cumsum(g._parent_counts) - g._parent_counts  # each vertex's first edge
-    weights = np.zeros(len(g._edge_keys))
+    weights = fit.coef.copy()
     diagnostics: dict[int, VertexDiagnostics] = {}
-    for cols, (A, _), (E, _) in _groups(g, pert.base, pert.delta):
-        pencil = pencil_expand(A, E, tol)
-        l = pencil.first_nonzero
-        c_l = pencil.det_coeffs[np.arange(len(l)), l]
-        D_l = (
-            pencil.adj_coeff(l) @ (A.mT @ fit.proj[cols][:, :, None])
-            + pencil.adj_coeff(l - 1) @ (E.mT @ vbar[cols][:, :, None])
-        )[:, :, 0]
-        weights[starts[cols, None] + np.arange(pencil.size)] = D_l / c_l[:, None]
-        records = map(VertexDiagnostics, l.tolist(), c_l.tolist(), D_l)
-        diagnostics.update(zip((cols + 1).tolist(), records))
+    for (cols, (A, _), (E, _)), (*_, s) in zip(_groups(g, pert.base, pert.delta), fit.spans):
+        p = A.shape[2]
+        edges = starts[cols, None] + np.arange(p)
+        kernel = fit.rank[cols] < p
+        if not kernel.all():
+            # full rank: the unique fit is the limit, l = 0 and c_0 = det(A^T A) = prod s^2
+            with np.errstate(over="ignore", invalid="ignore"):
+                c_0 = np.prod(s[~kernel] ** 2, axis=1)
+                D_0 = c_0[:, None] * weights[edges[~kernel]]
+            if not ((c_0 > 0) & np.isfinite(D_0).all(axis=1)).all():
+                raise ValueError(
+                    "all determinant coefficients vanish; input is numerically invalid"
+                )
+            records = map(VertexDiagnostics, [0] * len(c_0), c_0.tolist(), D_0)
+            diagnostics.update(zip((cols[~kernel] + 1).tolist(), records))
+        if kernel.any():
+            if not kernel.all():
+                cols, A, E, edges = cols[kernel], A[kernel], E[kernel], edges[kernel]
+            pencil = pencil_expand(A, E, tol)
+            l = pencil.first_nonzero
+            c_l = pencil.det_coeffs[np.arange(len(l)), l]
+            D_l = (
+                pencil.adj_coeff(l) @ (A.mT @ fit.proj[cols][:, :, None])
+                + pencil.adj_coeff(l - 1) @ (E.mT @ vbar[cols][:, :, None])
+            )[:, :, 0]
+            weights[edges] = D_l / c_l[:, None]
+            records = map(VertexDiagnostics, l.tolist(), c_l.tolist(), D_l)
+            diagnostics.update(zip((cols + 1).tolist(), records))
     diagnostics = {i: diagnostics[i] for i in g.child_vertices()}
     lam = dict(zip(_edge_pairs(g), weights.tolist()))
     bad = _limit_equation_failures(pert, g, lam, tol, fit)

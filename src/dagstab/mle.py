@@ -128,9 +128,9 @@ class _Fit:
     ``rank`` the rank of the parent columns, ``proj`` (one row per vertex)
     the projection onto them, ``resid_sq`` the squared projection residual
     and ``exists`` the strict-positivity decision on it.  ``spans`` holds,
-    per group of the DAG's layout, ``U, keep, V``: its singular vectors
-    (``V`` as columns) and which are kept; :func:`_projection` takes ``U``
-    or ``V``.
+    per group of the DAG's layout, ``U, keep, V, s``: its singular vectors
+    (``V`` as columns), which are kept and the singular values;
+    :func:`_projection` takes ``U`` or ``V``.
     """
 
     coef: np.ndarray
@@ -138,7 +138,7 @@ class _Fit:
     proj: np.ndarray
     resid_sq: np.ndarray
     exists: np.ndarray
-    spans: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    spans: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _groups(g: Dag, *mats: np.ndarray):
@@ -178,7 +178,7 @@ def _fit(A: np.ndarray, g: Dag, tol: float) -> _Fit:
     for cols, (P, Y) in _groups(g, A):
         U, s, Vt = np.linalg.svd(P, full_matrices=False)
         keep = _kept(s, tol)
-        spans.append((U, keep, Vt.transpose(0, 2, 1)))
+        spans.append((U, keep, Vt.transpose(0, 2, 1), s))
         c_kept, proj[cols] = _projection(Y, U, keep)
         x = (np.divide(c_kept, s, out=np.zeros_like(c_kept), where=keep)[:, None, :] @ Vt)[:, 0, :]
         rank[cols] = keep.sum(axis=1)
@@ -305,7 +305,7 @@ def _normal_equation_failures(A: np.ndarray, g: Dag, lam, tol: float, fit=None) 
     for grp, (cols, (P, y), (_, r)) in enumerate(_groups(g, A, R)):
         resid = np.einsum("knp,kn->kp", P, r)
         if fit is not None:
-            _, keep, V = fit.spans[grp]
+            _, keep, V, _ = fit.spans[grp]
             resid = resid - _projection(resid, V, keep)[1]
         resid = np.linalg.norm(resid, axis=1)
         scale = (
@@ -346,7 +346,7 @@ def _is_mle(A: np.ndarray, g: Dag, est: MleEstimate, tol: float, fit: _Fit) -> b
 
 def covariance(est: MleEstimate, g: Dag) -> np.ndarray:
     """Model covariance ``(I - L)^-1 W (I - L)^-T`` assembled from an
-    estimate with all variances present.
+    estimate with every edge weight and every variance present.
 
     ``L`` carries the edge weights (row = child, column = parent) and ``W``
     is the diagonal of variances.  ``I - L`` is unipotent in a topological
@@ -356,6 +356,9 @@ def covariance(est: MleEstimate, g: Dag) -> np.ndarray:
     if not est.all_omega_exist(g):
         missing = [i for i in range(1, m + 1) if not est.omega_exists.get(i, False)]
         raise ValueError(f"variance estimates missing at vertices {missing}")
+    missing = sorted({i for i, j in _edge_pairs(g) if (i, j) not in est.lam})
+    if missing:
+        raise ValueError(f"edge weights missing at vertices {missing}")
     L = _weight_matrix(est.lam, g)
     W = np.diag([est.omega[i] for i in range(1, m + 1)])
     Minv = np.linalg.inv(np.eye(m) - L)

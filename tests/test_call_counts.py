@@ -18,6 +18,7 @@ from dagstab import (
     in_Xf,
     in_Xf_alpha,
     in_Xf_alpha_lim,
+    limit_mle,
     limits,
     linalg,
     mle,
@@ -325,15 +326,27 @@ class TestLimitMembershipFits:
 
 
 class TestLimitPencils:
-    def test_one_pencil_per_parent_count_group(
+    def test_full_rank_command_runs_no_pencil(
         self, tmp_path, capsys, fit_and_pencil_calls, bench_cli_cases
     ):
+        # every parent block of the m = 20 sample has full rank: its limit is the fit
         case = bench_cli_cases["limit-m20"]
         _, pencils = fit_and_pencil_calls
         code, _ = run(tmp_path, capsys, case["problem"], case["command"])
         assert code == EXIT_OK
-        graph = case["problem"]["graph"]
-        assert pencils[0] == len(Dag(graph["m"], graph["edges"])._parent_groups) == 3
+        assert pencils[0] == 0
+
+    def test_one_pencil_per_parent_count_group(self, fit_and_pencil_calls):
+        # one per group with a kernel: at rank 3 a block of up to 3 parents has
+        # full rank, so of the groups p = 1..5 only p = 4 (vertex 5) and
+        # p = 5 (vertices 6 and 8) run one
+        g = Dag(8, tournament(6).edges | {(1, 7), (2, 7), (1, 8), (2, 8), (3, 8), (4, 8), (5, 8)})
+        f = random_rank_deficient(np.random.default_rng(4), 9, 8, 3)
+        kernels = {len(g.parents(i)) for i, d in full_mle(f, g).lambda_kernel_dims.items() if d}
+        fp = random_perturbation(f, seed=4)
+        _, pencils = fit_and_pencil_calls
+        limit_mle(f, fp, g)
+        assert pencils[0] == len(kernels) == 2 < len(g._parent_groups)
 
 
 @pytest.fixture
@@ -377,10 +390,11 @@ class TestSvdsPerCommand:
     ``stabilize`` runs 9: ``random_lift`` 4 (the sample, the two of
     ``orth_complement`` and the one stage map), ``validate_lift`` 2,
     ``is_perturbation`` 2 and the rank of ``f + f'``; the report's stage ranks
-    are the ones ``validate_lift`` checked.  ``limit`` runs 38: ``random_lift``
-    4, ``validate_lift`` 2, ``is_perturbation`` 2, 27 in 9 fits (``f``,
+    are the ones ``validate_lift`` checked.  ``limit`` runs 35: ``random_lift``
+    4, ``validate_lift`` 2, ``is_perturbation`` 2 and 27 in 9 fits (``f``,
     ``f'`` and ``f + f'`` in ``limit_mle``, one per grid point of the numeric
-    route) and ``pencil_expand`` 3, one per group.  The previous counts were 6
+    route); every parent block has full rank, so ``pencil_expand`` runs none.
+    At 38 it ran once per group (3).  The previous counts were 6
     and 6 (a second batched SVD per group gave the parent-and-self ranks), 17,
     11 then 10, 99, 93, 55 then 54, 24 then 18, and 6; at 11, 55 and 18
     ``random_lift`` still factored the sample twice, at 10 the CLI decided
@@ -391,7 +405,7 @@ class TestSvdsPerCommand:
         ("classify-m20", 3),
         ("estimate-m20", 3),
         ("stabilize-m20", 9),
-        ("limit-m20", 38),
+        ("limit-m20", 35),
         ("check-m20", 17),
         ("membership-star6-inside", 3),
         ("membership-star6-moved-alpha", 3),

@@ -199,6 +199,24 @@ class TestStabilize:
 
 
 class TestLimit:
+    def test_overflowing_determinant_is_one_error_line(self, tmp_path):
+        # a full-rank collider sample at 1e80, which estimate handles: the
+        # analytic limit's det(A^T A) overflows, under -W error too
+        sample = (1e80 * np.random.default_rng(7).standard_normal((6, 3))).tolist()
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(collider_problem(sample, settings={"seed": 7})))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dagstab.cli", "limit", "--input", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_SEMANTIC
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: all determinant coefficients vanish; input is numerically invalid\n"
+        )
+
     def test_dependent_line(self, tmp_path):
         problem = collider_problem(LINE_SAMPLE, perturbation=LINE_PERT)
         code, report = run_cli(tmp_path, problem, "limit")

@@ -56,14 +56,16 @@ def _block(Y: np.ndarray, i: int, g: Dag) -> np.ndarray:
 def _reference_fit(Y: np.ndarray, g: Dag, tol: float = DEFAULT_TOL):
     """Per vertex, one at a time: the projection onto the parent columns (one
     row per vertex), the minimum-norm coefficients and the kernel dimension;
-    then the existence of each variance and the estimate."""
+    then the existence of each variance and the estimate.  Also returns the
+    singular values of each child's parent columns."""
     proj = np.zeros((g.m, Y.shape[0]))
-    lam, kdims = {}, {}
+    lam, kdims, svals = {}, {}, {}
     for i in range(1, g.m + 1):
         pa = g.parents(i)
         kdims[i] = 0
         if pa:
             U, s, Vt = np.linalg.svd(_block(Y, i, g), full_matrices=False)
+            svals[i] = s[0]
             keep = _kept(s, tol)
             c, proj[i - 1] = _projection(Y.T[[i - 1]], U, keep)
             x = (np.divide(c, s, out=np.zeros_like(c), where=keep)[:, None, :] @ Vt)[0, 0]
@@ -74,7 +76,8 @@ def _reference_fit(Y: np.ndarray, g: Dag, tol: float = DEFAULT_TOL):
     ok = ~_negligible(np.sqrt(resid_sq), np.sqrt(np.einsum("nm,nm->m", Y, Y)), tol)
     exists = dict(enumerate(ok.tolist(), start=1))
     omega = {i: sq / Y.shape[0] for i, sq in zip(exists, resid_sq.tolist()) if exists[i]}
-    return proj, MleEstimate(lam=lam, lambda_kernel_dims=kdims, omega=omega, omega_exists=exists)
+    est = MleEstimate(lam=lam, lambda_kernel_dims=kdims, omega=omega, omega_exists=exists)
+    return proj, est, svals
 
 
 def _bits(x) -> bytes:
@@ -140,16 +143,23 @@ class TestLayout:
         rng = np.random.default_rng(g.m + 2)
         f = random_rank_deficient(rng, g.m + 2, g.m, g.m if full_rank else max(g.m // 2, 1))
         fp = random_perturbation(f, g.m)
-        (fbar, est), (vbar, _) = _reference_fit(f, g), _reference_fit(fp, g)
+        (fbar, est, svals), (vbar, _, _) = _reference_fit(f, g), _reference_fit(fp, g)
         floor = np.linalg.norm(fp, axis=0).max()
         lam, independent, diagnostics = {}, {}, {}
         for i in g.child_vertices():
             A, E = _block(f, i, g)[0], _block(fp, i, g)[0]
-            pencil = pencil_expand(A, E)
-            l = pencil.first_nonzero
-            num = pencil.adj_coeff(l) @ (A.T @ fbar[i - 1]) + pencil.adj_coeff(l - 1) @ (E.T @ vbar[i - 1])
-            diagnostics[i] = VertexDiagnostics(l, float(pencil.det_coeffs[l]), num)
-            lam.update(zip([(i, j) for j in g.parents(i)], (num / diagnostics[i].det_coeff).tolist()))
+            if est.lambda_kernel_dims[i] == 0:
+                # full rank: the fit is the limit, with c_0 = det(A^T A) = prod s^2
+                x = est.lambda_vector(g, i)
+                c_0 = np.prod(svals[i] ** 2)
+                diagnostics[i] = VertexDiagnostics(0, float(c_0), c_0 * x)
+                lam.update(zip([(i, j) for j in g.parents(i)], x.tolist()))
+            else:
+                pencil = pencil_expand(A, E)
+                l = pencil.first_nonzero
+                num = pencil.adj_coeff(l) @ (A.T @ fbar[i - 1]) + pencil.adj_coeff(l - 1) @ (E.T @ vbar[i - 1])
+                diagnostics[i] = VertexDiagnostics(l, float(pencil.det_coeffs[l]), num)
+                lam.update(zip([(i, j) for j in g.parents(i)], (num / diagnostics[i].det_coeff).tolist()))
             target = fbar[i - 1] + vbar[i - 1]
             resid = np.linalg.norm(target - project(target, A + E))
             independent[i] = bool(resid <= DEFAULT_TOL * (np.linalg.norm(target) + floor))

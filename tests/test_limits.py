@@ -1,14 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dagstab import (
     Dag,
+    MleEstimate,
+    VarietyQuery,
     check_alpha_fixed,
     check_full_condition,
     check_lambda_condition,
     classify,
     duplicate,
     full_mle,
+    in_Xf_alpha_lim,
     is_mle,
     limit_mle,
     limit_mle_numeric,
@@ -21,6 +26,7 @@ from dagstab.stabilise import InvalidPerturbationError
 from _helpers import (
     collider,
     project,
+    random_dag,
     random_perturbation,
     random_rank_deficient,
     star_instance,
@@ -238,6 +244,49 @@ class TestLimitAnalytic:
             res = limit_mle(f, fp, g)
             oracle = np.linalg.lstsq(f[:, :3], f[:, hub - 1], rcond=1e-10)[0]
             assert np.max(np.abs(res.lambda_vector(g, hub) - oracle)) < 1e-8
+
+
+    def test_nearly_dependent_parents_give_the_unique_fit(self):
+        # vertex 3's parents have singular values 5.9 and 2.6e-5: the MLE
+        # given f is unique, so it is the limit, although its weights are large
+        rng = np.random.default_rng(51)
+        m = int(rng.integers(3, 8))
+        g = random_dag(rng, m, 0.5)
+        f = random_rank_deficient(rng, m + 1, m, m - 2)
+        fp = random_perturbation(f, seed=51)
+        res = limit_mle(f, fp, g)
+        assert in_Xf_alpha_lim(VarietyQuery(f=f, candidate=fp, g=g, alpha=MleEstimate(lam=res.lam)))
+        pa = [j - 1 for j in g.parents(3)]
+        oracle = np.linalg.lstsq(f[:, pa], f[:, 2], rcond=None)[0]
+        assert np.allclose(res.lambda_vector(g, 3), oracle, rtol=1e-6, atol=0.0)
+        assert np.allclose(oracle, [-8615.9, -3701.7], rtol=1e-4)
+
+    def test_full_rank_vertex_is_the_fit_bit_for_bit(self):
+        # vertices 3 and 6 share a parent-count group; the parents of 6 are
+        # proportional, so only 6 goes through the pencil
+        rng = np.random.default_rng(8)
+        g = Dag(6, [(1, 3), (2, 3), (4, 6), (5, 6)])
+        f = rng.standard_normal((8, 6))
+        f[:, 4] = 2.0 * f[:, 3]
+        fp = random_perturbation(f, seed=8)
+        res, est = limit_mle(f, fp, g), full_mle(f, g)
+        assert res.lambda_vector(g, 3).tolist() == est.lambda_vector(g, 3).tolist()
+        d = res.diagnostics[3]
+        assert d.first_nonzero == 0
+        assert d.det_coeff == pytest.approx(np.linalg.det(f[:, :2].T @ f[:, :2]), rel=1e-12)
+        assert d.numerator.tolist() == (d.det_coeff * est.lambda_vector(g, 3)).tolist()
+        assert res.diagnostics[6].first_nonzero == 1
+        assert in_Xf_alpha_lim(VarietyQuery(f=f, candidate=fp, g=g, alpha=MleEstimate(lam=res.lam)))
+
+    def test_overflowing_determinant_raises_without_a_warning(self):
+        # det(A^T A) of the collider's parents at 1e80 is about 1e320
+        f = 1e80 * np.random.default_rng(7).standard_normal((6, 3))
+        fp = random_perturbation(f, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^all determinant coefficients vanish; "
+                               "input is numerically invalid$"):
+                limit_mle(f, fp, collider())
 
 
 class TestLimitMle:

@@ -12,13 +12,20 @@ largest value along the grid and a normal-equations residual against the
 norms of its factors.
 """
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dagstab import (
     Dag,
+    MleEstimate,
+    VarietyQuery,
     check_full_condition,
     check_lambda_condition,
+    full_mle,
+    in_Xf_alpha_lim,
     limit_mle,
     limit_mle_numeric,
     limit_solve_numeric,
@@ -98,10 +105,20 @@ def _reference_full_condition(F, P, g, tol=DEFAULT_TOL):
 
 
 def _reference_analytic(F, P, g, tol=DEFAULT_TOL):
-    """Edge weights and ``(l, c_l, D_l)`` per child vertex."""
+    """Edge weights and ``(l, c_l, D_l)`` per child vertex.  Where the parent
+    columns of ``F`` have full rank (the fit's cut) the limit is the unique
+    fit, with ``l = 0`` and ``c_0 = det(A^T A)`` from its singular values;
+    elsewhere it comes from the pencil expansion."""
     lam, diagnostics = {}, {}
     for i in g.child_vertices():
         A, E, b, v = _system(F, P, g, i)
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        if np.all(s > tol * s[0]):
+            x = Vt.T @ ((U.T @ b) / s)
+            c_l = float(np.prod(s ** 2))
+            diagnostics[i] = (0, c_l, c_l * x)
+            lam.update(zip([(i, j) for j in g.parents(i)], x.tolist()))
+            continue
         fbar = project(b, A, tol)
         vbar = project(v, E, tol)
         pencil = pencil_expand(A, E, tol)
@@ -308,6 +325,20 @@ class TestGroupedMatchesPerVertexLoops:
         res = limit_mle(f, fp, g)
         _assert_analytic_close(res.lam, _reference_analytic(f, fp, g)[0])
         assert res.omega == omega_mle(f, g).omega
+
+    def test_full_rank_vertex_the_pencil_failed_returns(self, monkeypatch):
+        # expanded through the pencil, vertex 23 of the p12-half draw (12
+        # parents, full rank) failed the normal equations; its limit is the fit
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        oracle = importlib.import_module("oracle")
+        f, fp, g = _case(*next(c[1:] for c in CASES if c[0] == "p12-half"))
+        assert full_mle(f, g).lambda_kernel_dims[23] == 0
+        res = limit_mle(f, fp, g)
+        assert res.diagnostics[23].first_nonzero == 0
+        assert in_Xf_alpha_lim(VarietyQuery(f=f, candidate=fp, g=g, alpha=MleEstimate(lam=res.lam)))
+        ref = oracle.limit_lambda(f, fp, oracle.parents(g.edges, g.m))
+        for i, x in ref.items():
+            assert oracle.rel_err(res.lambda_vector(g, i), x) <= 1e-6, i
 
     def test_deep_pencil_raises_the_same_message(self):
         # the complete 10-vertex DAG at sample rank 1: the pencil expansion

@@ -132,6 +132,15 @@ class TestCovariance:
         with pytest.raises(ValueError, match="missing"):
             covariance(est, collider())
 
+    def test_missing_edge_weights_raise(self):
+        # omega_mle fills only the variances; the weights of 1 -> 3 and 2 -> 3 must not read as 0
+        with pytest.raises(ValueError, match=r"^edge weights missing at vertices \[3\]$"):
+            covariance(omega_mle(Y_ID, collider()), collider())
+        partial = MleEstimate(lam={(3, 1): 0.5}, omega={i: 1.0 for i in (1, 2, 3)},
+                              omega_exists={i: True for i in (1, 2, 3)})
+        with pytest.raises(ValueError, match=r"^edge weights missing at vertices \[3\]$"):
+            covariance(partial, collider())
+
 
 class TestLoglik:
     def test_identity_covariance(self):
