@@ -13,9 +13,11 @@ that :func:`dagstab.stabilise.build_from_lift` validated.  Validation makes
 one pass over the entries: an array of plain numbers is checked without a
 call per entry.
 
-``tol`` (from ``--tol`` or the file) must lie strictly between 0 and 1, and
-the epsilon grid (from ``--eps-grid`` or the file) must be finite, positive
-and strictly decreasing; anything else exits with code 3.
+The file is the one source of settings: ``tol`` (default ``DEFAULT_TOL``),
+the lift's seed and the epsilon grid (default ``DEFAULT_EPS_GRID``) come
+from its ``settings``.  The library's own checks reject a ``tol`` outside
+(0, 1), such as a NaN that passes the schema, and a grid that is not finite,
+positive and strictly decreasing; both exit with code 3.
 
 Reports are written by :func:`json.dumps`, two spaces per level.  Each float
 is its shortest text that reads back to the same double, so identical input
@@ -102,12 +104,12 @@ class Problem:
             self.alpha = self._parse_alpha(data["alpha"])
 
         settings = data.get("settings", {})
-        self.tol = settings.get("tol")
+        self.tol = settings.get("tol", DEFAULT_TOL)
         seed = settings.get("seed")
-        self.seed = _check_seed(None if seed is None else int(seed))
-        self.eps_grid = settings.get("epsilonGrid")
-        if self.eps_grid is not None:
-            self.eps_grid = limits._check_grid(self.eps_grid)
+        self.seed = None if seed is None else int(seed)
+        if self.seed is not None and not 0 <= self.seed < 2**64:
+            raise SemanticError("seed must fit in an unsigned 64-bit integer")
+        self.eps_grid = limits._check_grid(settings.get("epsilonGrid", limits.DEFAULT_EPS_GRID))
 
     def _vertex(self, value, what: str) -> int:
         if not float(value).is_integer():
@@ -137,12 +139,6 @@ class Problem:
             omega[i] = value
         exists = {i: True for i in omega}
         return mle.MleEstimate(lam=lam, omega=omega, omega_exists=exists)
-
-
-def _check_seed(seed):
-    if seed is not None and not (0 <= seed < 2**64):
-        raise SemanticError("seed must fit in an unsigned 64-bit integer")
-    return seed
 
 
 def _read_input(path: str) -> dict:
@@ -188,31 +184,31 @@ def _maybe_duplicate(problem: Problem) -> tuple[np.ndarray, dict | None]:
     return mle.duplicate(Y, k), {"k": k}
 
 
-def _resolve_perturbation(problem: Problem, seed, tol):
+def _resolve_perturbation(problem: Problem):
     """Explicit perturbation, or one drawn from the seed (with duplication
     when observations are scarce), validated once.  Returns
-    (perturbation, seed, dup, lift), the lift ``None`` for an explicit
+    (perturbation, dup, lift), the lift ``None`` for an explicit
     perturbation."""
-    if problem.perturbation is not None and seed is not None:
+    tol = problem.tol
+    if problem.perturbation is not None and problem.seed is not None:
         raise SemanticError("give either a perturbation or a seed, not both")
     if problem.perturbation is not None:
-        pert = stabilise.Perturbation(problem.sample, problem.perturbation, tol)
-        return pert, None, None, None
-    if seed is None:
+        return stabilise.Perturbation(problem.sample, problem.perturbation, tol), None, None
+    if problem.seed is None:
         raise SemanticError("this command needs a perturbation or a seed")
     Y, dup = _maybe_duplicate(problem)
-    lift = stabilise.random_lift(Y, seed, tol)
-    return stabilise.build_from_lift(lift, tol), seed, dup, lift
+    lift = stabilise.random_lift(Y, problem.seed, tol)
+    return stabilise.build_from_lift(lift, tol), dup, lift
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def cmd_classify(problem: Problem, tol: float, seed, eps_grid) -> dict:
+def cmd_classify(problem: Problem) -> dict:
     Y, dup = _maybe_duplicate(problem)
     g = problem.g
-    status = mle.classify(Y, g, tol)
+    status = mle.classify(Y, g, problem.tol)
     transitive = graph.is_transitive(g)
     reg = None
     if transitive:
@@ -232,9 +228,9 @@ def cmd_classify(problem: Problem, tol: float, seed, eps_grid) -> dict:
     }
 
 
-def cmd_estimate(problem: Problem, tol: float, seed, eps_grid) -> dict:
+def cmd_estimate(problem: Problem) -> dict:
     g = problem.g
-    est, status = mle._classified_mle(problem.sample, g, tol)
+    est, status = mle._classified_mle(problem.sample, g, problem.tol)
     return {
         "n": problem.sample.shape[0],
         "m": g.m,
@@ -248,16 +244,16 @@ def cmd_estimate(problem: Problem, tol: float, seed, eps_grid) -> dict:
     }
 
 
-def cmd_stabilize(problem: Problem, tol: float, seed, eps_grid) -> dict:
-    pert, used_seed, dup, lift = _resolve_perturbation(problem, seed, tol)
-    stabilised = stabilise.stabilize(None, pert, tol)
+def cmd_stabilize(problem: Problem) -> dict:
+    pert, dup, lift = _resolve_perturbation(problem)
+    stabilised = stabilise.stabilize(None, pert, problem.tol)
     dims = [] if lift is None else [st.kernel_basis.shape[1] for st in lift.stages]
     stages = None if lift is None else [
         {"kernelDim": k, "cokernelDim": st.cokernel_basis.shape[1], "mapRank": k - k_next}
         for st, k, k_next in zip(lift.stages, dims, dims[1:] + [0])
     ]
     return {
-        "seed": used_seed,
+        "seed": problem.seed,
         "duplicated": dup,
         "perturbation": pert.delta.tolist(),
         "stabilised": stabilised.tolist(),
@@ -266,10 +262,9 @@ def cmd_stabilize(problem: Problem, tol: float, seed, eps_grid) -> dict:
     }
 
 
-def cmd_limit(problem: Problem, tol: float, seed, eps_grid) -> dict:
-    g = problem.g
-    pert, used_seed, _, _ = _resolve_perturbation(problem, seed, tol)
-    grid = eps_grid if eps_grid is not None else limits.DEFAULT_EPS_GRID
+def cmd_limit(problem: Problem) -> dict:
+    g, tol, grid = problem.g, problem.tol, problem.eps_grid
+    pert, _, _ = _resolve_perturbation(problem)
     analytic = limits.limit_mle(None, pert, g, tol)
     numeric = limits.limit_mle_numeric(None, pert, g, grid, tol)
     agreement = None
@@ -288,7 +283,7 @@ def cmd_limit(problem: Problem, tol: float, seed, eps_grid) -> dict:
         for i, d in sorted(analytic.diagnostics.items())
     }
     return {
-        "seed": used_seed,
+        "seed": problem.seed,
         "epsilonGrid": [float(e) for e in grid],
         "lambdaLimit": _vertex_vectors(analytic, g),
         "numericLambdaLimit": numeric_map,
@@ -303,9 +298,9 @@ def cmd_limit(problem: Problem, tol: float, seed, eps_grid) -> dict:
     }
 
 
-def cmd_check(problem: Problem, tol: float, seed, eps_grid) -> dict:
-    g = problem.g
-    pert, _, _, _ = _resolve_perturbation(problem, seed, tol)
+def cmd_check(problem: Problem) -> dict:
+    g, tol = problem.g, problem.tol
+    pert, _, _ = _resolve_perturbation(problem)
     _, lambda_cond, full_cond = limits._conditions(pert, g, tol, mle._fit(pert.base, g, tol))
     alpha_fixed = None
     if problem.alpha is not None:
@@ -317,7 +312,7 @@ def cmd_check(problem: Problem, tol: float, seed, eps_grid) -> dict:
     }
 
 
-def cmd_membership(problem: Problem, tol: float, seed, eps_grid) -> dict:
+def cmd_membership(problem: Problem) -> dict:
     g = problem.g
     if problem.perturbation is None:
         raise SemanticError("membership queries need an explicit perturbation")
@@ -328,7 +323,7 @@ def cmd_membership(problem: Problem, tol: float, seed, eps_grid) -> dict:
         candidate=problem.perturbation,
         g=g,
         alpha=problem.alpha,
-        tol=tol,
+        tol=problem.tol,
     )
     member = varieties.in_Xf(query)
     try:
@@ -367,22 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="problem file, or - for stdin")
         p.add_argument("--output", default="stdout", help="report path, or stdout")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument(
-            "--eps-grid",
-            default=None,
-            help="comma-separated finite, positive, strictly decreasing values",
-        )
     return parser
-
-
-def _parse_eps_grid(text: str) -> tuple[float, ...]:
-    try:
-        values = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise SemanticError(f"bad epsilon grid: {exc}") from exc
-    return limits._check_grid(values)
 
 
 def dumps_report(report) -> str:
@@ -404,19 +384,11 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
     try:
         problem = Problem(data)
-        tol = args.tol if args.tol is not None else (problem.tol or DEFAULT_TOL)
-        if not 0 < tol < 1:
-            raise SemanticError(f"tol must lie strictly between 0 and 1, got {tol!r}")
-        seed = problem.seed if args.seed is None else _check_seed(args.seed)
-        if args.eps_grid is not None:
-            eps_grid = _parse_eps_grid(args.eps_grid)
-        else:
-            eps_grid = problem.eps_grid
-        report = COMMANDS[args.command](problem, tol, seed, eps_grid)
+        report = COMMANDS[args.command](problem)
     except (SemanticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
-    text = dumps_report({"command": args.command, "tol": tol, **report})
+    text = dumps_report({"command": args.command, "tol": problem.tol, **report})
     if args.output == "stdout":
         sys.stdout.write(text)
         return EXIT_OK

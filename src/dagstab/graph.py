@@ -57,8 +57,15 @@ class Dag:
         m = int(m)
         normalised = set()
         for e in edges:
-            j, i = e
-            if int(j) != j or int(i) != i:
+            try:
+                j, i = e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {e!r} is not a (parent, child) pair") from None
+            try:
+                integral = int(j) == j and int(i) == i
+            except (TypeError, ValueError, OverflowError):  # e.g. None, nan, inf
+                integral = False
+            if not integral:
                 raise ValueError(f"edge {e!r} has an endpoint that is not an integer")
             j, i = int(j), int(i)
             if not (1 <= j <= m and 1 <= i <= m):

@@ -57,8 +57,8 @@ import numpy as np
 
 from .graph import Dag
 from .linalg import (
-    DEFAULT_TOL, _as_matrix, _check_squares, _negligible, _unit_scaled, _verification_tol,
-    pencil_expand,
+    DEFAULT_TOL, _as_matrix, _check_squares, _check_tol, _negligible, _unit_scaled,
+    _verification_tol, pencil_expand,
 )
 from .mle import (
     MleEstimate, _edge_pairs, _fit, _groups, _normal_equation_failures, _omega_part, _projection,
@@ -261,6 +261,7 @@ def limit_solve_numeric(
     ``[b v]`` whose squared norm overflows or underflows raise.
     """
     grid = _check_grid(eps_grid)
+    _check_tol(tol)  # read by lstsq and the divergence bound, not by a decision
     A, E = _as_matrix(A, "A"), _as_matrix(E, "E")
     b = _as_matrix(np.reshape(b, (1, -1)), "b")[0]
     v = _as_matrix(np.reshape(v, (1, -1)), "v")[0]

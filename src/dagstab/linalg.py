@@ -7,7 +7,8 @@ one pencil or the ``(K, n, p)`` stack of one parent-count group's pencils.
 Orthogonal projections belong to the fits of :mod:`dagstab.mle`.
 
 All operations are pure functions on immutable values; inputs are never
-mutated.  Tolerances are relative, defaulting to ``DEFAULT_TOL``, and each
+mutated.  Tolerances are relative, defaulting to ``DEFAULT_TOL``, and lie
+strictly between 0 and 1 (:func:`_check_tol`, run by both owners).  Each
 kind of decision has one owner: :func:`_kept` cuts singular values at
 ``tol * sigma_max`` and :func:`_negligible` decides that a residual is zero,
 ``residual <= tol * scale``.  No scale has an absolute floor, so scaling the
@@ -67,16 +68,24 @@ def _unit_scaled(A: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(A, -e), e
 
 
+def _check_tol(tol: float) -> None:
+    """The one check of ``tol``, run by both decisions that read it."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
+
+
 def _kept(s: np.ndarray, tol: float) -> np.ndarray:
     """The one rank cut: which singular values, in descending order along the
     last axis, lie above ``tol * sigma_max``.  An empty or all-zero row keeps
     none."""
+    _check_tol(tol)
     return s > tol * s[..., :1]
 
 
 def _negligible(residual, scale, tol: float):
     """The one zero test, elementwise: is ``residual <= tol * scale``?  A NaN
     is never negligible.  The module docstring gives the scale to use."""
+    _check_tol(tol)
     return residual <= tol * scale
 
 

@@ -83,9 +83,6 @@ class MleEstimate:
     omega: dict[int, float] = field(default_factory=dict)
     omega_exists: dict[int, bool] = field(default_factory=dict)
 
-    def unique_lambda(self, i: int) -> bool:
-        return self.lambda_kernel_dims.get(i, 0) == 0
-
     def lambda_vector(self, g: Dag, i: int) -> np.ndarray:
         """Coefficients at child ``i``, ordered by ascending parent."""
         return np.array([self.lam[(i, j)] for j in g.parents(i)])

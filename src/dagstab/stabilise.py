@@ -154,10 +154,6 @@ class Perturbation:
         object.__setattr__(self, "base", F)
         object.__setattr__(self, "delta", P)
 
-    def column(self, i: int) -> np.ndarray:
-        """Perturbation column of variable ``i`` (1-indexed)."""
-        return self.delta[:, i - 1]
-
     def scaled(self, eps: float) -> np.ndarray:
         """The perturbed sample ``base + eps * delta``."""
         return self.base + eps * self.delta
@@ -356,10 +352,6 @@ def random_lift(f, seed: int, tol: float = DEFAULT_TOL) -> CollineationLift:
     if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
         raise ValueError("seed must be an unsigned 64-bit integer")
     seed = int(seed)
-    if not 0 < tol < 1:
-        # at tol >= 1 no stage map has rank above zero, so the kernel
-        # never shrinks and the stages never end
-        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
     rng = np.random.default_rng(seed)
     bump = seed
 

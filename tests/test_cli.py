@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -18,11 +19,11 @@ from dagstab.linalg import DEFAULT_TOL
 REPORT_SCHEMA = load_schema("report.json")
 
 
-def run_cli(tmp_path, problem: dict, command: str, *extra):
+def run_cli(tmp_path, problem: dict, command: str):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(problem))
     out = tmp_path / "report.json"
-    code = main([command, "--input", str(path), "--output", str(out), *extra])
+    code = main([command, "--input", str(path), "--output", str(out)])
     report = json.loads(out.read_text()) if code == EXIT_OK else None
     return code, report
 
@@ -133,8 +134,9 @@ class TestStabilize:
             [0.0, 0.0, 0.0],
             [0.0, 0.0, 0.0],
         ]
-        problem = {"graph": {"m": 3, "edges": [[1, 3], [2, 3]]}, "sample": f}
-        code, report = run_cli(tmp_path, problem, "stabilize", "--seed", "7")
+        problem = {"graph": {"m": 3, "edges": [[1, 3], [2, 3]]}, "sample": f,
+                   "settings": {"seed": 7}}
+        code, report = run_cli(tmp_path, problem, "stabilize")
         assert code == EXIT_OK
         assert_valid_report(report)
         pert = np.array(report["perturbation"])
@@ -145,15 +147,13 @@ class TestStabilize:
         assert report["stages"] == [{"kernelDim": 1, "cokernelDim": 2, "mapRank": 1}]
 
     def test_deterministic_bytes(self, tmp_path):
-        problem = collider_problem(Y_DEP)
+        problem = collider_problem(Y_DEP, settings={"seed": 11})
         path = tmp_path / "p.json"
         path.write_text(json.dumps(problem))
         outs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
-            code = main(
-                ["stabilize", "--input", str(path), "--output", str(out), "--seed", "11"]
-            )
+            code = main(["stabilize", "--input", str(path), "--output", str(out)])
             assert code == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
@@ -170,31 +170,23 @@ class TestStabilize:
         assert code == EXIT_SEMANTIC
 
     def test_rejects_both_seed_and_perturbation(self, tmp_path):
-        problem = collider_problem(LINE_SAMPLE, perturbation=LINE_PERT)
-        code, _ = run_cli(tmp_path, problem, "stabilize", "--seed", "1")
+        problem = collider_problem(LINE_SAMPLE, perturbation=LINE_PERT, settings={"seed": 1})
+        code, _ = run_cli(tmp_path, problem, "stabilize")
         assert code == EXIT_SEMANTIC
 
-    @pytest.mark.parametrize(
-        "settings,flags,code,message",
-        [
-            ({"tol": 1.5, "seed": 7}, [], EXIT_SCHEMA, "maximum of 1"),
-            ({"seed": 7}, ["--tol", "1.5"], EXIT_SEMANTIC, "tol must lie strictly between 0 and 1"),
-        ],
-        ids=["file", "flag"],
-    )
-    def test_rejects_tol_of_one_or_more(self, tmp_path, settings, flags, code, message):
+    def test_rejects_tol_of_one_or_more(self, tmp_path):
         # at tol >= 1 the lift sampler would never terminate
         path = tmp_path / "p.json"
-        path.write_text(json.dumps(collider_problem(Y_DEP, settings=settings)))
+        path.write_text(json.dumps(collider_problem(Y_DEP, settings={"tol": 1.5, "seed": 7})))
         proc = subprocess.run(
-            [sys.executable, "-m", "dagstab.cli", "stabilize", "--input", str(path), *flags],
+            [sys.executable, "-m", "dagstab.cli", "stabilize", "--input", str(path)],
             capture_output=True,
             text=True,
             timeout=60,
         )
-        assert proc.returncode == code
+        assert proc.returncode == EXIT_SCHEMA
         assert proc.stdout == ""
-        assert proc.stderr.startswith("error:") and message in proc.stderr
+        assert proc.stderr.startswith("error:") and "maximum of 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
@@ -228,24 +220,24 @@ class TestLimit:
         assert report["omegaExists"]["3"] is False and report["partial"] is True
         assert report["diagnostics"]["3"]["l"] == 0
 
-    def test_eps_grid_flag(self, tmp_path):
-        problem = collider_problem(LINE_SAMPLE, perturbation=LINE_PERT)
-        code, report = run_cli(
-            tmp_path, problem, "limit", "--eps-grid", "1e-1,1e-2,1e-3,1e-4"
-        )
+    def test_eps_grid_setting(self, tmp_path):
+        settings = {"epsilonGrid": [1e-1, 1e-2, 1e-3, 1e-4]}
+        problem = collider_problem(LINE_SAMPLE, perturbation=LINE_PERT, settings=settings)
+        code, report = run_cli(tmp_path, problem, "limit")
         assert code == EXIT_OK
-        assert report["epsilonGrid"] == pytest.approx([0.1, 0.01, 0.001, 0.0001])
+        assert report["epsilonGrid"] == [0.1, 0.01, 0.001, 0.0001]
 
     def test_bad_eps_grid(self, tmp_path):
-        problem = collider_problem(LINE_SAMPLE, perturbation=LINE_PERT)
-        code, _ = run_cli(tmp_path, problem, "limit", "--eps-grid", "1e-3,1e-2")
+        settings = {"epsilonGrid": [1e-3, 1e-2]}
+        problem = collider_problem(LINE_SAMPLE, perturbation=LINE_PERT, settings=settings)
+        code, _ = run_cli(tmp_path, problem, "limit")
         assert code == EXIT_SEMANTIC
 
     def test_seed_driven_with_duplication(self, tmp_path):
         # two observations of three variables: the seed path duplicates the
         # sample before drawing a lift, then both limit routes run
-        problem = collider_problem(Y_DEP)
-        code, report = run_cli(tmp_path, problem, "limit", "--seed", "5")
+        problem = collider_problem(Y_DEP, settings={"seed": 5})
+        code, report = run_cli(tmp_path, problem, "limit")
         assert code == EXIT_OK
         assert_valid_report(report)
         assert report["seed"] == 5
@@ -330,6 +322,26 @@ class TestErrorHandling:
         problem = {"graph": {"m": 2, "edges": [[1]]}, "sample": [[1.0, 2.0]]}
         code, _ = run_cli(tmp_path, problem, "classify")
         assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--tol", "1e-9"), ("--seed", "7"), ("--eps-grid", "1e-1,1e-2")]
+    )
+    def test_settings_come_from_the_file_only(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(collider_problem(Y_ID)))
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--input", str(path), flag, value])
+        assert exc.value.code == EXIT_SCHEMA
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_help_lists_only_input_and_output(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == EXIT_OK
+        assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == {
+            "--help", "--input", "--output"
+        }
 
     def test_unparseable_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -422,20 +434,17 @@ class TestSerialisation:
             assert_valid_report(report)
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
-    @pytest.mark.parametrize("settings,flags,tol", [
-        ({}, ["--tol", "1e-9"], 1e-9),
-        ({"tol": 1e-8}, [], 1e-8),
-        ({"tol": 1e-8}, ["--tol", "1e-9"], 1e-9),
-        ({}, [], DEFAULT_TOL),
-    ], ids=["flag", "file", "flag-over-file", "default"])
-    def test_envelope_first(self, tmp_path, command, settings, flags, tol):
+    @pytest.mark.parametrize(
+        "settings,tol", [({"tol": 1e-8}, 1e-8), ({}, DEFAULT_TOL)], ids=["file", "default"]
+    )
+    def test_envelope_first(self, tmp_path, command, settings, tol):
         problem = collider_problem(
             LINE_SAMPLE,
             perturbation=LINE_PERT,
             alpha={"lambda": [[3, 1, 1.0], [3, 2, 1.0]]},
             settings=settings,
         )
-        code, report = run_cli(tmp_path, problem, command, *flags)
+        code, report = run_cli(tmp_path, problem, command)
         assert code == EXIT_OK
         assert list(report)[:2] == ["command", "tol"]
         assert report["command"] == command and report["tol"] == tol

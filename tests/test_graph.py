@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,22 @@ class TestValidation:
             with pytest.raises(ValueError, match="not an integer"):
                 Dag(3, edges)
         assert Dag(3, [(1.0, 3.0), (2, 3.0)]).edges == {(1, 3), (2, 3)}
+
+    @pytest.mark.parametrize(
+        "edge,message",
+        [
+            ((math.inf, 2), "has an endpoint that is not an integer"),
+            ((math.nan, 2), "has an endpoint that is not an integer"),
+            ((1, None), "has an endpoint that is not an integer"),
+            (5, "is not a (parent, child) pair"),
+            ((1,), "is not a (parent, child) pair"),
+            ((1, 2, 3), "is not a (parent, child) pair"),
+        ],
+        ids=["inf", "nan", "none", "int", "single", "triple"],
+    )
+    def test_rejects_malformed_edges(self, edge, message):
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} {message}")):
+            Dag(3, [edge])
 
     def test_rejects_bad_vertex_count(self):
         with pytest.raises(ValueError):

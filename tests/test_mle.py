@@ -36,7 +36,6 @@ class TestLambdaMle:
         est = lambda_mle(Y_PRIME, collider())
         assert np.allclose(est.lambda_vector(collider(), 3), [0.0, 0.0], atol=1e-12)
         assert est.lambda_kernel_dims[3] == 1
-        assert not est.unique_lambda(3)
         K = lambda_kernel_basis(Y_PRIME, collider(), 3)
         # solution set is {(t, -t)}: kernel spanned by (1, -1)/sqrt(2)
         assert K.shape == (2, 1)

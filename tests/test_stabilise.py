@@ -108,7 +108,7 @@ class TestPerturbationType:
         pert = Perturbation(F_EXAMPLE, fp)
         with pytest.raises(ValueError):
             pert.delta[0, 0] = 5.0
-        assert np.allclose(pert.column(3), [0.0, 0.0, 1.0, 0.0])
+        assert np.allclose(pert.delta[:, 2], [0.0, 0.0, 1.0, 0.0])
         assert np.allclose(pert.scaled(2.0), F_EXAMPLE + 2.0 * fp)
 
 

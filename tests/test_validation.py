@@ -1,10 +1,12 @@
 """Input validation: each input kind has one check, run once per call.
 
 Covers the finite-matrix check shared by every layer, the sample /
-perturbation pair, the epsilon grid, the CLI's ``tol`` and alpha indices,
-and the number of perturbation-predicate runs per CLI command.
+perturbation pair, the epsilon grid, ``tol`` at every public entry, the
+CLI's alpha indices, and the number of perturbation-predicate runs per CLI
+command.
 """
 
+import inspect
 import json
 import re
 import subprocess
@@ -38,6 +40,7 @@ from dagstab import (
 )
 from dagstab import duplicate, full_mle, random_lift, stabilise
 from dagstab.cli import EXIT_OK, EXIT_SEMANTIC, main
+from dagstab.linalg import DEFAULT_TOL
 from _helpers import collider
 
 LINE_SAMPLE = [[1.0, 1.0, 2.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
@@ -52,11 +55,11 @@ def problem(sample=LINE_SAMPLE, **kw):
     return out
 
 
-def run(tmp_path, capsys, data: dict, command: str, *flags):
+def run(tmp_path, capsys, data: dict, command: str):
     """Run the CLI in process; an uncaught exception fails the test."""
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data))  # writes NaN and Infinity as such
-    code = main([command, "--input", str(path), *flags])
+    code = main([command, "--input", str(path)])
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -254,22 +257,71 @@ class TestEpsilonGrid:
         with pytest.raises(ValueError, match=re.escape(f"f + eps f' at eps={eps!r} has a column")):
             mle_at_epsilon(np.array(LINE_SAMPLE), np.array(LINE_PERT), collider(), eps)
 
-    @pytest.mark.parametrize("text", ["nan,1e-3", "inf,1e-3"])
-    def test_cli_flag_rejects_non_finite_grid(self, tmp_path, capsys, text):
-        result = run(tmp_path, capsys, problem(perturbation=LINE_PERT), "limit", "--eps-grid", text)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_cli_file_rejects_non_finite_grid(self, tmp_path, capsys, value):
+        data = problem(perturbation=LINE_PERT, settings={"epsilonGrid": [value, 1e-3]})
+        result = run(tmp_path, capsys, data, "limit")
         assert_semantic_error(result, "epsilon grid entries must be finite")
 
-    def test_cli_file_rejects_non_finite_grid(self, tmp_path, capsys):
-        data = problem(perturbation=LINE_PERT, settings={"epsilonGrid": [float("nan"), 1e-3]})
-        assert_semantic_error(run(tmp_path, capsys, data, "limit"), "epsilon grid")
+
+def tol_entry_points() -> dict:
+    """Per public function that takes ``tol``, a call with valid arguments at
+    a given ``tol``; the three predicates take it through a ``VarietyQuery``.
+    As in :func:`nan_entry_points`, the full MLE is an MLE."""
+    f, fp, g = np.array(Y_ID + [[0.0, 0.0, 0.0]]), np.zeros((4, 3)), collider()
+    alpha = full_mle(f, g)
+    lam = alpha.lam
+    lift = random_lift(f, 1)
+    A, E, b, v = f[:, :2], fp[:, :2], f[:, 2], fp[:, 2]
+    calls = {
+        "orth_complement": lambda tol: dagstab.orth_complement(f, 4, tol),
+        "pencil_expand": lambda tol: dagstab.pencil_expand(A, E, tol),
+        "lambda_kernel_basis": lambda tol: dagstab.lambda_kernel_basis(f, g, 3, tol),
+        "is_lambda_mle": lambda tol: is_lambda_mle(f, g, lam, tol),
+        "is_mle": lambda tol: is_mle(f, g, alpha, tol),
+        "loglik": lambda tol: loglik(np.eye(3), f, tol),
+        "random_lift": lambda tol: random_lift(f, 1, tol),
+        "check_alpha_fixed": lambda tol: check_alpha_fixed(fp, lam, g, tol),
+        "mle_at_epsilon": lambda tol: mle_at_epsilon(f, fp, g, 0.1, tol),
+        "limit_solve_numeric": lambda tol: limit_solve_numeric(A, E, b, v, tol=tol),
+        "star_min_norm_mle": lambda tol: dagstab.star_min_norm_mle(f, star(3), tol),
+    }
+    for fn in (dagstab.rank, dagstab.image_basis, dagstab.kernel_basis):
+        calls[fn.__name__] = lambda tol, fn=fn: fn(f, tol)
+    for fn in (classify, full_mle, dagstab.lambda_mle, dagstab.omega_mle):
+        calls[fn.__name__] = lambda tol, fn=fn: fn(f, g, tol)
+    for fn in (dagstab.is_perturbation, Perturbation, stabilize):
+        calls[fn.__name__] = lambda tol, fn=fn: fn(f, fp, tol)
+    for fn in (dagstab.validate_lift, dagstab.build_from_lift):
+        calls[fn.__name__] = lambda tol, fn=fn: fn(lift, tol)
+    for fn in (check_full_condition, check_lambda_condition, limit_mle, limit_mle_numeric):
+        calls[fn.__name__] = lambda tol, fn=fn: fn(f, fp, g, tol=tol)
+    for fn in (dagstab.in_Xf, dagstab.in_Xf_alpha, in_Xf_alpha_lim):
+        calls[f"VarietyQuery-{fn.__name__}"] = lambda tol, fn=fn: fn(
+            VarietyQuery(f, fp, g, alpha, tol)
+        )
+    return calls
+
+
+TOL_ENTRY_POINTS = tol_entry_points()
 
 
 class TestTol:
-    @pytest.mark.parametrize("command", ["classify", "estimate"])
-    @pytest.mark.parametrize("value", ["2", "nan", "inf"])
-    def test_flag_outside_unit_interval(self, tmp_path, capsys, command, value):
-        result = run(tmp_path, capsys, problem(Y_ID), command, "--tol", value)
-        assert_semantic_error(result, "tol must lie strictly between 0 and 1")
+    def test_every_public_tol_has_a_call(self):
+        takes_tol = set()
+        for name in dagstab.__all__:
+            obj = getattr(dagstab, name)
+            if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+                if "tol" in inspect.signature(obj).parameters:
+                    takes_tol.add(name)
+        assert {name.split("-")[0] for name in TOL_ENTRY_POINTS} == takes_tol
+
+    @pytest.mark.parametrize("tol", [0, 1, -1, 2, np.nan, np.inf])
+    @pytest.mark.parametrize("call", TOL_ENTRY_POINTS.values(), ids=TOL_ENTRY_POINTS.keys())
+    def test_outside_unit_interval_raises(self, call, tol):
+        call(DEFAULT_TOL)
+        with pytest.raises(ValueError, match=r"tol must lie strictly between 0 and 1, got"):
+            call(tol)
 
     @pytest.mark.parametrize("command", ["classify", "estimate"])
     def test_file_nan(self, tmp_path, capsys, command):
@@ -313,37 +365,55 @@ class TestCliErrorBranches:
     """Each semantic check of the CLI's own parsing exits 3 with one ``error:`` line."""
 
     @pytest.mark.parametrize(
-        "data,command,flags,message",
+        "data,command,message",
         [
-            (problem(perturbation=LINE_PERT[:3]), "limit", [],
+            (problem(perturbation=LINE_PERT[:3]), "limit",
              "perturbation must have the same shape as the sample"),
-            (problem(perturbation=[row[:2] for row in LINE_PERT]), "limit", [],
+            (problem(perturbation=[row[:2] for row in LINE_PERT]), "limit",
              "perturbation must have the same shape as the sample"),
-            (problem(perturbation=LINE_PERT, alpha={"lambda": [[4, 1, 1.0]]}), "membership", [],
+            (problem(perturbation=LINE_PERT, alpha={"lambda": [[4, 1, 1.0]]}), "membership",
              "alpha lambda child index 4 outside 1..3"),
-            (problem(perturbation=LINE_PERT, alpha={"omega": [[0, 1.0]]}), "membership", [],
+            (problem(perturbation=LINE_PERT, alpha={"omega": [[0, 1.0]]}), "membership",
              "alpha omega vertex index 0 outside 1..3"),
-            (problem(), "stabilize", ["--seed", str(2**64)],
+            (problem(settings={"seed": 2**64}), "stabilize",
              "seed must fit in an unsigned 64-bit integer"),
-            (problem(settings={"seed": 2**64}), "stabilize", [],
-             "seed must fit in an unsigned 64-bit integer"),
-            (problem(alpha={"lambda": [[3, 1, 1.0], [3, 2, 1.0]]}), "membership", [],
+            (problem(alpha={"lambda": [[3, 1, 1.0], [3, 2, 1.0]]}), "membership",
              "membership queries need an explicit perturbation"),
-            (problem(perturbation=LINE_PERT), "limit", ["--eps-grid", "abc,1e-3"],
-             "bad epsilon grid: could not convert string to float: 'abc'"),
-            (problem(perturbation=LINE_PERT), "limit", ["--eps-grid", ","],
-             "epsilon grid must be non-empty"),
         ],
         ids=[
             "perturbation-rows", "perturbation-columns", "alpha-lambda-index",
-            "alpha-omega-index", "seed-flag", "seed-file", "membership-without-perturbation",
-            "eps-grid-token", "eps-grid-empty",
+            "alpha-omega-index", "seed-file", "membership-without-perturbation",
         ],
     )
-    def test_exits_semantic(self, tmp_path, capsys, data, command, flags, message):
-        result = run(tmp_path, capsys, data, command, *flags)
+    def test_exits_semantic(self, tmp_path, capsys, data, command, message):
+        result = run(tmp_path, capsys, data, command)
         assert_semantic_error(result, message)
         assert result[2].count("\n") == 1
+
+
+class TestLibraryErrorBranches:
+    """Each of these checks raises its own ``ValueError`` message."""
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: mle_at_epsilon(np.array(LINE_SAMPLE), np.array(LINE_PERT), collider(), 1e-200),
+             "is not a unique MLE at vertices [3]"),
+            (lambda: in_Xf_alpha_lim(VarietyQuery(np.array(LINE_SAMPLE), np.array(LINE_PERT),
+                                                  collider())),
+             "membership in the alpha-indexed variety needs alpha"),
+            (lambda: star(1), "a star-shaped DAG needs at least 2 vertices"),
+            (lambda: loglik(np.eye(2), np.array(Y_ID)), "covariance must be 3 x 3, got (2, 2)"),
+            (lambda: dagstab.orth_complement(np.eye(3), 4), "basis lives in R^3, ambient dim is 4"),
+            (lambda: dagstab.pencil_expand(np.eye(3)[:, :2], np.eye(3)),
+             "shape mismatch: A is (3, 2), E is (3, 3)"),
+        ],
+        ids=["mle_at_epsilon", "in_Xf_alpha_lim", "star", "loglik", "orth_complement",
+             "pencil_expand"],
+    )
+    def test_raises(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 class TestPerturbationChecksPerCall:
@@ -360,20 +430,20 @@ class TestPerturbationChecksPerCall:
         return count
 
     @pytest.mark.parametrize(
-        "command,data,flags",
+        "command,data",
         [
-            ("stabilize", problem(), ["--seed", "7"]),
-            ("stabilize", problem(perturbation=LINE_PERT), []),
-            ("limit", problem(), ["--seed", "7"]),
-            ("limit", problem(perturbation=LINE_PERT), []),
-            ("check", problem(), ["--seed", "7"]),
-            ("check", problem(perturbation=LINE_PERT), []),
+            ("stabilize", problem(settings={"seed": 7})),
+            ("stabilize", problem(perturbation=LINE_PERT)),
+            ("limit", problem(settings={"seed": 7})),
+            ("limit", problem(perturbation=LINE_PERT)),
+            ("check", problem(settings={"seed": 7})),
+            ("check", problem(perturbation=LINE_PERT)),
         ],
         ids=["stabilize-seed", "stabilize-explicit", "limit-seed", "limit-explicit",
              "check-seed", "check-explicit"],
     )
-    def test_cli_command_checks_once(self, tmp_path, capsys, calls, command, data, flags):
-        code, _, _ = run(tmp_path, capsys, data, command, *flags)
+    def test_cli_command_checks_once(self, tmp_path, capsys, calls, command, data):
+        code, _, _ = run(tmp_path, capsys, data, command)
         assert code == EXIT_OK
         assert calls[0] == 1
 
