@@ -18,9 +18,10 @@ import numpy as np
 
 from dagstab import (
     Dag,
+    InvalidPerturbationError,
+    is_perturbation,
     limit_mle,
     limit_mle_numeric,
-    limit_solve_numeric,
     mle_at_epsilon,
 )
 
@@ -54,10 +55,23 @@ print(f"l = {diag.first_nonzero}, c_l = {diag.det_coeff:.6f}, D_l = {diag.numera
 print()
 
 print("=" * 70)
-print("Orthogonality of the perturbation is essential.  The raw solver on a")
-print("system whose target is far from the perturbed span diverges:\n")
-A = np.array([[1.0, 0.0], [0.0, 0.0]])
-E = np.array([[0.0, 0.0], [0.0, 1.0]])
-res = limit_solve_numeric(A, E, b=np.array([0.0, 1.0]), v=np.zeros(2))
-print(f"  diverged: {res.diverged}")
-print(f"  coefficient norms along the grid: {res.norms}")
+print("Orthogonality of the perturbation is essential.  On the collider with")
+print("parents e1 and eps e2 at vertex 3, a target e2 in f has the weights")
+print("(0, 1/eps), which diverge; is_perturbation rejects that f' by name:\n")
+f = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+fp = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+print(f"  failed conditions: {is_perturbation(f, fp).failures}")
+try:
+    limit_mle_numeric(f, fp, g)
+except InvalidPerturbationError as exc:
+    print(f"  limit_mle_numeric raises: {exc}")
+
+print()
+print("With the target in f' instead, as eps (e2 + e3), the weights are (0, 1)")
+print("for every eps, and both routes return that limit:\n")
+f[:, 2] = 0.0
+fp = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+print(f"  failed conditions: {is_perturbation(f, fp).failures}")
+numeric = limit_mle_numeric(f, fp, g)
+print(f"  numeric  limit: {numeric.lambda_vector(g, 3)}, diverged: {numeric.diverged}")
+print(f"  analytic limit: {limit_mle(f, fp, g).lambda_vector(g, 3)}")

@@ -70,14 +70,12 @@ from .stabilise import (
 from .limits import (
     DEFAULT_EPS_GRID,
     LimitResult,
-    NumericLimit,
     VertexDiagnostics,
     check_alpha_fixed,
     check_full_condition,
     check_lambda_condition,
     limit_mle,
     limit_mle_numeric,
-    limit_solve_numeric,
     mle_at_epsilon,
 )
 from .varieties import (

@@ -57,8 +57,7 @@ import numpy as np
 
 from .graph import Dag
 from .linalg import (
-    DEFAULT_TOL, _as_matrix, _check_squares, _check_tol, _negligible, _unit_scaled,
-    _verification_tol, pencil_expand,
+    DEFAULT_TOL, _as_matrix, _check_squares, _negligible, _verification_tol, pencil_expand,
 )
 from .mle import (
     MleEstimate, _edge_pairs, _fit, _groups, _normal_equation_failures, _omega_part, _projection,
@@ -137,7 +136,6 @@ class LimitResult:
     lam: dict[tuple[int, int], float]
     omega: dict[int, float]
     omega_exists: dict[int, bool]
-    method: str
     epsilon_independent: dict[int, bool] = field(default_factory=dict)
     diagnostics: dict[int, VertexDiagnostics] = field(default_factory=dict)
     partial: bool = False
@@ -217,71 +215,23 @@ def _neville_zero(eps_grid, values, starts):
     return best, best_est
 
 
-def _diverging(norms) -> bool:
+def _diverging(norms, tol: float) -> bool:
     """Heuristic blow-up detection on coefficient norms along the grid.
 
     A divergent path grows geometrically all the way down the grid, so the
     last three points still grow by more than DIVERGENCE_FACTOR.  Convergent
     paths flatten at the tail even when they approach the limit from below,
     and roundoff noise around a zero limit can grow in ratio but never in
-    size, hence the floor ``50 (1 + min(norms))``.  The floor is absolute, so
-    ``norms`` must be in the system's units, as :func:`limit_solve_numeric`
-    scales them; :func:`limit_mle_numeric` passes edge weights as they are.
+    size, hence the floor ``50 (1 + min(norms))``.  A last norm above
+    ``1 / tol`` counts as divergent on any grid.  The floor and the cap are
+    absolute, and :func:`limit_mle_numeric` passes edge weights as they are.
     """
+    if norms[-1] > 1.0 / tol:
+        return True
     if len(norms) < 3:
         return False
-    a, b, c = norms[-3], norms[-2], norms[-1]
-    return (
-        a < b < c
-        and c > DIVERGENCE_FACTOR * a
-        and c > 50.0 * (1.0 + min(norms))
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class NumericLimit:
-    """Raw numeric limit of one linear system along the grid."""
-
-    value: np.ndarray | None
-    diverged: bool
-    error_estimate: float
-    norms: tuple[float, ...]
-
-
-def limit_solve_numeric(
-    A, E, b, v, eps_grid=DEFAULT_EPS_GRID, tol: float = DEFAULT_TOL
-) -> NumericLimit:
-    """Numeric limit of ``x(eps)`` solving
-    ``(A + eps E) x = proj(b + eps v)`` as ``eps -> 0``.
-
-    Raw entry point: no orthogonality validation is performed, so inputs
-    violating the orthogonality hypotheses can and do diverge; divergence is
-    reported as a structured result, not an error.  Non-finite entries,
-    mismatched shapes and, as for a sample, a column of ``[A E]`` or
-    ``[b v]`` whose squared norm overflows or underflows raise.
-    """
-    grid = _check_grid(eps_grid)
-    _check_tol(tol)  # read by lstsq and the divergence bound, not by a decision
-    A, E = _as_matrix(A, "A"), _as_matrix(E, "E")
-    b = _as_matrix(np.reshape(b, (1, -1)), "b")[0]
-    v = _as_matrix(np.reshape(v, (1, -1)), "v")[0]
-    if E.shape != A.shape:
-        raise ValueError(f"E has shape {E.shape} but A has shape {A.shape}")
-    if b.size != A.shape[0] or v.size != A.shape[0]:
-        raise ValueError(f"b and v must have {A.shape[0]} entries, one per row of A")
-    AE, bv = np.hstack([A, E]), np.column_stack([b, v])
-    _check_squares(AE, "[A E]")
-    _check_squares(bv, "[b v]")
-    xs = [np.linalg.lstsq(A + eps * E, b + eps * v, rcond=tol)[0] for eps in grid]
-    norms = tuple(float(np.max(np.abs(x), initial=0.0)) for x in xs)
-    # judged in the system's units: x scales as the right-hand side over the matrices
-    k = _unit_scaled(bv)[1] - _unit_scaled(AE)[1]
-    with np.errstate(over="ignore"):
-        unit = np.ldexp(norms, -k).tolist()
-    if _diverging(unit) or unit[-1] > 1.0 / tol:
-        return NumericLimit(None, True, np.inf, norms)
-    value, est = _neville_zero(grid, np.array(xs), [0])
-    return NumericLimit(value, False, float(est[0]), norms)
+    a, b, c = norms[-3:]
+    return a < b < c and c > DIVERGENCE_FACTOR * a and c > 50.0 * (1.0 + min(norms))
 
 
 def _check_grid(eps_grid) -> tuple[float, ...]:
@@ -329,7 +279,7 @@ def limit_mle_numeric(
     lam_grid = np.array([[est.lam[k] for k in keys] for est in estimates])
     omega_grid = np.array([[est.omega[i] for i in range(1, g.m + 1)] for est in estimates])
     norms = _segment_max(np.abs(lam_grid), starts, widths).T.tolist()
-    diverged = [i for i, nv in zip(children, norms) if _diverging(nv) or nv[-1] > 1.0 / tol]
+    diverged = [i for i, nv in zip(children, norms) if _diverging(nv, tol)]
     values, errors = _neville_zero(
         grid, np.hstack([lam_grid, omega_grid]), np.append(starts, len(keys) + np.arange(g.m))
     )
@@ -347,7 +297,6 @@ def limit_mle_numeric(
         lam=lam,
         omega=omega,
         omega_exists=omega_exists,
-        method="numeric",
         partial=not all(omega_exists.values()),
         diverged=bool(diverged),
         diverged_vertices=tuple(diverged),
@@ -429,7 +378,6 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
         lam=lam,
         omega=omega,
         omega_exists=exists,
-        method="analytic",
         epsilon_independent=cond,
         diagnostics=diagnostics,
         partial=not all(exists.values()),
@@ -485,7 +433,8 @@ def check_alpha_fixed(
         P = _as_perturbation(None, fp, tol, g.m).delta
     else:
         P = _validated(fp, g, "perturbation")
-    # column i of P - P L^T is v_i - sum_j lambda_ij v_j
+    # column i of P - P L^T is v_i - sum_j lambda_ij v_j; one that overflows fails
     cols = _norms(P.T)
-    ok = _negligible(_norms((P - P @ L.T).T), cols + cols.max(initial=0.0), tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = _negligible(_norms((P - P @ L.T).T), cols + cols.max(initial=0.0), tol)
     return {i: bool(ok[i - 1]) for i in g.child_vertices()}

@@ -291,12 +291,17 @@ def _normal_equation_failures(A: np.ndarray, g: Dag, lam, tol: float, fit=None) 
     ``tol * (|P^T y| + |P^T P| |x|)``, with ``P`` the parent columns,
     ``y`` the child column and ``x`` the weights.  A missing or NaN weight
     fails.  Given ``fit`` (of another sample), only the part of the residual
-    in the kernel of that sample's parent columns counts.  ``A`` is first
-    scaled by a power of two, which is exact, to a largest column norm in
-    ``[1/2, 1)``, so the products of two columns stay finite."""
+    in the kernel of that sample's parent columns counts.  Powers of two,
+    which scale exactly, keep every product finite: ``A`` is first scaled to
+    a largest column norm in ``[1/2, 1)``, and at a child whose largest
+    weight is at least 1 the residual and the scale are both divided by the
+    ``2**k`` that brings that weight below 1."""
     A = _unit_scaled(A)[0]
     L = _weight_matrix(lam, g, missing=np.nan)
-    R = A - A @ L.T  # column i is y - P x at child i
+    k = np.maximum(np.frexp(np.abs(L).max(axis=1))[1], 0)  # 0 at a NaN or infinite weight
+    L = np.ldexp(L, -k[:, None])
+    with np.errstate(invalid="ignore"):  # an infinite weight gives NaN, which fails
+        R = np.ldexp(A, -k) - A @ L.T  # column i is (y - P x) / 2**k at child i
     x_norm = np.sqrt(np.einsum("ij,ij->i", L, L))
     bad: list[int] = []
     for grp, (cols, (P, y), (_, r)) in enumerate(_groups(g, A, R)):
@@ -306,7 +311,7 @@ def _normal_equation_failures(A: np.ndarray, g: Dag, lam, tol: float, fit=None) 
             resid = resid - _projection(resid, V, keep)[1]
         resid = np.linalg.norm(resid, axis=1)
         scale = (
-            np.linalg.norm(np.einsum("knp,kn->kp", P, y), axis=1)
+            np.ldexp(np.linalg.norm(np.einsum("knp,kn->kp", P, y), axis=1), -k[cols])
             + np.linalg.norm(P.transpose(0, 2, 1) @ P, axis=(1, 2)) * x_norm[cols]
         )
         bad += (cols[~_negligible(resid, scale, tol)] + 1).tolist()
@@ -369,7 +374,8 @@ def loglik(Sigma, Y, tol: float = DEFAULT_TOL) -> float:
     ``-log det(Sigma) - tr(Sigma^-1 S_Y)`` with ``S_Y = Y^T Y / n``.
 
     Rejects matrices that are not symmetric positive definite under ``tol``;
-    boundary cases are the caller's concern.
+    boundary cases are the caller's concern.  A trace beyond the float range
+    gives ``-inf``.
     """
     S = _as_matrix(Sigma, "covariance")
     A = _as_sample(Y)
@@ -382,7 +388,10 @@ def loglik(Sigma, Y, tol: float = DEFAULT_TOL) -> float:
     eigs = np.linalg.eigvalsh((S + S.T) / 2.0)
     if _negligible(eigs[0], max(eigs[-1], 0.0), tol):
         raise ValueError("covariance must be positive definite")
-    n = A.shape[0]
-    sample_cov = A.T @ A / n
+    # the trace in the sample's power-of-two units, which scale exactly, so
+    # that one beyond the float range gives -inf, not a NaN from the solve
+    B, e = _unit_scaled(A)
     _, logdet = np.linalg.slogdet(S)
-    return float(-logdet - np.trace(np.linalg.solve(S, sample_cov)))
+    with np.errstate(over="ignore"):
+        trace = np.ldexp(np.trace(np.linalg.solve(S, B.T @ B / A.shape[0])), 2 * e)
+    return float(-logdet - trace)

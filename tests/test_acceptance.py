@@ -8,9 +8,11 @@ import functools
 import time
 
 import numpy as np
+import pytest
 
 from dagstab import (
     Dag,
+    InvalidPerturbationError,
     MleEstimate,
     VarietyQuery,
     build_from_lift,
@@ -18,9 +20,9 @@ from dagstab import (
     duplicate,
     full_mle,
     in_Xf_alpha_lim,
+    is_perturbation,
     limit_mle,
     limit_mle_numeric,
-    limit_solve_numeric,
     mle_at_epsilon,
     mlt,
     random_lift,
@@ -112,15 +114,23 @@ def _timed(fn):
 
 @criterion(2, "numeric limit: convergent and divergent model systems")
 def test_criterion_2_numeric_limit_examples():
-    A = np.array([[1.0, 0.0], [0.0, 0.0]])
-    E = np.array([[0.0, 0.0], [0.0, 1.0]])
-    good = limit_solve_numeric(A, E, np.zeros(2), np.array([0.0, 1.0]))
-    assert not good.diverged
-    assert np.max(np.abs(good.value - [0.0, 1.0])) < 1e-8
+    # both systems on the collider: the parents of vertex 3 are e1 and the
+    # perturbation's e2; vertex 3's target is e2 in f (divergent) or in f'
+    g = collider()
+    f = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    fp = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    # (e1, eps e2) -> e2 has weights (0, 1/eps): f' is not orthogonal to f
+    assert is_perturbation(f, fp).failures == ("column-orthogonality",)
+    with pytest.raises(InvalidPerturbationError, match="column-orthogonality"):
+        limit_mle_numeric(f, fp, g)
 
-    bad = limit_solve_numeric(A, E, np.array([0.0, 1.0]), np.zeros(2))
-    assert bad.diverged and bad.value is None
-    assert len(bad.norms) > 0  # structured report, not a failure
+    f[:, 2] = 0.0
+    fp = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    # (e1, eps e2) -> eps (e2 + e3) has weights (0, 1) for every eps
+    assert is_perturbation(f, fp).ok
+    for res in (limit_mle_numeric(f, fp, g), limit_mle(f, fp, g)):
+        assert not res.diverged
+        assert np.max(np.abs(res.lambda_vector(g, 3) - [0.0, 1.0])) < 1e-8
 
 
 @criterion(3, "closed-form path and analytic limit on the dependent-line sample")

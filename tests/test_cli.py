@@ -294,6 +294,27 @@ class TestMembership:
         assert report["alphaIsMleGivenF"] is False
         assert report["inXfAlpha"] is None
 
+    @pytest.mark.parametrize("command", ["check", "membership"])
+    def test_huge_alpha_is_rejected_without_a_warning(self, tmp_path, command):
+        # 1e308 weights overflowed P L^T and the weight norm, under -W error
+        # a RuntimeWarning traceback, and membership accepted them
+        alpha = {"lambda": [[3, 1, 1e308], [3, 2, 1e308]]}
+        path = tmp_path / "p.json"
+        problem = collider_problem(LINE_SAMPLE, perturbation=LINE_PERT, alpha=alpha)
+        path.write_text(json.dumps(problem))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dagstab.cli", command, "--input", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        report = json.loads(proc.stdout)
+        if command == "check":
+            assert report["alphaFixed"] == {"3": False}
+        else:
+            assert report["alphaIsMleGivenF"] is False and report["inXfAlphaLim"] is False
+
     def test_limit_variety_rejects_wrong_ratio(self, tmp_path):
         code, report = run_cli(tmp_path, self.make_problem(0.01), "membership")
         assert code == EXIT_OK

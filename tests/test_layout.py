@@ -167,7 +167,6 @@ class TestLayout:
             lam=lam,
             omega=est.omega,
             omega_exists=est.omega_exists,
-            method="analytic",
             epsilon_independent=independent,
             diagnostics=diagnostics,
             partial=not all(est.omega_exists.values()),

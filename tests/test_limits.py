@@ -17,7 +17,6 @@ from dagstab import (
     is_mle,
     limit_mle,
     limit_mle_numeric,
-    limit_solve_numeric,
     mle_at_epsilon,
     star,
 )
@@ -48,6 +47,17 @@ def dependent_line_instance():
     v = np.array([0.0, 0.0, 1.0, 0.0])
     fp = np.column_stack([-v, -v, v])
     return f, fp
+
+
+def nearly_dependent_instance():
+    """Vertex 3's parents have singular values 5.9 and 2.6e-5: the MLE given
+    f is unique, with weights near (-8616, -3702); on the default grid they
+    grow from 3.4 to 8601, so the numeric route flags vertex 3 as diverged."""
+    rng = np.random.default_rng(51)
+    m = int(rng.integers(3, 8))
+    g = random_dag(rng, m, 0.5)
+    f = random_rank_deficient(rng, m + 1, m, m - 2)
+    return f, random_perturbation(f, seed=51), g
 
 
 def sparse_hub_instance(seed):
@@ -116,44 +126,6 @@ class TestMleAtEpsilon:
             mle_at_epsilon(f, np.zeros_like(f), collider(), 0.5)
 
 
-class TestLimitSolveNumeric:
-    def test_near_span_target_converges(self):
-        A = np.array([[1.0, 0.0], [0.0, 0.0]])
-        E = np.array([[0.0, 0.0], [0.0, 1.0]])
-        res = limit_solve_numeric(A, E, np.zeros(2), np.array([0.0, 1.0]))
-        assert not res.diverged
-        assert np.max(np.abs(res.value - [0.0, 1.0])) < 1e-8
-
-    def test_far_target_diverges(self):
-        A = np.array([[1.0, 0.0], [0.0, 0.0]])
-        E = np.array([[0.0, 0.0], [0.0, 1.0]])
-        res = limit_solve_numeric(A, E, np.array([0.0, 1.0]), np.zeros(2))
-        assert res.diverged
-        assert res.value is None
-        # coefficient norms blow up like 1/eps along the grid
-        assert res.norms[0] == pytest.approx(10.0)
-        assert res.norms[1] == pytest.approx(100.0)
-
-    def test_bad_grid_rejected(self):
-        A = np.eye(2)
-        with pytest.raises(ValueError, match="decreasing"):
-            limit_solve_numeric(A, A, np.zeros(2), np.zeros(2), eps_grid=(1e-3, 1e-2))
-
-    @pytest.mark.parametrize(
-        "rhs,mat", [(10.0**k, 1.0) for k in range(-12, 13)] + [(1.0, 1e-6), (1.0, 1e6)]
-    )
-    def test_flags_do_not_depend_on_units(self, rhs, mat):
-        # divergence is judged in the system's units, so scaling the right-hand
-        # side or the matrices moves no flag; values stay in the caller's units
-        A, E = mat * np.diag([1.0, 0.0]), mat * np.diag([0.0, 1.0])
-        e2, zero = np.array([0.0, 1.0]), np.zeros(2)
-        far = limit_solve_numeric(A, E, rhs * e2, zero)
-        assert far.diverged and far.norms[0] == pytest.approx(10.0 * rhs / mat)
-        near = limit_solve_numeric(A, E, zero, rhs * e2)
-        assert not near.diverged
-        np.testing.assert_allclose(near.value, [0.0, rhs / mat], rtol=1e-8, atol=0.0)
-
-
 class TestLimitNumeric:
     def test_dependent_line(self):
         f, fp = dependent_line_instance()
@@ -163,6 +135,12 @@ class TestLimitNumeric:
         assert np.max(np.abs(res.lambda_vector(g, 3) - [1.0, 1.0])) < 1e-8
         assert res.omega_exists == {1: True, 2: True, 3: False}
         assert res.partial
+
+    @pytest.mark.parametrize("grid", [(1e-3, 1e-2), (1e-2, 1e-2), (1e-2, 0.0), ()])
+    def test_bad_grid_rejected(self, grid):
+        f, fp = dependent_line_instance()
+        with pytest.raises(ValueError, match="decreasing|non-empty"):
+            limit_mle_numeric(f, fp, collider(), eps_grid=grid)
 
     def test_omega_values_match_base_sample(self):
         Y = duplicate(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 2)
@@ -213,6 +191,22 @@ class TestLimitNumeric:
             assert abs(got.lam[key] - value) < 1e-8, key
 
 
+    @pytest.mark.parametrize("c", [10.0**k for k in range(-12, 13)])
+    def test_flags_do_not_depend_on_units(self, c):
+        # c f + eps c f' is the same path in other units: the weights and every
+        # flag stay, the variances scale by c^2
+        for f, fp, g in [(*dependent_line_instance(), collider()), nearly_dependent_instance()]:
+            ref, got = limit_mle_numeric(f, fp, g), limit_mle_numeric(c * f, c * fp, g)
+            assert got.diverged_vertices == ref.diverged_vertices
+            assert (got.omega_exists, got.partial) == (ref.omega_exists, ref.partial)
+            assert got.lam.keys() == ref.lam.keys()
+            for key, value in ref.lam.items():
+                assert abs(got.lam[key] - value) < 1e-8, key
+            for i, value in ref.omega.items():
+                assert got.omega[i] == pytest.approx(c * c * value, rel=1e-8), i
+        assert ref.diverged_vertices == (3,)
+
+
 class TestLimitAnalytic:
     def test_full_rank_parents_reduce_to_normal_equations(self):
         rng = np.random.default_rng(23)
@@ -247,13 +241,8 @@ class TestLimitAnalytic:
 
 
     def test_nearly_dependent_parents_give_the_unique_fit(self):
-        # vertex 3's parents have singular values 5.9 and 2.6e-5: the MLE
-        # given f is unique, so it is the limit, although its weights are large
-        rng = np.random.default_rng(51)
-        m = int(rng.integers(3, 8))
-        g = random_dag(rng, m, 0.5)
-        f = random_rank_deficient(rng, m + 1, m, m - 2)
-        fp = random_perturbation(f, seed=51)
+        # the MLE given f is unique, so it is the limit, although its weights are large
+        f, fp, g = nearly_dependent_instance()
         res = limit_mle(f, fp, g)
         assert in_Xf_alpha_lim(VarietyQuery(f=f, candidate=fp, g=g, alpha=MleEstimate(lam=res.lam)))
         pa = [j - 1 for j in g.parents(3)]
@@ -466,14 +455,6 @@ class TestCrossMethod:
             A = f[:, :3]
             fbar = project(f[:, 3], A)
             assert np.max(np.abs(A @ res.lambda_vector(g, 4) - fbar)) < 1e-8
-
-
-def test_numeric_solve_on_the_collider_vertex():
-    f, fp = dependent_line_instance()
-    A, E, b, v = f[:, :2], fp[:, :2], f[:, 2], fp[:, 2]
-    res = limit_solve_numeric(A, E, b, v)
-    assert not res.diverged
-    assert np.max(np.abs(res.value - [1.0, 1.0])) < 1e-8
 
 
 def test_ill_scaled_columns_stay_cross_consistent():

@@ -28,14 +28,13 @@ from dagstab import (
     in_Xf_alpha_lim,
     limit_mle,
     limit_mle_numeric,
-    limit_solve_numeric,
     mle_at_epsilon,
     omega_mle,
     pencil_expand,
 )
 from dagstab.limits import DEFAULT_EPS_GRID, _diverging, _neville_zero
 from dagstab.linalg import DEFAULT_TOL
-from _helpers import project, random_perturbation, random_rank_deficient
+from _helpers import project, random_dag, random_perturbation, random_rank_deficient
 
 ANALYTIC_RTOL = 1e-12
 
@@ -155,7 +154,7 @@ def _reference_numeric(F, P, g, grid=DEFAULT_EPS_GRID, tol=DEFAULT_TOL):
     for i in g.child_vertices():
         vectors = [est.lambda_vector(g, i) for est in estimates]
         norms = [float(np.max(np.abs(x), initial=0.0)) for x in vectors]
-        if _diverging(norms) or norms[-1] > 1.0 / tol:
+        if _diverging(norms, tol):
             diverged.append(i)
             continue
         value, est_err = _reference_neville(grid, vectors)
@@ -173,15 +172,6 @@ def _reference_numeric(F, P, g, grid=DEFAULT_EPS_GRID, tol=DEFAULT_TOL):
         else:
             omega_exists[i] = False
     return lam, err, tuple(diverged), omega, omega_exists
-
-
-def _reference_solve(A, E, b, v, grid=DEFAULT_EPS_GRID, tol=DEFAULT_TOL):
-    xs = [np.linalg.lstsq(A + eps * E, b + eps * v, rcond=tol)[0] for eps in grid]
-    norms = tuple(float(np.max(np.abs(x), initial=0.0)) for x in xs)
-    if _diverging(norms) or (norms and norms[-1] > 1.0 / tol):
-        return None, True, np.inf, norms
-    value, est = _reference_neville(grid, xs)
-    return value, False, est, norms
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +242,28 @@ def case(request):
     return _case(*request.param[1:])
 
 
+def _nearly_dependent_case():
+    """The draw of ``test_limits.py``'s nearly dependent parents: vertex 3's
+    parents have singular values 5.9 and 2.6e-5, and on the default grid its
+    weights grow from 3.4 to 8601 while they converge, so the numeric route
+    flags it as diverged."""
+    rng = np.random.default_rng(51)
+    m = int(rng.integers(3, 8))
+    g = random_dag(rng, m, 0.5)
+    f = random_rank_deficient(rng, m + 1, m, m - 2)
+    return f, random_perturbation(f, seed=51), g
+
+
+@pytest.fixture(
+    scope="module",
+    params=[c[1:] for c in CASES] + [None],
+    ids=[c[0] for c in CASES] + ["nearly-dependent"],
+)
+def numeric_case(request):
+    """The cases of ``case``, and one that takes the divergence branch."""
+    return _case(*request.param) if request.param else _nearly_dependent_case()
+
+
 def _assert_analytic_close(got: dict, ref: dict):
     assert got.keys() == ref.keys()
     for key, value in ref.items():
@@ -272,8 +284,8 @@ class TestGroupedMatchesPerVertexLoops:
         assert any(True in o and False in o for o in outcomes)
         assert any(all(o) for o in outcomes) and any(not any(o) for o in outcomes)
 
-    def test_numeric_route_is_identical(self, case):
-        f, fp, g = case
+    def test_numeric_route_is_identical(self, numeric_case):
+        f, fp, g = numeric_case
         try:
             lam, err, diverged, omega, omega_exists = _reference_numeric(f, fp, g)
         except ValueError as exc:
@@ -288,6 +300,10 @@ class TestGroupedMatchesPerVertexLoops:
         assert res.omega == omega
         assert res.omega_exists == omega_exists
         assert res.epsilon_independent == {}
+        assert res.diverged == bool(diverged)
+
+    def test_nearly_dependent_case_diverges(self):
+        assert limit_mle_numeric(*_nearly_dependent_case()).diverged_vertices == (3,)
 
     def test_condition_dicts_are_identical(self, case):
         f, fp, g = case
@@ -421,27 +437,26 @@ class TestEdgeCases:
         if len(grid) == 1:
             assert set(err.values()) == {0.0}
 
-    @pytest.mark.parametrize("grid", [(1e-1,), (1e-1, 1e-2), DEFAULT_EPS_GRID],
-                             ids=["one", "two", "default"])
-    def test_solve_numeric_single_vector(self, grid):
-        # one parent column: x(eps) is a single number along the grid
-        A = np.array([[1.0], [0.0], [0.0]])
-        E = np.array([[0.0], [2.0], [0.0]])
-        b = np.array([3.0, 0.0, 1.0])
-        v = np.array([0.0, 1.0, 0.5])
-        res = limit_solve_numeric(A, E, b, v, eps_grid=grid)
-        value, diverged, est, norms = _reference_solve(A, E, b, v, grid)
-        assert not res.diverged and not diverged
-        assert res.value.tolist() == value.tolist()
-        assert res.error_estimate == est
-        assert res.norms == norms
 
-    def test_solve_numeric_divergence_unchanged(self):
-        A = np.array([[1.0, 0.0], [0.0, 0.0]])
-        E = np.array([[0.0, 0.0], [0.0, 1.0]])
-        b = np.array([0.0, 1.0])
-        res = limit_solve_numeric(A, E, b, np.zeros(2))
-        value, diverged, est, norms = _reference_solve(A, E, b, np.zeros(2))
-        got = (res.value, res.diverged, res.error_estimate, res.norms)
-        assert got == (value, diverged, est, norms)
-
+class TestDiverging:
+    @pytest.mark.parametrize(
+        "norms,expected",
+        [
+            ((1.0, 10.0, 100.0, 1e3, 1e4, 1e5), True),  # geometric growth to the end
+            ((1.0, 1e3, 1e6), True),  # three points are enough
+            ((1.0, 10.0, 100.0, 1e3, 1.1e3, 1.11e3), False),  # the tail flattens
+            ((1.0, 10.0, 100.0, 1e3, 1e4, 5e3), False),  # the last point falls
+            ((3.4, 482.0, 7376.0, 8601.0), True),  # nearly dependent: flagged, yet it converges
+            ((1e-12, 1e-10, 1e-8, 1e-6), False),  # roundoff: grows in ratio, not in size
+            ((1.0, 100.0, 500.0, 999.0), False),  # above the floor, under 10x in three points
+            ((1.0, 100.0, 500.0, 1001.0), True),
+            ((1.0, 10.0, 100.0), False),  # 10x, not above the floor 50 (1 + min(norms))
+            ((1.0, 10.0, 101.0), True),
+            ((10.0, 100.0), False),  # fewer than three points
+            ((2e10,) * 6, True),  # flat, above the cap 1 / tol
+            ((1.0, 2e10), True),  # the cap on a short grid
+            ((1e10,), False),  # at the cap, not above it
+        ],
+    )
+    def test_table(self, norms, expected):
+        assert _diverging(norms, DEFAULT_TOL) is expected

@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dagstab import (
     Dag,
+    VarietyQuery,
     classify,
     covariance,
     duplicate,
     full_mle,
+    in_Xf_alpha_lim,
     is_lambda_mle,
     is_mle,
     lambda_kernel_basis,
@@ -24,6 +28,9 @@ from _helpers import collider, project, random_rank_deficient, random_transitive
 Y_DEP = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 Y_PRIME = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 Y_ID = np.eye(3)
+# the README sample and its perturbation: column 3 lies in the span of 1 and 2
+LINE_SAMPLE = np.array([[1.0, 1.0, 2.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+LINE_PERT = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, -1.0, 1.0], [0.0, 0.0, 0.0]])
 
 
 class TestLambdaMle:
@@ -160,6 +167,22 @@ class TestLoglik:
     def test_scaled_identity(self):
         assert loglik(2 * np.eye(2), np.eye(2)) == pytest.approx(-2 * np.log(2.0) - 0.5)
 
+    def test_trace_beyond_the_float_range_is_minus_inf(self):
+        # tr(Sigma^-1 S_Y) = 2e310 here, and the solve returned NaN; at a
+        # hundredth of the sample it is 2e306, still in range
+        assert loglik(1e-10 * np.eye(3), 1e150 * LINE_SAMPLE) == -np.inf
+        assert loglik(1e-10 * np.eye(3), 1e148 * LINE_SAMPLE) == pytest.approx(-2e306)
+
+    @pytest.mark.parametrize("power", [-400, -100, 0, 1, 100, 400])
+    def test_in_range_value_is_the_plain_formula_bit_for_bit(self, power):
+        # the trace is taken in the sample's power-of-two units, which scale exactly
+        rng = np.random.default_rng(power % 7)
+        Y = np.ldexp(rng.standard_normal((6, 3)), power)
+        M = rng.standard_normal((3, 3))
+        S = np.ldexp(M @ M.T + np.eye(3), 2 * power)
+        plain = -np.linalg.slogdet(S)[1] - np.trace(np.linalg.solve(S, Y.T @ Y / 6))
+        assert loglik(S, Y) == float(plain)
+
     def test_rejects_non_pd(self):
         with pytest.raises(ValueError, match="positive definite"):
             loglik(np.diag([1.0, 0.0]), np.eye(2))
@@ -275,6 +298,45 @@ class TestInvariants:
             omega_exists={1: True, 2: True, 3: True},
         )
         assert not is_mle(Y_DEP, g, dep)
+
+
+class TestNormalEquationsAtHugeWeights:
+    """The weight norm ``|x|`` overflowed to ``inf`` from about 1e155, and
+    ``inf <= tol * inf`` then accepted any weights."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["same-sign", "opposite-sign"])
+    @pytest.mark.parametrize("size", [1e155, 1e200, 1e308])
+    def test_huge_weights_are_rejected(self, size, sign):
+        g, lam = collider(), {(3, 1): size, (3, 2): sign * size}
+        assert not is_lambda_mle(LINE_SAMPLE, g, lam)
+        query = VarietyQuery(LINE_SAMPLE, LINE_PERT, g, MleEstimate(lam=lam))
+        assert not in_Xf_alpha_lim(query)
+        est = full_mle(Y_ID, g)
+        assert not is_lambda_mle(Y_ID, g, lam)
+        assert not is_mle(Y_ID, g, replace(est, lam=lam))
+
+    @pytest.mark.parametrize("size", [1e0, 1e50, 1e150, 1e250, 1e300])
+    def test_kernel_offsets_pass_and_other_offsets_fail_at_any_size(self, size):
+        # the parents of vertex 5 have rank 3, so the MLEs are x + t N
+        rng = np.random.default_rng(3)
+        g = Dag(5, [(1, 5), (2, 5), (3, 5), (4, 5)])
+        Y = random_rank_deficient(rng, 7, 5, 3)
+        x, N = full_mle(Y, g).lambda_vector(g, 5), lambda_kernel_basis(Y, g, 5)[:, 0]
+        off = rng.standard_normal(4)
+        off -= N * (N @ off)
+        keys = [(5, j) for j in range(1, 5)]
+        assert is_lambda_mle(Y, g, dict(zip(keys, x + size * N)))
+        assert not is_lambda_mle(Y, g, dict(zip(keys, x + size * (N + 1e-6 * off))))
+
+    @pytest.mark.parametrize("t", [1e200, 1e307])
+    def test_huge_kernel_offset_of_an_mle_is_accepted(self, t):
+        # (1 + t, 1 - t) is the minimum-norm MLE (1, 1) plus t times the kernel
+        g = collider()
+        f = np.array([[1.0, 1.0, 2.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        est = full_mle(f, g)
+        lam = {(3, 1): 1.0 + t, (3, 2): 1.0 - t}
+        assert is_lambda_mle(f, g, lam)
+        assert is_mle(f, g, replace(est, lam=lam))
 
 
 # -- the grouped fit against the per-vertex loop it replaced -----------------

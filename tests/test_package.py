@@ -15,4 +15,4 @@ def test_star_import_binds_exactly_all_and_no_submodule():
     assert not any(name.startswith("_") for name in ns)
     # a new public name is a deliberate change: importing a helper into
     # __init__ without an underscore would export it
-    assert len(dagstab.__all__) == 64
+    assert len(dagstab.__all__) == 62

@@ -31,7 +31,6 @@ from dagstab import (
     is_mle,
     limit_mle,
     limit_mle_numeric,
-    limit_solve_numeric,
     loglik,
     mle_at_epsilon,
     regime,
@@ -83,7 +82,7 @@ def nan_entry_points() -> dict:
     its perturbation is zero and the full MLE is an MLE."""
     f, fp, g = np.array(Y_ID + [[0.0, 0.0, 0.0]]), np.zeros((4, 3)), collider()
     alpha = full_mle(f, g)
-    A, E, b, v = f[:, :2], fp[:, :2], f[:, 2], fp[:, 2]
+    A, E = f[:, :2], fp[:, :2]
     lift = random_lift(f, 1)
     calls = {
         "rank": lambda: dagstab.rank(with_nan(f)),
@@ -105,10 +104,6 @@ def nan_entry_points() -> dict:
         "star_min_norm_mle": lambda: dagstab.star_min_norm_mle(with_nan(f), star(3)),
         "mle_at_epsilon-f": lambda: mle_at_epsilon(with_nan(f), fp, g, 0.1),
         "mle_at_epsilon-fp": lambda: mle_at_epsilon(f, with_nan(fp), g, 0.1),
-        "limit_solve_numeric-A": lambda: limit_solve_numeric(with_nan(A), E, b, v),
-        "limit_solve_numeric-E": lambda: limit_solve_numeric(A, with_nan(E), b, v),
-        "limit_solve_numeric-b": lambda: limit_solve_numeric(A, E, with_nan(b), v),
-        "limit_solve_numeric-v": lambda: limit_solve_numeric(A, E, b, with_nan(v)),
     }
     for fn in (classify, full_mle, dagstab.lambda_mle, dagstab.omega_mle):
         calls[fn.__name__] = lambda fn=fn: fn(with_nan(f), g)
@@ -210,38 +205,9 @@ class TestCheckAlphaFixed:
                 check_alpha_fixed(s * P, {(2, 1): 3.0}, g)
 
 
-class TestLimitSolveNumeric:
-    @pytest.mark.parametrize(
-        "A,E,b,v",
-        [
-            ([[1.0, 2.0]], np.eye(2), [0.0], [0.0]),
-            (np.eye(2), np.eye(2), [0.0, 0.0, 0.0], [0.0, 0.0]),
-            (np.eye(2), np.eye(2), [0.0, 0.0], [0.0]),
-        ],
-        ids=["E-shape", "b-length", "v-length"],
-    )
-    def test_rejects_mismatched_shapes(self, A, E, b, v):
-        # the E case used to broadcast and return [0, 0]
-        with pytest.raises(ValueError, match="shape|entries, one per row of A"):
-            limit_solve_numeric(A, E, b, v)
-
-    @pytest.mark.parametrize("s", [1e200, 1e-200])
-    def test_rejects_a_squared_norm_out_of_range(self, s):
-        # a divergent system; at 1e200 it came back diverged=False with [0, 1.009e-198]
-        A, E = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-        b, v = np.array([0.0, 1.0]), np.zeros(2)
-        assert limit_solve_numeric(A, E, b, v).diverged
-        with pytest.raises(ValueError, match=r"\[A E\] has a column whose squared norm"):
-            limit_solve_numeric(s * A, s * E, b, v)
-        with pytest.raises(ValueError, match=r"\[b v\] has a column whose squared norm"):
-            limit_solve_numeric(A, E, s * b, v)
-
-
 class TestEpsilonGrid:
     @pytest.mark.parametrize("grid", [(np.nan, 1e-3), (np.inf, 1e-3)], ids=["nan", "inf"])
     def test_library_rejects_non_finite_grid(self, grid):
-        with pytest.raises(ValueError, match="epsilon grid entries must be finite"):
-            limit_solve_numeric(np.eye(2), np.eye(2), np.zeros(2), np.zeros(2), eps_grid=grid)
         pert = Perturbation(np.array(LINE_SAMPLE), np.array(LINE_PERT))
         with pytest.raises(ValueError, match="epsilon grid entries must be finite"):
             limit_mle_numeric(None, pert, collider(), eps_grid=grid)
@@ -272,7 +238,7 @@ def tol_entry_points() -> dict:
     alpha = full_mle(f, g)
     lam = alpha.lam
     lift = random_lift(f, 1)
-    A, E, b, v = f[:, :2], fp[:, :2], f[:, 2], fp[:, 2]
+    A, E = f[:, :2], fp[:, :2]
     calls = {
         "orth_complement": lambda tol: dagstab.orth_complement(f, 4, tol),
         "pencil_expand": lambda tol: dagstab.pencil_expand(A, E, tol),
@@ -283,7 +249,6 @@ def tol_entry_points() -> dict:
         "random_lift": lambda tol: random_lift(f, 1, tol),
         "check_alpha_fixed": lambda tol: check_alpha_fixed(fp, lam, g, tol),
         "mle_at_epsilon": lambda tol: mle_at_epsilon(f, fp, g, 0.1, tol),
-        "limit_solve_numeric": lambda tol: limit_solve_numeric(A, E, b, v, tol=tol),
         "star_min_norm_mle": lambda tol: dagstab.star_min_norm_mle(f, star(3), tol),
     }
     for fn in (dagstab.rank, dagstab.image_basis, dagstab.kernel_basis):
@@ -641,7 +606,7 @@ class TestOversizedIntegers:
         with pytest.raises(ValueError, match="sample entries must be finite"):
             classify([[1.0, 0.0, -BIG]], collider())
         with pytest.raises(ValueError, match="epsilon grid entries must be finite"):
-            limit_solve_numeric(np.eye(2), np.eye(2), np.zeros(2), np.zeros(2), eps_grid=(BIG, 1.0))
+            limit_mle_numeric(Y_ID, np.zeros((3, 3)), collider(), eps_grid=(BIG, 1.0))
 
 
 class TestUndecodableInput:
