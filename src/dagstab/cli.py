@@ -301,7 +301,7 @@ def cmd_limit(problem: Problem) -> dict:
 def cmd_check(problem: Problem) -> dict:
     g, tol = problem.g, problem.tol
     pert, _, _ = _resolve_perturbation(problem)
-    _, lambda_cond, full_cond = limits._conditions(pert, g, tol, mle._fit(pert.base, g, tol))
+    _, lambda_cond, full_cond = limits._conditions(pert, g, tol)
     alpha_fixed = None
     if problem.alpha is not None:
         alpha_fixed = _vertex_map(limits.check_alpha_fixed(pert, problem.alpha.lam, g, tol))

@@ -19,19 +19,16 @@ two ways:
   ``c_0 = det(A^T A)`` and ``D_0 = c_0 x_A``.
 
 The analytic route is :func:`limit_mle`, the one analytic entry.  It reads
-fits of :func:`dagstab.mle._fit`, which factorises each parent-count group
-once: ``fbar`` is the projection in the fit of ``f`` (whose variances it
+basis fits of :func:`dagstab.mle._fit`, the only fits that form the QR's
+``Q``: ``fbar`` is the projection in the fit of ``f`` (whose variances it
 reports), ``vbar`` that in the fit of ``f'``, and the two span conditions
-project onto the kept left singular vectors of the fit of ``f + f'``.  The
-numeric route calls only :func:`mle_at_epsilon`, once per grid point, and
-extrapolates every edge-weight vector and variance through one stacked
-Neville table.  A child whose parent block has full rank in the fit of
-``f`` (the fit's ``_kept`` cut, not ``FIRST_NONZERO_TOL``) takes ``x_A``
-from that fit, with ``l = 0``, ``c_0`` the product of the fit's squared
-singular values and ``D_0 = c_0 x_A``.  The pencil expansion and the
-numerators run only at children whose parent block has a kernel, once per
-parent-count group that has one, on the stack of those pencils.  Zero tests go
-through :func:`dagstab.linalg._negligible`: a span condition holds when the
+project onto the kept left basis of the fit of ``f + f'``.  Full rank is
+the fit's ``_kept`` cut, not ``FIRST_NONZERO_TOL``; the pencil runs only
+at children whose parent block has a kernel, stacked per parent-count
+group.  The numeric route calls only :func:`mle_at_epsilon`, once per grid
+point, and extrapolates every edge-weight vector and variance through one
+stacked Neville table.  Zero tests go through
+:func:`dagstab.linalg._negligible`: a span condition holds when the
 residual of its target is at most ``tol`` times the target's norm plus the
 largest column norm of ``f'``, and a numeric variance limit vanishes at
 ``tol`` times its largest value on the grid, so scaling ``(f, f')`` by a
@@ -60,8 +57,8 @@ from .linalg import (
     DEFAULT_TOL, _as_matrix, _check_squares, _negligible, _verification_tol, pencil_expand,
 )
 from .mle import (
-    MleEstimate, _edge_pairs, _fit, _groups, _normal_equation_failures, _omega_part, _projection,
-    _validated, _weight_matrix, full_mle,
+    MleEstimate, _edge_pairs, _fit, _groups, _normal_equation_failures, _omega_part, _validated,
+    _weight_matrix, full_mle,
 )
 from .stabilise import Perturbation, _as_perturbation
 
@@ -77,26 +74,27 @@ def _norms(X: np.ndarray) -> np.ndarray:
 
 
 def _in_span(target, span, floor: float, tol: float) -> np.ndarray:
-    """Per row: does ``target``, built from the perturbation, lie in the kept
-    span of the matching ``span = (U, keep, V)`` of a fit?  ``floor`` is the
-    largest column norm of the perturbation, the roundoff in its zero columns."""
-    resid = target - _projection(target, *span[:2])[1]
+    """Per row: does ``target``, built from the perturbation, lie in the span
+    of the kept columns of ``U`` in a basis fit's ``span = (U, keep, ...)``?
+    ``floor``, the largest perturbation column norm, is its zero columns' roundoff."""
+    U, keep = span[:2]
+    c = np.where(keep, (target[:, None, :] @ U)[:, 0, :], 0.0)
+    resid = target - (U @ c[:, :, None])[:, :, 0]
     return _negligible(_norms(resid), _norms(target) + floor, tol)
 
 
-def _conditions(pert: Perturbation, g: Dag, tol: float, fit):
+def _conditions(pert: Perturbation, g: Dag, tol: float, fit=None):
     """``vbar`` (row ``i - 1`` is ``proj_E(v)`` at vertex ``i``) and, per
-    child vertex, the edge-weight and the full condition.
-
-    ``fbar`` comes from ``fit``, the fit of ``f``, and ``vbar`` from the fit
-    of ``f'``; ``fbar + vbar`` and ``fbar + v`` are projected through the
-    fit of ``f + f'``, and ``v`` is compared with ``vbar``.
-    """
+    child vertex, the edge-weight and the full condition, from basis fits:
+    ``fbar`` from ``fit``, that of ``f`` (made here if not given), ``vbar``
+    from that of ``f'``; ``fbar + vbar`` and ``fbar + v`` are projected
+    through that of ``f + f'``, and ``v`` is compared with ``vbar``."""
     D = pert.delta
-    vfit = _fit(D, g, tol)
+    fit = fit or _fit(pert.base, g, tol, basis=True)
+    vfit = _fit(D, g, tol, basis=True)
     floor = _norms(D.T).max(initial=0.0)
     lam_ok, full_ok = np.zeros(g.m, dtype=bool), np.zeros(g.m, dtype=bool)
-    for (cols, _), span in zip(g._parent_groups, _fit(pert.base + D, g, tol).spans):
+    for (cols, _), span in zip(g._parent_groups, _fit(pert.base + D, g, tol, basis=True).spans):
         fbar, vbar, v = fit.proj[cols], vfit.proj[cols], D.T[cols]
         lam_ok[cols] = _in_span(fbar + vbar, span, floor, tol)
         in_E = _negligible(_norms(v - vbar), _norms(v) + floor, tol)
@@ -314,25 +312,19 @@ def _limit_equation_failures(pert: Perturbation, g: Dag, lam, tol: float, fit) -
 
 
 def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
-    """Limit MLE given ``f + eps f'``: the closed-form edge weights plus the
-    variance limits ``|f_i - proj(f_i)|^2 / n``.
+    """Limit MLE given ``f + eps f'``: the closed-form edge weights of the
+    module docstring plus the variance limits ``|f_i - proj(f_i)|^2 / n``.
 
-    At a child whose parent columns ``A`` have full rank in the fit of
-    ``f`` the edge-weight limit is that fit's unique ``x_A``, with ``l = 0``,
-    ``c_0 = det(A^T A)`` (the product of the fit's squared singular values)
-    and ``D_0 = c_0 x_A``; a ``c_0`` that overflows or underflows, or a
-    ``D_0`` that overflows, raises the pencil's "all determinant
-    coefficients vanish" error.  At the other children the pencils are
-    expanded one stack per parent-count group, and the limit is
-    ``(G_l u + G_{l-1} w) / c_l`` as described in the module docstring.
-    The variance limit coincides with the variance MLE given ``f`` wherever
-    the latter exists; when it exists everywhere the assembled limit is an
-    MLE given ``f``.  Otherwise the record is labelled ``partial``
-    (edge-weight limit plus the existing variance entries).  Edge
-    weights off the limit variety (the check of ``in_Xf_alpha_lim``) raise.
+    At full rank ``c_0`` is the product of the fit's squared singular
+    values; one that overflows or underflows, or a ``D_0`` that overflows,
+    raises the pencil's "all determinant coefficients vanish" error.  The
+    variance limit is the variance MLE given ``f`` wherever the latter
+    exists; when it exists everywhere the assembled limit is an MLE given
+    ``f``, otherwise the record is labelled ``partial``.  Edge weights off
+    the limit variety (the check of ``in_Xf_alpha_lim``) raise.
     """
     pert = _as_perturbation(f, fp, tol, g.m)
-    fit = _fit(pert.base, g, tol)
+    fit = _fit(pert.base, g, tol, basis=True)
     vbar, cond, _ = _conditions(pert, g, tol, fit)
     starts = np.cumsum(g._parent_counts) - g._parent_counts  # each vertex's first edge
     weights = fit.coef.copy()
@@ -393,8 +385,7 @@ def check_lambda_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int,
     being independent of ``eps`` along the path).  :func:`limit_mle`, the
     analytic limit route, reports the same dict as ``epsilon_independent``.
     """
-    pert = _as_perturbation(f, fp, tol, g.m)
-    return _conditions(pert, g, tol, _fit(pert.base, g, tol))[1]
+    return _conditions(_as_perturbation(f, fp, tol, g.m), g, tol)[1]
 
 
 def check_full_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int, bool]:
@@ -410,8 +401,7 @@ def check_full_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int, b
     perturbation column there is nonzero (the shift vanishes along the
     ``eps -> 0`` path, so the limit machinery is unaffected).
     """
-    pert = _as_perturbation(f, fp, tol, g.m)
-    return _conditions(pert, g, tol, _fit(pert.base, g, tol))[2]
+    return _conditions(_as_perturbation(f, fp, tol, g.m), g, tol)[2]
 
 
 def check_alpha_fixed(

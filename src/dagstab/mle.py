@@ -12,17 +12,13 @@ squared residual of that projection, and exists only when the residual is
 strictly positive.  All functions are pure and thread-safe.
 
 Every estimator, the classification and :mod:`dagstab.limits` read fits of
-whole samples.  The grouping of the child vertices by parent count ``p``,
-the edge order and the parent counts are the DAG's layout, built once by
-:class:`dagstab.graph.Dag`; :func:`_groups` stacks each group's parent and
-target columns from it, and every edge-weight vector is stacked in its edge
-order.  Each group's parent submatrices go through one stacked
-``n x p`` SVD; the rank (the cut of :func:`dagstab.linalg._kept`), the
-minimum-norm coefficients, the projection, the residual and the kept
-singular vectors all come from it, and ``classify`` reads existence and
-uniqueness from that rank and residual.  One normal-equations check,
-stacked per group, serves ``is_lambda_mle``, ``is_mle``,
-``limits.limit_mle`` and ``in_Xf_alpha_lim``.
+whole samples (:func:`_fit`), grouped by parent count in the layout that
+:class:`dagstab.graph.Dag` builds once, with every edge-weight vector in its
+edge order.  Per group, one stacked QR of ``[P | y]`` and one values-only
+SVD of its small triangular factor give every rank (the cut of
+:func:`dagstab.linalg._kept`) and residual, and ``classify`` reads existence
+and uniqueness from them.  One normal-equations check, stacked per group,
+serves ``is_lambda_mle``, ``is_mle``, ``limits.limit_mle`` and ``in_Xf_alpha_lim``.
 Zero tests go through :func:`dagstab.linalg._negligible`: a variance exists
 when ``|y - proj y| > tol |y|``, and the normal equations hold when
 ``|P^T (y - P x)| <= tol (|P^T y| + |P^T P| |x|)``, so no answer depends on
@@ -119,70 +115,78 @@ def duplicate(Y, k: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Fit:
-    """Per-vertex projection data, indexed by vertex ``i - 1``.
-
-    ``coef`` holds the minimum-norm coefficients in the DAG's edge order,
-    ``rank`` the rank of the parent columns, ``proj`` (one row per vertex)
-    the projection onto them, ``resid_sq`` the squared projection residual
-    and ``exists`` the strict-positivity decision on it.  ``spans`` holds,
-    per group of the DAG's layout, ``U, keep, V, s``: its singular vectors
-    (``V`` as columns), which are kept and the singular values;
-    :func:`_projection` takes ``U`` or ``V``.
-    """
+    """Per-vertex fit data, indexed by vertex ``i - 1``: the minimum-norm
+    ``coef`` in the DAG's edge order, the ``rank`` of the parent columns,
+    the squared residual ``resid_sq`` and the positivity decision ``exists``
+    on it.  ``spans`` holds, per group of the layout, ``U, keep, N, s``: the
+    singular values of the parent columns, which are kept, a ``p x p`` basis
+    of their kernel padded with zero columns and, in a basis fit only, an
+    ``n x min(n, p)`` basis whose kept columns span their image, onto which
+    ``proj`` (one row per vertex) projects; elsewhere both are ``None``."""
 
     coef: np.ndarray
     rank: np.ndarray
-    proj: np.ndarray
+    proj: np.ndarray | None
     resid_sq: np.ndarray
     exists: np.ndarray
-    spans: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    spans: list[tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _groups(g: Dag, *mats: np.ndarray):
-    """Child vertices grouped by parent count, with their columns stacked.
-
-    Per group of ``k`` vertices with ``p`` parents each in ``g``'s layout,
-    yields their 0-based indices and, for each ``n x m`` matrix ``M`` given,
-    the pair of the ``(k, n, p)`` stack of parent submatrices
-    ``M[:, parents(i)]`` and the ``(k, n)`` stack of columns ``M[:, i]``.
-    """
+    """Per group of ``k`` children with ``p`` parents in ``g``'s layout: their
+    0-based indices and, for each ``n x m`` matrix ``M`` given, the pair of
+    the ``(k, n, p)`` stack of ``M[:, parents(i)]`` and the ``(k, n)`` stack
+    of ``M[:, i]``."""
     for cols, idx in g._parent_groups:
         yield cols, *((M.T[idx].transpose(0, 2, 1), M.T[cols]) for M in mats)
 
 
-def _projection(Y: np.ndarray, U: np.ndarray, keep: np.ndarray):
-    """Per row of the stack ``Y``: its coordinates on the matching ``U``,
-    zero on the columns ``keep`` drops, and its orthogonal projection onto
-    the span of the kept columns."""
-    c = np.where(keep, (Y[:, None, :] @ U)[:, 0, :], 0.0)
-    return c, (U @ c[:, :, None])[:, :, 0]
-
-
-def _fit(A: np.ndarray, g: Dag, tol: float) -> _Fit:
-    """Project every column of a validated sample onto its parent columns.
-
-    Vertices with equally many parents share one stacked SVD.  With
-    ``P = U S V^T`` and ``r`` the count of singular values kept by
-    :func:`dagstab.linalg._kept`, the minimum-norm coefficients are
-    ``V_r S_r^-1 U_r^T y`` and the projection is ``U_r U_r^T y``.  A source
-    column is its own residual.
-    """
+def _fit(A: np.ndarray, g: Dag, tol: float, basis: bool = False) -> _Fit:
+    """Project every column of a validated sample onto its parent columns:
+    per parent-count group, one stacked QR of ``[P | y]`` gives the factor
+    ``[T | z]``, ``T`` with the singular values of ``P`` and ``z = Q^T y``,
+    and one values-only SVD of ``T`` the rank ``r``, the count kept by
+    :func:`dagstab.linalg._kept`.  At ``r = p`` the coefficients solve the
+    leading ``p x p`` triangle of ``T`` and the residual is ``z[p:]``; only a
+    block with a kernel runs the SVD ``T = U_T S V^T`` with vectors, for the
+    minimum-norm ``V_r S_r^-1 U_r^T z`` and the residual of ``z`` off ``U_r``.
+    ``basis`` also forms ``Q`` for the projections :mod:`dagstab.limits`
+    reads; ``R``, so every decision, is the same."""
     starts = np.cumsum(g._parent_counts) - g._parent_counts  # each vertex's first edge
-    coef = np.zeros(len(g._edge_keys))
-    rank = np.zeros(g.m, dtype=int)
-    proj = np.zeros((g.m, A.shape[0]))
+    coef, rank = np.zeros(len(g._edge_keys)), np.zeros(g.m, dtype=int)
+    sq = np.einsum("nm,nm->m", A, A)  # a source column is its own residual
+    resid_sq, proj = sq.copy(), np.zeros((g.m, A.shape[0])) if basis else None
     spans = []
-    for cols, (P, Y) in _groups(g, A):
-        U, s, Vt = np.linalg.svd(P, full_matrices=False)
+    for cols, idx in g._parent_groups:
+        k, p = idx.shape
+        PY = A.T[np.column_stack([idx, cols])].transpose(0, 2, 1)
+        Q, R = np.linalg.qr(PY) if basis else (None, np.linalg.qr(PY, mode="r"))
+        T, C = R[..., :p], R[..., p].copy()  # C: y's coordinates on the left basis
+        s = np.linalg.svd(T, compute_uv=False)
         keep = _kept(s, tol)
-        spans.append((U, keep, Vt.transpose(0, 2, 1), s))
-        c_kept, proj[cols] = _projection(Y, U, keep)
-        x = (np.divide(c_kept, s, out=np.zeros_like(c_kept), where=keep)[:, None, :] @ Vt)[:, 0, :]
-        rank[cols] = keep.sum(axis=1)
-        coef[starts[cols, None] + np.arange(x.shape[1])] = x
-    R = A.T - proj
-    resid_sq = np.einsum("mn,mn->m", R, R)
-    exists = ~_negligible(np.sqrt(resid_sq), np.sqrt(np.einsum("nm,nm->m", A, A)), tol)
+        r, w = keep.sum(axis=1), s.shape[1]
+        full, x, N = r == p, np.zeros((k, p)), np.zeros((k, p, p))
+        F, K = full, ~full  # the full-rank rows and the rows with a kernel
+        if full.all() or not full.any():  # one kind: a slice, which copies nothing
+            F, K = (slice(None), None) if full[0] else (None, slice(None))
+        if F is not None:
+            x[F] = np.linalg.solve(T[F, :p], C[F, :p, None])[..., 0]
+        U = Q[..., :w] if basis else None
+        if K is not None:
+            U_T, s_T, Vt = np.linalg.svd(T[K])
+            C[K] = (C[K, None, :] @ U_T)[:, 0, :]
+            c = np.divide(C[K, :w], s_T, out=np.zeros_like(s_T), where=keep[K])
+            x[K] = (c[:, None, :] @ Vt[:, :w])[:, 0, :]
+            N[K] = Vt.mT * (np.arange(p) >= r[K, None])[:, None, :]
+            if basis:
+                U[K] = Q[K] @ U_T[..., :w]
+        off = np.where(np.arange(C.shape[1]) >= r[:, None], C, 0.0)
+        resid_sq[cols] = np.einsum("kq,kq->k", off, off)
+        if basis:
+            proj[cols] = (U @ np.where(keep, C[:, :w], 0.0)[:, :, None])[:, :, 0]
+        rank[cols], coef[starts[cols, None] + np.arange(p)] = r, x
+        spans.append((U, keep, N, s))
+    exists = ~_negligible(np.sqrt(resid_sq), np.sqrt(sq), tol)
     return _Fit(coef, rank, proj, resid_sq, exists, spans)
 
 
@@ -306,9 +310,8 @@ def _normal_equation_failures(A: np.ndarray, g: Dag, lam, tol: float, fit=None) 
     bad: list[int] = []
     for grp, (cols, (P, y), (_, r)) in enumerate(_groups(g, A, R)):
         resid = np.einsum("knp,kn->kp", P, r)
-        if fit is not None:
-            _, keep, V, _ = fit.spans[grp]
-            resid = resid - _projection(resid, V, keep)[1]
+        if fit is not None:  # its coordinates on the kernel basis N
+            resid = np.einsum("kpj,kp->kj", fit.spans[grp][2], resid)
         resid = np.linalg.norm(resid, axis=1)
         scale = (
             np.ldexp(np.linalg.norm(np.einsum("knp,kn->kp", P, y), axis=1), -k[cols])
@@ -352,7 +355,7 @@ def covariance(est: MleEstimate, g: Dag) -> np.ndarray:
 
     ``L`` carries the edge weights (row = child, column = parent) and ``W``
     is the diagonal of variances.  ``I - L`` is unipotent in a topological
-    order, hence always invertible.
+    order, hence always invertible.  An entry beyond the float range raises.
     """
     m = g.m
     if not est.all_omega_exist(g):
@@ -363,9 +366,16 @@ def covariance(est: MleEstimate, g: Dag) -> np.ndarray:
         raise ValueError(f"edge weights missing at vertices {missing}")
     L = _weight_matrix(est.lam, g)
     W = np.diag([est.omega[i] for i in range(1, m + 1)])
-    Minv = np.linalg.inv(np.eye(m) - L)
-    S = Minv @ W @ Minv.T
-    return (S + S.T) / 2.0
+    overflow = ValueError("covariance overflows: an entry is beyond the float range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:  # I - L is unipotent, so its LU fails only where an entry overflows
+            Minv = np.linalg.inv(np.eye(m) - L)
+        except np.linalg.LinAlgError:
+            raise overflow from None
+        S = Minv @ W @ Minv.T
+    if not np.isfinite(S).all():
+        raise overflow
+    return S / 2.0 + S.T / 2.0
 
 
 def loglik(Sigma, Y, tol: float = DEFAULT_TOL) -> float:

@@ -350,22 +350,27 @@ class TestLimitPencils:
 
 
 @pytest.fixture
-def svds(monkeypatch):
-    """SVDs run, wherever ``np.linalg.svd`` is called, counting each spectral
-    norm ``np.linalg.norm(M, 2)`` of a matrix as one (it runs an SVD)."""
-    count = [0]
-    svd, norm = np.linalg.svd, np.linalg.norm
+def factorisations(monkeypatch):
+    """SVDs and QRs run, wherever ``np.linalg.svd`` or ``np.linalg.qr`` is
+    called, counting each spectral norm ``np.linalg.norm(M, 2)`` of a matrix
+    as one SVD (it runs one)."""
+    count = {"svd": 0, "qr": 0}
+    svd, qr, norm = np.linalg.svd, np.linalg.qr, np.linalg.norm
 
-    def counted_svd(*args, **kwargs):
-        count[0] += 1
-        return svd(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            count[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
 
     def counted_norm(x, ord=None, *args, **kwargs):
         if ord == 2 and np.ndim(x) == 2:
-            count[0] += 1
+            count["svd"] += 1
         return norm(x, ord, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", qr))
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     return count
 
@@ -381,38 +386,59 @@ def bench_cli_cases(monkeypatch):
 class TestSvdsPerCommand:
     """One SVD per matrix whose rank, image or spectral norm a command reads
     (``is_perturbation``: one each for ``f`` and ``f'``; ``validate_lift``: one
-    for ``f`` and one per stage map), on the benchmark's m = 20 problem and
-    star membership queries.  A stacked SVD counts once: ``pencil_expand`` runs
-    one for ``A``, ``E`` and ``A + E`` of every pencil of a parent-count group,
-    and the fit one per group (3 groups here), which is all ``classify`` and
-    ``estimate`` run.
+    for ``f`` and one per stage map), on the benchmark's m = 20 problem, a
+    rank-1 sample on its DAG and star membership queries.  A stacked call
+    counts once: ``pencil_expand`` runs one SVD for ``A``, ``E`` and ``A + E``
+    of every pencil of a parent-count group, and the fit, per group, one QR
+    of ``[P | y]`` and one values-only SVD of its triangular factor, plus one
+    SVD with vectors where some parent block of the group has a kernel.  The
+    m = 20 DAG has 3 groups (p = 1, 2, 3), so ``classify`` and ``estimate``
+    run 3 QRs and 3 SVDs on its full-rank sample, and 3 QRs and 5 SVDs on a
+    rank-1 sample, where the groups p = 2 and 3 have a kernel.
     ``random_lift`` reads each map's rank, image and kernel from one thin SVD.
-    ``stabilize`` runs 9: ``random_lift`` 4 (the sample, the two of
-    ``orth_complement`` and the one stage map), ``validate_lift`` 2,
+    ``stabilize`` runs 9 SVDs and no QR: ``random_lift`` 4 (the sample, the
+    two of ``orth_complement`` and the one stage map), ``validate_lift`` 2,
     ``is_perturbation`` 2 and the rank of ``f + f'``; the report's stage ranks
-    are the ones ``validate_lift`` checked.  ``limit`` runs 35: ``random_lift``
-    4, ``validate_lift`` 2, ``is_perturbation`` 2 and 27 in 9 fits (``f``,
-    ``f'`` and ``f + f'`` in ``limit_mle``, one per grid point of the numeric
-    route); every parent block has full rank, so ``pencil_expand`` runs none.
-    At 38 it ran once per group (3).  The previous counts were 6
-    and 6 (a second batched SVD per group gave the parent-and-self ranks), 17,
-    11 then 10, 99, 93, 55 then 54, 24 then 18, and 6; at 11, 55 and 18
-    ``random_lift`` still factored the sample twice, at 10 the CLI decided
-    each stage map's rank again, and at 54 the pencil ran once per child
-    vertex (19 times)."""
+    are the ones ``validate_lift`` checked.  ``limit`` runs 35 SVDs and 27
+    QRs: ``random_lift`` 4, ``validate_lift`` 2, ``is_perturbation`` 2 and 27
+    in 9 fits (``f``, ``f'`` and ``f + f'`` in ``limit_mle``, one per grid
+    point of the numeric route); every parent block has full rank, so no fit
+    runs an SVD with vectors and ``pencil_expand`` runs none.  ``check`` runs
+    the same 8 outside the fits and the 3 fits of ``f``, ``f'`` and
+    ``f + f'``: 17 SVDs and 9 QRs.  ``membership`` runs 4 SVDs and 1 QR:
+    ``is_perturbation`` 2 and the fit of the star sample, whose one group has
+    a kernel.  Before the fit factored ``[P | y]`` by QR it ran one SVD with
+    vectors of every group, and ``membership`` ran 3.  At 38 the fit ran
+    once per group (3).  The previous counts were 6 and 6 (a second batched
+    SVD per group gave the parent-and-self ranks), 17, 11 then 10, 99, 93, 55
+    then 54, 24 then 18, and 6; at 11, 55 and 18 ``random_lift`` still
+    factored the sample twice, at 10 the CLI decided each stage map's rank
+    again, and at 54 the pencil ran once per child vertex (19 times)."""
 
-    @pytest.mark.parametrize("label,want", [
-        ("classify-m20", 3),
-        ("estimate-m20", 3),
-        ("stabilize-m20", 9),
-        ("limit-m20", 35),
-        ("check-m20", 17),
-        ("membership-star6-inside", 3),
-        ("membership-star6-moved-alpha", 3),
+    @pytest.mark.parametrize("label,svd,qr", [
+        ("classify-m20", 3, 3),
+        ("estimate-m20", 3, 3),
+        ("stabilize-m20", 9, 0),
+        ("limit-m20", 35, 27),
+        ("check-m20", 17, 9),
+        ("membership-star6-inside", 4, 1),
+        ("membership-star6-moved-alpha", 4, 1),
     ])
-    def test_count(self, tmp_path, capsys, svds, bench_cli_cases, label, want):
+    def test_count(self, tmp_path, capsys, factorisations, bench_cli_cases, label, svd, qr):
         case = bench_cli_cases[label]
-        svds[0] = 0
+        factorisations.update(svd=0, qr=0)
         code, _ = run(tmp_path, capsys, case["problem"], case["command"])
         assert code == EXIT_OK
-        assert svds[0] == want
+        assert factorisations == {"svd": svd, "qr": qr}
+
+    def test_rank_one_estimate(self, tmp_path, capsys, factorisations, bench_cli_cases):
+        # the groups p = 2 and p = 3 have a kernel at rank 1; p = 1 has none
+        data = dict(bench_cli_cases["estimate-m20"]["problem"])
+        rng = np.random.default_rng(1)
+        data["sample"] = np.outer(rng.standard_normal(20), rng.standard_normal(20)).tolist()
+        factorisations.update(svd=0, qr=0)
+        code, report = run(tmp_path, capsys, data, "estimate")
+        assert code == EXIT_OK
+        assert report["classification"] == "nonexistent"
+        assert sorted(set(report["lambdaKernelDims"].values())) == [0, 1, 2]
+        assert factorisations == {"svd": 5, "qr": 3}

@@ -19,7 +19,7 @@ from dagstab import Classification, Dag, MleEstimate, classify, full_mle, limit_
 from dagstab.graph import EXISTS_NON_UNIQUE, EXISTS_UNIQUE, NONEXISTENT
 from dagstab.limits import LimitResult, VertexDiagnostics
 from dagstab.linalg import DEFAULT_TOL, _kept, _negligible, pencil_expand
-from dagstab.mle import GIT_LABELS, _projection
+from dagstab.mle import GIT_LABELS
 from _helpers import project, random_dag, random_perturbation, random_rank_deficient, tournament
 
 
@@ -49,31 +49,46 @@ def _samples(g: Dag, seed: int) -> list[np.ndarray]:
 
 
 def _block(Y: np.ndarray, i: int, g: Dag) -> np.ndarray:
-    """The parent columns of ``i``, laid out as one matrix of a group's stack."""
-    return Y.T[[np.subtract(g.parents(i), 1)]].transpose(0, 2, 1)
+    """The columns ``[P | y]`` of ``i``'s parents and ``i``, laid out as one
+    matrix of a group's stack."""
+    return Y.T[[np.subtract(g.parents(i) + [i], 1)]].transpose(0, 2, 1)
 
 
 def _reference_fit(Y: np.ndarray, g: Dag, tol: float = DEFAULT_TOL):
-    """Per vertex, one at a time: the projection onto the parent columns (one
-    row per vertex), the minimum-norm coefficients and the kernel dimension;
+    """Per vertex, one at a time: a QR of ``[P | y]``, then an SVD of the
+    triangular factor's ``T``, values only and, where ``P`` has a kernel,
+    with vectors; from them the projection onto the parent columns (one row
+    per vertex), the minimum-norm coefficients and the kernel dimension;
     then the existence of each variance and the estimate.  Also returns the
     singular values of each child's parent columns."""
-    proj = np.zeros((g.m, Y.shape[0]))
+    sq = np.einsum("nm,nm->m", Y, Y)
+    resid_sq, proj = sq.copy(), np.zeros((g.m, Y.shape[0]))
     lam, kdims, svals = {}, {}, {}
     for i in range(1, g.m + 1):
         pa = g.parents(i)
-        kdims[i] = 0
-        if pa:
-            U, s, Vt = np.linalg.svd(_block(Y, i, g), full_matrices=False)
-            svals[i] = s[0]
-            keep = _kept(s, tol)
-            c, proj[i - 1] = _projection(Y.T[[i - 1]], U, keep)
-            x = (np.divide(c, s, out=np.zeros_like(c), where=keep)[:, None, :] @ Vt)[0, 0]
-            lam.update(zip([(i, j) for j in pa], x.tolist()))
-            kdims[i] = len(pa) - int(keep.sum())
-    R = Y.T - proj
-    resid_sq = np.einsum("mn,mn->m", R, R)
-    ok = ~_negligible(np.sqrt(resid_sq), np.sqrt(np.einsum("nm,nm->m", Y, Y)), tol)
+        p = kdims[i] = len(pa)
+        if not pa:
+            continue
+        Q, R = np.linalg.qr(_block(Y, i, g))
+        T, z = R[..., :p], R[..., p].copy()
+        s = np.linalg.svd(T, compute_uv=False)
+        svals[i], keep = s[0], _kept(s, tol)
+        r, w = int(keep.sum()), s.shape[1]
+        if r == p:
+            x = np.linalg.solve(T[:, :p], z[:, :p, None])[..., 0]
+            U = Q[..., :w]
+        else:
+            U_T, s_T, Vt = np.linalg.svd(T)
+            z = (z[:, None, :] @ U_T)[:, 0, :]
+            c = np.divide(z[:, :w], s_T, out=np.zeros_like(s_T), where=keep)
+            x = (c[:, None, :] @ Vt[:, :w])[:, 0, :]
+            U = Q @ U_T[..., :w]
+        proj[i - 1] = (U @ np.where(keep, z[:, :w], 0.0)[:, :, None])[0, :, 0]
+        off = np.where(np.arange(z.shape[1]) >= r, z, 0.0)
+        resid_sq[i - 1] = np.einsum("kq,kq->k", off, off)[0]
+        lam.update(zip([(i, j) for j in pa], x[0].tolist()))
+        kdims[i] = p - r
+    ok = ~_negligible(np.sqrt(resid_sq), np.sqrt(sq), tol)
     exists = dict(enumerate(ok.tolist(), start=1))
     omega = {i: sq / Y.shape[0] for i, sq in zip(exists, resid_sq.tolist()) if exists[i]}
     est = MleEstimate(lam=lam, lambda_kernel_dims=kdims, omega=omega, omega_exists=exists)
@@ -147,7 +162,7 @@ class TestLayout:
         floor = np.linalg.norm(fp, axis=0).max()
         lam, independent, diagnostics = {}, {}, {}
         for i in g.child_vertices():
-            A, E = _block(f, i, g)[0], _block(fp, i, g)[0]
+            A, E = _block(f, i, g)[0, :, :-1], _block(fp, i, g)[0, :, :-1]
             if est.lambda_kernel_dims[i] == 0:
                 # full rank: the fit is the limit, with c_0 = det(A^T A) = prod s^2
                 x = est.lambda_vector(g, i)

@@ -106,14 +106,17 @@ def _reference_full_condition(F, P, g, tol=DEFAULT_TOL):
 def _reference_analytic(F, P, g, tol=DEFAULT_TOL):
     """Edge weights and ``(l, c_l, D_l)`` per child vertex.  Where the parent
     columns of ``F`` have full rank (the fit's cut) the limit is the unique
-    fit, with ``l = 0`` and ``c_0 = det(A^T A)`` from its singular values;
-    elsewhere it comes from the pencil expansion."""
+    fit, with ``l = 0`` and ``c_0 = det(A^T A)`` from the singular values of
+    the triangular factor ``T`` of the QR of ``[A | b]``, as the fit takes
+    them; elsewhere it comes from the pencil expansion."""
     lam, diagnostics = {}, {}
     for i in g.child_vertices():
         A, E, b, v = _system(F, P, g, i)
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        p = A.shape[1]
+        T, z = np.hsplit(np.linalg.qr(np.column_stack([A, b]), mode="r"), [p])
+        s = np.linalg.svd(T, compute_uv=False)
         if np.all(s > tol * s[0]):
-            x = Vt.T @ ((U.T @ b) / s)
+            x = np.linalg.solve(T[:p], z[:p, 0])
             c_l = float(np.prod(s ** 2))
             diagnostics[i] = (0, c_l, c_l * x)
             lam.update(zip([(i, j) for j in g.parents(i)], x.tolist()))

@@ -20,7 +20,7 @@ from dagstab import (
 )
 from dagstab.graph import EXISTS_NON_UNIQUE, EXISTS_UNIQUE, NONEXISTENT
 from dagstab.linalg import DEFAULT_TOL, rank
-from dagstab.mle import GIT_LABELS, MleEstimate
+from dagstab.mle import GIT_LABELS, MleEstimate, _fit
 from _helpers import collider, project, random_rank_deficient, random_transitive_dag
 
 # The worked three-variable example: two observations of three variables,
@@ -146,6 +146,30 @@ class TestCovariance:
                               omega_exists={i: True for i in (1, 2, 3)})
         with pytest.raises(ValueError, match=r"^edge weights missing at vertices \[3\]$"):
             covariance(partial, collider())
+
+    @pytest.mark.parametrize("t", [1e200, 1e307])
+    def test_overflow_raises(self, t):
+        # (1 + t, 1 - t) is an MLE: the minimum-norm (1, 1) plus t times the kernel
+        g = collider()
+        f = np.array([[1.0, 1.0, 2.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        est = replace(full_mle(f, g), lam={(3, 1): 1.0 + t, (3, 2): 1.0 - t})
+        assert is_mle(f, g, est)
+        with pytest.raises(ValueError, match="overflows"):
+            covariance(est, g)
+
+    def test_overflow_in_the_inverse_raises(self):
+        # kernel offsets of 1e200 at vertex 3 (parents 1 = 2) and at vertex 4
+        # (parents 3 = 5): the LU of I - L overflows, which read as "singular"
+        g = Dag(5, [(1, 3), (2, 3), (3, 4), (5, 4), (1, 5), (2, 5)])
+        a, b, c = np.eye(6)[:3]
+        f = np.column_stack([a, a, 2 * a + b, 6 * a + 3 * b + c, 2 * a + b])
+        est = full_mle(f, g)
+        lam = dict(est.lam)
+        for (i, j), sign in {(3, 1): 1, (3, 2): -1, (4, 3): 1, (4, 5): -1}.items():
+            lam[(i, j)] += sign * 1e200
+        assert is_mle(f, g, replace(est, lam=lam))
+        with pytest.raises(ValueError, match="overflows"):
+            covariance(replace(est, lam=lam), g)
 
 
 class TestLoglik:
@@ -347,15 +371,19 @@ REFERENCE_RTOL = 1e-9
 
 
 def _reference_mle(Y, g: Dag, tol: float = DEFAULT_TOL):
-    """One least-squares solve, one projection and one rank per vertex."""
+    """One least-squares solve and one projection per vertex.  ``lstsq``
+    (LAPACK's gelsd) drops the singular values ``s <= rcond * s_max``, the
+    cut of ``_kept``, and its rank gives the kernel dimension."""
     lam, kdims, omega, exists = {}, {}, {}, {}
     for i in range(1, g.m + 1):
         pa = g.parents(i)
         P = Y[:, [j - 1 for j in pa]]
         col = Y[:, i - 1]
+        kdims[i] = 0
         if pa:
-            lam.update(zip([(i, j) for j in pa], np.linalg.lstsq(P, col, rcond=tol)[0]))
-        kdims[i] = len(pa) - rank(P, tol)
+            x, _, r, _ = np.linalg.lstsq(P, col, rcond=tol)
+            lam.update(zip([(i, j) for j in pa], x))
+            kdims[i] = len(pa) - int(r)
         resid = col - project(col, P, tol)
         exists[i] = bool(np.linalg.norm(resid) > tol * (1.0 + np.linalg.norm(col)))
         if exists[i]:
@@ -420,6 +448,9 @@ def _reference_cases():
         n = int(rng.integers(1, m + 3))
         Y = random_rank_deficient(rng, n, m, int(rng.integers(1, min(n, m) + 1)))
         cases.append((f"random-{trial}", Y, random_transitive_dag(rng, m)))
+    # four rows: the 4-parent blocks of vertices 8 and 9 are square
+    cases.append(("square-blocks", rng.standard_normal((4, 9)), mixed))
+    cases.append(("duplicated-rows", np.repeat(rng.standard_normal((5, 9)), 2, axis=0), mixed))
     return cases
 
 
@@ -448,6 +479,13 @@ class TestGroupedFitMatchesPerVertexLoop:
         for i, value in ref.omega.items():
             _assert_close(est.omega[i], value, ("omega", i))
             _assert_close(opart.omega[i], value, ("omega", i))
+        fit = _fit(Y, g, DEFAULT_TOL, basis=True)  # the fit limits reads
+        assert (g._parent_counts - fit.rank).tolist() == list(ref.lambda_kernel_dims.values())
+        assert fit.exists.tolist() == list(ref.omega_exists.values())
+        assert np.array_equal(fit.coef, _fit(Y, g, DEFAULT_TOL).coef)
+        for i in g.child_vertices():
+            P = Y[:, [j - 1 for j in g.parents(i)]]
+            _assert_close(fit.proj[i - 1], project(Y[:, i - 1], P), ("proj", i))
         c = classify(Y, g)
         assert (c.status, c.witness) == _reference_classify(Y, g)
         assert c.git_label == GIT_LABELS[c.status]
