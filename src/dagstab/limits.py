@@ -19,30 +19,25 @@ two ways:
   ``c_0 = det(A^T A)`` and ``D_0 = c_0 x_A``.
 
 The analytic route is :func:`limit_mle`, the one analytic entry.  It reads
-basis fits of :func:`dagstab.mle._fit`, the only fits that form the QR's
-``Q``: ``fbar`` is the projection in the fit of ``f`` (whose variances it
-reports), ``vbar`` that in the fit of ``f'``, and the two span conditions
-project onto the kept left basis of the fit of ``f + f'``.  Full rank is
-the fit's ``_kept`` cut, not ``FIRST_NONZERO_TOL``; the pencil runs only
-at children whose parent block has a kernel, stacked per parent-count
-group.  The numeric route calls only :func:`mle_at_epsilon`, once per grid
-point, and extrapolates every edge-weight vector and variance through one
-stacked Neville table.  Zero tests go through
-:func:`dagstab.linalg._negligible`: a span condition holds when the
-residual of its target is at most ``tol`` times the target's norm plus the
-largest column norm of ``f'``, and a numeric variance limit vanishes at
-``tol`` times its largest value on the grid, so scaling ``(f, f')`` by a
-constant changes no condition and no existence flag.
-
-The two routes are independent and agree to better than ``1e-6`` on shallow
-pencils; only the analytic one fills ``epsilon_independent`` and
-``diagnostics``, only the numeric one ``extrapolation_error`` and the
-divergence flags.  Every analytic limit is checked against the two
-limit-variety equations of :mod:`dagstab.varieties` before it is returned.
-On deep pencils with a kernel (from about 8 parents at a low sample rank)
-the pencil expansion interpolates on ill-conditioned Vandermonde systems
-and can lose every digit; ``limit_mle`` then raises instead of returning
-wrong weights (ROADMAP.md, open item 2).
+one basis fit of :func:`dagstab.mle._fit` (the only kind that forms the QR's
+``Q``) of the stack of ``f``, ``f'`` and ``f + f'``: ``fbar`` is the
+projection in the fit of ``f`` (whose variances it reports), ``vbar`` that
+in the fit of ``f'``, and the two span conditions project onto the kept left
+basis of the fit of ``f + f'``.  Full rank is the fit's ``_kept`` cut, not
+``FIRST_NONZERO_TOL``; the pencil runs only at children whose parent block
+has a kernel, stacked per parent-count group, on the blocks the fit
+gathered, and the answer is checked on ``f`` and ``f'`` in one stacked pass
+of the normal equations.  Zero tests go through
+:func:`dagstab.linalg._negligible`: a span condition holds when the residual
+of its target is at most ``tol`` times the target's norm plus the largest
+column norm of ``f'``, and a numeric variance limit vanishes at ``tol``
+times its largest value on the grid, so scaling ``(f, f')`` by a constant
+changes no condition and no existence flag.  The two routes are independent
+and agree to better than ``1e-6`` on shallow pencils.  On deep pencils with
+a kernel (from about 8 parents at a low sample rank) the expansion
+interpolates on ill-conditioned Vandermonde systems and can lose every
+digit; ``limit_mle`` then raises instead of returning wrong weights
+(ROADMAP.md, open item 2).
 """
 
 from __future__ import annotations
@@ -54,10 +49,11 @@ import numpy as np
 
 from .graph import Dag
 from .linalg import (
-    DEFAULT_TOL, _as_matrix, _check_squares, _negligible, _verification_tol, pencil_expand,
+    _PENCIL_ERRORS, DEFAULT_TOL, _as_matrix, _check_squares, _negligible, _verification_tol,
+    pencil_expand,
 )
 from .mle import (
-    MleEstimate, _edge_pairs, _fit, _groups, _normal_equation_failures, _omega_part, _validated,
+    MleEstimate, _edge_pairs, _fit, _normal_equation_failures, _omega_part, _validated,
     _weight_matrix, full_mle,
 )
 from .stabilise import Perturbation, _as_perturbation
@@ -70,38 +66,34 @@ DIVERGENCE_FACTOR = 10.0
 
 
 def _norms(X: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("kn,kn->k", X, X))
+    return np.sqrt(np.einsum("...n,...n->...", X, X))
 
 
 def _in_span(target, span, floor: float, tol: float) -> np.ndarray:
-    """Per row: does ``target``, built from the perturbation, lie in the span
-    of the kept columns of ``U`` in a basis fit's ``span = (U, keep, ...)``?
-    ``floor``, the largest perturbation column norm, is its zero columns' roundoff."""
+    """Per row of ``target`` (``(k, n)`` or a stack of them), built from the
+    perturbation: is it in the span of the kept columns of ``U`` in a basis fit's
+    ``span``?  ``floor``, the largest perturbation column norm, is its zero columns' roundoff."""
     U, keep = span[:2]
-    c = np.where(keep, (target[:, None, :] @ U)[:, 0, :], 0.0)
-    resid = target - (U @ c[:, :, None])[:, :, 0]
+    c = np.where(keep, (target[..., None, :] @ U)[..., 0, :], 0.0)
+    resid = target - (U @ c[..., None])[..., 0]
     return _negligible(_norms(resid), _norms(target) + floor, tol)
 
 
-def _conditions(pert: Perturbation, g: Dag, tol: float, fit=None):
-    """``vbar`` (row ``i - 1`` is ``proj_E(v)`` at vertex ``i``) and, per
-    child vertex, the edge-weight and the full condition, from basis fits:
-    ``fbar`` from ``fit``, that of ``f`` (made here if not given), ``vbar``
-    from that of ``f'``; ``fbar + vbar`` and ``fbar + v`` are projected
-    through that of ``f + f'``, and ``v`` is compared with ``vbar``."""
-    D = pert.delta
-    fit = fit or _fit(pert.base, g, tol, basis=True)
-    vfit = _fit(D, g, tol, basis=True)
-    floor = _norms(D.T).max(initial=0.0)
-    lam_ok, full_ok = np.zeros(g.m, dtype=bool), np.zeros(g.m, dtype=bool)
-    for (cols, _), span in zip(g._parent_groups, _fit(pert.base + D, g, tol, basis=True).spans):
-        fbar, vbar, v = fit.proj[cols], vfit.proj[cols], D.T[cols]
-        lam_ok[cols] = _in_span(fbar + vbar, span, floor, tol)
-        in_E = _negligible(_norms(v - vbar), _norms(v) + floor, tol)
-        full_ok[cols] = in_E & _in_span(fbar + v, span, floor, tol)
+def _conditions(pert: Perturbation, g: Dag, tol: float):
+    """The basis fits of ``f``, ``f'`` and ``f + f'``, in one stacked fit, and
+    per child vertex the edge-weight and the full condition: ``fbar + vbar``
+    and ``fbar + v`` are projected through the fit of ``f + f'``, and ``v``
+    is compared with ``vbar``, its projection in that of ``f'``."""
+    stack = np.stack([pert.base, pert.delta, pert.base + pert.delta])
+    fits = fit, vfit, sfit = _fit(stack, g, tol, basis=True)
+    floor = _norms(pert.delta.T).max(initial=0.0)
+    ok = np.zeros((2, g.m), dtype=bool)  # the edge-weight and the full condition
+    for (cols, _), span, (*_, PE) in zip(g._parent_groups, sfit.spans, vfit.spans):
+        fbar, vbar, v = fit.proj[cols], vfit.proj[cols], PE[..., -1]
+        ok[:, cols] = _in_span(np.stack([fbar + vbar, fbar + v]), span, floor, tol)
+        ok[1, cols] &= _negligible(_norms(v - vbar), _norms(v) + floor, tol)
     kids = np.flatnonzero(g._parent_counts)
-    children = (kids + 1).tolist()
-    return vfit.proj, *(dict(zip(children, ok[kids].tolist())) for ok in (lam_ok, full_ok))
+    return fits, *(dict(zip((kids + 1).tolist(), row[kids].tolist())) for row in ok)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,11 +296,11 @@ def limit_mle_numeric(
 
 def _limit_equation_failures(pert: Perturbation, g: Dag, lam, tol: float, fit) -> list[int]:
     """Child vertices at which ``lam`` fails the normal equations of ``f`` or,
-    if none does, ``N^T E^T (E x - v) = 0`` on ``f'``, ``N`` spanning
-    ``ker A`` in ``fit``, a fit of ``f``; both at the verification tolerance."""
-    check = _verification_tol(tol)
-    bad = _normal_equation_failures(pert.base, g, lam, check)
-    return bad or _normal_equation_failures(pert.delta, g, lam, check, fit)
+    if none does, ``N^T E^T (E x - v) = 0`` on ``f'``, ``N`` spanning ``ker A``
+    in ``fit``, a fit of ``f``; at the verification tolerance, in one pass."""
+    stack = np.stack([pert.base, pert.delta])
+    bad, bad_fp = _normal_equation_failures(stack, g, lam, _verification_tol(tol), fit)
+    return bad or bad_fp
 
 
 def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
@@ -324,13 +316,13 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
     the limit variety (the check of ``in_Xf_alpha_lim``) raise.
     """
     pert = _as_perturbation(f, fp, tol, g.m)
-    fit = _fit(pert.base, g, tol, basis=True)
-    vbar, cond, _ = _conditions(pert, g, tol, fit)
+    (fit, vfit, _), cond, _ = _conditions(pert, g, tol)
     starts = np.cumsum(g._parent_counts) - g._parent_counts  # each vertex's first edge
     weights = fit.coef.copy()
     diagnostics: dict[int, VertexDiagnostics] = {}
-    for (cols, (A, _), (E, _)), (*_, s) in zip(_groups(g, pert.base, pert.delta), fit.spans):
-        p = A.shape[2]
+    for (cols, _), (*_, s, PY), (*_, PE) in zip(g._parent_groups, fit.spans, vfit.spans):
+        p = PY.shape[2] - 1
+        A, E = PY[..., :p], PE[..., :p]
         edges = starts[cols, None] + np.arange(p)
         kernel = fit.rank[cols] < p
         if not kernel.all():
@@ -339,9 +331,7 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
                 c_0 = np.prod(s[~kernel] ** 2, axis=1)
                 D_0 = c_0[:, None] * weights[edges[~kernel]]
             if not ((c_0 > 0) & np.isfinite(D_0).all(axis=1)).all():
-                raise ValueError(
-                    "all determinant coefficients vanish; input is numerically invalid"
-                )
+                raise ValueError(_PENCIL_ERRORS[3])  # all determinant coefficients vanish
             records = map(VertexDiagnostics, [0] * len(c_0), c_0.tolist(), D_0)
             diagnostics.update(zip((cols[~kernel] + 1).tolist(), records))
         if kernel.any():
@@ -352,7 +342,7 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
             c_l = pencil.det_coeffs[np.arange(len(l)), l]
             D_l = (
                 pencil.adj_coeff(l) @ (A.mT @ fit.proj[cols][:, :, None])
-                + pencil.adj_coeff(l - 1) @ (E.mT @ vbar[cols][:, :, None])
+                + pencil.adj_coeff(l - 1) @ (E.mT @ vfit.proj[cols][:, :, None])
             )[:, :, 0]
             weights[edges] = D_l / c_l[:, None]
             records = map(VertexDiagnostics, l.tolist(), c_l.tolist(), D_l)
@@ -366,14 +356,8 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
             "input is numerically inconsistent"
         )
     omega, exists = _omega_part(fit, pert.base.shape[0])
-    return LimitResult(
-        lam=lam,
-        omega=omega,
-        omega_exists=exists,
-        epsilon_independent=cond,
-        diagnostics=diagnostics,
-        partial=not all(exists.values()),
-    )
+    return LimitResult(lam=lam, omega=omega, omega_exists=exists, epsilon_independent=cond,
+                       diagnostics=diagnostics, partial=not all(exists.values()))
 
 
 def check_lambda_condition(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> dict[int, bool]:

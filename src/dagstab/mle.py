@@ -18,7 +18,10 @@ edge order.  Per group, one stacked QR of ``[P | y]`` and one values-only
 SVD of its small triangular factor give every rank (the cut of
 :func:`dagstab.linalg._kept`) and residual, and ``classify`` reads existence
 and uniqueness from them.  One normal-equations check, stacked per group,
-serves ``is_lambda_mle``, ``is_mle``, ``limits.limit_mle`` and ``in_Xf_alpha_lim``.
+serves ``is_lambda_mle``, ``is_mle``, ``limits.limit_mle`` and
+``in_Xf_alpha_lim``.  Both also take an ``(S, n, m)`` stack of samples, each
+call then running once per group for all of them: ``limit_mle`` fits ``f``,
+``f'`` and ``f + f'`` in one pass and checks ``f`` and ``f'`` in another.
 Zero tests go through :func:`dagstab.linalg._negligible`: a variance exists
 when ``|y - proj y| > tol |y|``, and the normal equations hold when
 ``|P^T (y - P x)| <= tol (|P^T y| + |P^T P| |x|)``, so no answer depends on
@@ -118,76 +121,88 @@ class _Fit:
     """Per-vertex fit data, indexed by vertex ``i - 1``: the minimum-norm
     ``coef`` in the DAG's edge order, the ``rank`` of the parent columns,
     the squared residual ``resid_sq`` and the positivity decision ``exists``
-    on it.  ``spans`` holds, per group of the layout, ``U, keep, N, s``: the
-    singular values of the parent columns, which are kept, a ``p x p`` basis
-    of their kernel padded with zero columns and, in a basis fit only, an
-    ``n x min(n, p)`` basis whose kept columns span their image, onto which
-    ``proj`` (one row per vertex) projects; elsewhere both are ``None``."""
+    on it.  ``spans`` holds, per group of the layout, ``U, keep, N, s, PY``:
+    the singular values of the parent columns, which are kept, a ``p x p``
+    basis of their kernel padded with zero columns and, in a basis fit only,
+    an ``n x min(n, p)`` basis whose kept columns span their image, onto
+    which ``proj`` (one row per vertex) projects, and the gathered blocks
+    ``[P | y]``; elsewhere those three are ``None``."""
 
     coef: np.ndarray
     rank: np.ndarray
     proj: np.ndarray | None
     resid_sq: np.ndarray
     exists: np.ndarray
-    spans: list[tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]]
+    spans: list[tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]
+
+
+def _blocks(M: np.ndarray, cols: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """One group's blocks ``[P | y]`` of ``M``: ``(k, n, p + 1)``, or for an
+    ``(S, n, m)`` stack ``(S, k, n, p + 1)``."""
+    return M.mT[..., np.concatenate((idx, cols[:, None]), axis=1), :].mT
 
 
 def _groups(g: Dag, *mats: np.ndarray):
-    """Per group of ``k`` children with ``p`` parents in ``g``'s layout: their
-    0-based indices and, for each ``n x m`` matrix ``M`` given, the pair of
-    the ``(k, n, p)`` stack of ``M[:, parents(i)]`` and the ``(k, n)`` stack
-    of ``M[:, i]``."""
+    """Per group of ``g``'s layout: its children's 0-based indices and, for
+    each matrix or stack given, the views ``P`` and ``y`` of its :func:`_blocks`."""
     for cols, idx in g._parent_groups:
-        yield cols, *((M.T[idx].transpose(0, 2, 1), M.T[cols]) for M in mats)
+        yield cols, *((B[..., :-1], B[..., -1]) for B in (_blocks(M, cols, idx) for M in mats))
 
 
-def _fit(A: np.ndarray, g: Dag, tol: float, basis: bool = False) -> _Fit:
-    """Project every column of a validated sample onto its parent columns:
-    per parent-count group, one stacked QR of ``[P | y]`` gives the factor
-    ``[T | z]``, ``T`` with the singular values of ``P`` and ``z = Q^T y``,
-    and one values-only SVD of ``T`` the rank ``r``, the count kept by
-    :func:`dagstab.linalg._kept`.  At ``r = p`` the coefficients solve the
-    leading ``p x p`` triangle of ``T`` and the residual is ``z[p:]``; only a
-    block with a kernel runs the SVD ``T = U_T S V^T`` with vectors, for the
-    minimum-norm ``V_r S_r^-1 U_r^T z`` and the residual of ``z`` off ``U_r``.
-    ``basis`` also forms ``Q`` for the projections :mod:`dagstab.limits`
-    reads; ``R``, so every decision, is the same."""
+def _fit(A: np.ndarray, g: Dag, tol: float, basis: bool = False):
+    """Project every column of a validated sample, or of each sample of an
+    ``(S, n, m)`` stack, onto its parent columns: per parent-count group, one
+    QR of all the blocks ``[P | y]`` gives ``[T | z]``, ``T`` with the singular
+    values of ``P`` and ``z = Q^T y``, and one values-only SVD of ``T`` the
+    rank ``r``, the count kept by :func:`dagstab.linalg._kept`.  At ``r = p``
+    the coefficients solve the leading ``p x p`` triangle of ``T`` and the
+    residual is ``z[p:]``; only blocks with a kernel run the SVD
+    ``T = U_T S V^T`` with vectors, for the minimum-norm ``V_r S_r^-1 U_r^T z``
+    and the residual of ``z`` off ``U_r``.  ``basis`` also forms ``Q`` for the
+    projections :mod:`dagstab.limits` reads; ``R``, so every decision, is the
+    same.  A stack gives a list of fits, bit for bit its samples' own."""
     starts = np.cumsum(g._parent_counts) - g._parent_counts  # each vertex's first edge
-    coef, rank = np.zeros(len(g._edge_keys)), np.zeros(g.m, dtype=int)
-    sq = np.einsum("nm,nm->m", A, A)  # a source column is its own residual
-    resid_sq, proj = sq.copy(), np.zeros((g.m, A.shape[0])) if basis else None
+    lead = A.shape[:-2]  # a stack's sample axis trails each vertex's and edge's entry
+    coef, rank = np.zeros((len(g._edge_keys), *lead)), np.zeros((g.m, *lead), dtype=int)
+    sq = np.einsum("...nm,...nm->...m", A, A).T  # a source column is its own residual
+    resid_sq, proj = sq.copy(), np.zeros((*lead, g.m, A.shape[-2])) if basis else None
     spans = []
     for cols, idx in g._parent_groups:
-        k, p = idx.shape
-        PY = A.T[np.column_stack([idx, cols])].transpose(0, 2, 1)
+        p = idx.shape[1]
+        PY = _blocks(A, cols, idx)
         Q, R = np.linalg.qr(PY) if basis else (None, np.linalg.qr(PY, mode="r"))
         T, C = R[..., :p], R[..., p].copy()  # C: y's coordinates on the left basis
         s = np.linalg.svd(T, compute_uv=False)
         keep = _kept(s, tol)
-        r, w = keep.sum(axis=1), s.shape[1]
-        full, x, N = r == p, np.zeros((k, p)), np.zeros((k, p, p))
-        F, K = full, ~full  # the full-rank rows and the rows with a kernel
-        if full.all() or not full.any():  # one kind: a slice, which copies nothing
-            F, K = (slice(None), None) if full[0] else (None, slice(None))
+        r, w = keep.sum(axis=-1), s.shape[-1]
+        full, x, N = r == p, np.zeros((*r.shape, p)), np.zeros((*r.shape, p, p))
+        F, K = full, ~full  # the full-rank blocks and the blocks with a kernel
+        if full.all() or not full.any():  # one kind: an Ellipsis, which copies nothing
+            F, K = (..., None) if full.flat[0] else (None, ...)
         if F is not None:
-            x[F] = np.linalg.solve(T[F, :p], C[F, :p, None])[..., 0]
+            x[F] = np.linalg.solve(R[F, :p, :p], C[F, :p, None])[..., 0]
         U = Q[..., :w] if basis else None
         if K is not None:
             U_T, s_T, Vt = np.linalg.svd(T[K])
-            C[K] = (C[K, None, :] @ U_T)[:, 0, :]
+            C[K] = (C[K, None, :] @ U_T)[..., 0, :]
             c = np.divide(C[K, :w], s_T, out=np.zeros_like(s_T), where=keep[K])
-            x[K] = (c[:, None, :] @ Vt[:, :w])[:, 0, :]
-            N[K] = Vt.mT * (np.arange(p) >= r[K, None])[:, None, :]
+            x[K] = (c[..., None, :] @ Vt[..., :w, :])[..., 0, :]
+            N[K] = Vt.mT * (np.arange(p) >= r[K, None])[..., None, :]
             if basis:
                 U[K] = Q[K] @ U_T[..., :w]
-        off = np.where(np.arange(C.shape[1]) >= r[:, None], C, 0.0)
-        resid_sq[cols] = np.einsum("kq,kq->k", off, off)
+        off = np.where(np.arange(C.shape[-1]) >= r[..., None], C, 0.0)
+        resid_sq[cols] = np.einsum("...q,...q->...", off, off).T
         if basis:
-            proj[cols] = (U @ np.where(keep, C[:, :w], 0.0)[:, :, None])[:, :, 0]
-        rank[cols], coef[starts[cols, None] + np.arange(p)] = r, x
-        spans.append((U, keep, N, s))
+            proj[..., cols, :] = (U @ np.where(keep, C[..., :w], 0.0)[..., None])[..., 0]
+        rank[cols], coef[starts[cols] + np.arange(p)[:, None]] = r.T, x.T
+        spans.append((U, keep, N, s, PY if basis else None))
     exists = ~_negligible(np.sqrt(resid_sq), np.sqrt(sq), tol)
-    return _Fit(coef, rank, proj, resid_sq, exists, spans)
+    if not lead:
+        return _Fit(coef, rank, proj, resid_sq, exists, spans)
+    fields = coef.T, rank.T, proj, resid_sq.T, exists.T  # sample first
+    return [_Fit(*(a if a is None else a[i] for a in fields),
+                 [tuple(a if a is None else a[i] for a in span) for span in spans])
+            for i in range(lead[0])]
 
 
 def _edge_pairs(g: Dag) -> list[tuple[int, int]]:
@@ -264,14 +279,10 @@ def _classified_mle(Y, g: Dag, tol: float = DEFAULT_TOL) -> tuple[MleEstimate, C
 
 
 def _classification(fit: _Fit, g: Dag) -> Classification:
-    absent = np.flatnonzero(~fit.exists)
-    if absent.size:
-        return Classification(NONEXISTENT, GIT_LABELS[NONEXISTENT], int(absent[0]) + 1)
-    deficient = np.flatnonzero(fit.rank < g._parent_counts)
-    if deficient.size:
-        return Classification(
-            EXISTS_NON_UNIQUE, GIT_LABELS[EXISTS_NON_UNIQUE], int(deficient[0]) + 1
-        )
+    deficient = fit.rank < g._parent_counts
+    for status, seen in ((NONEXISTENT, ~fit.exists), (EXISTS_NON_UNIQUE, deficient)):
+        if seen.any():  # the witness is the first certifying vertex
+            return Classification(status, GIT_LABELS[status], int(np.argmax(seen)) + 1)
     return Classification(EXISTS_UNIQUE, GIT_LABELS[EXISTS_UNIQUE], None)
 
 
@@ -289,36 +300,36 @@ def _weight_matrix(lam, g: Dag, missing: float = 0.0) -> np.ndarray:
     return L
 
 
-def _normal_equation_failures(A: np.ndarray, g: Dag, lam, tol: float, fit=None) -> list[int]:
+def _normal_equation_failures(A: np.ndarray, g: Dag, lam, tol: float, fit=None):
     """Child vertices, ascending, at which ``lam`` does not solve the normal
     equations ``P^T (y - P x) = 0`` of the sample ``A`` to within
-    ``tol * (|P^T y| + |P^T P| |x|)``, with ``P`` the parent columns,
-    ``y`` the child column and ``x`` the weights.  A missing or NaN weight
-    fails.  Given ``fit`` (of another sample), only the part of the residual
+    ``tol * (|P^T y| + |P^T P| |x|)``, with ``P`` the parent columns, ``y``
+    the child column and ``x`` the weights; for an ``(S, n, m)`` stack, in
+    one pass, one list per sample.  A missing or NaN weight fails.  Given
+    ``fit`` (of another sample), only the part of the last sample's residual
     in the kernel of that sample's parent columns counts.  Powers of two,
-    which scale exactly, keep every product finite: ``A`` is first scaled to
-    a largest column norm in ``[1/2, 1)``, and at a child whose largest
-    weight is at least 1 the residual and the scale are both divided by the
-    ``2**k`` that brings that weight below 1."""
-    A = _unit_scaled(A)[0]
+    which scale exactly, keep every product finite: each sample is first
+    scaled to a largest column norm in ``[1/2, 1)``, and at a child whose
+    largest weight is at least 1 the residual and the scale are both divided
+    by the ``2**k`` that brings that weight below 1."""
+    A = _unit_scaled(A)[0] if A.ndim == 2 else np.stack([_unit_scaled(M)[0] for M in A])
     L = _weight_matrix(lam, g, missing=np.nan)
     k = np.maximum(np.frexp(np.abs(L).max(axis=1))[1], 0)  # 0 at a NaN or infinite weight
     L = np.ldexp(L, -k[:, None])
     with np.errstate(invalid="ignore"):  # an infinite weight gives NaN, which fails
         R = np.ldexp(A, -k) - A @ L.T  # column i is (y - P x) / 2**k at child i
     x_norm = np.sqrt(np.einsum("ij,ij->i", L, L))
-    bad: list[int] = []
-    for grp, (cols, (P, y), (_, r)) in enumerate(_groups(g, A, R)):
-        resid = np.einsum("knp,kn->kp", P, r)
-        if fit is not None:  # its coordinates on the kernel basis N
-            resid = np.einsum("kpj,kp->kj", fit.spans[grp][2], resid)
-        resid = np.linalg.norm(resid, axis=1)
-        scale = (
-            np.ldexp(np.linalg.norm(np.einsum("knp,kn->kp", P, y), axis=1), -k[cols])
-            + np.linalg.norm(P.transpose(0, 2, 1) @ P, axis=(1, 2)) * x_norm[cols]
-        )
-        bad += (cols[~_negligible(resid, scale, tol)] + 1).tolist()
-    return sorted(bad)
+    failed = np.zeros((*A.shape[:-2], g.m), dtype=bool)
+    for grp, (cols, (P, y)) in enumerate(_groups(g, A)):
+        resid = np.einsum("...np,...n->...p", P, R.mT[..., cols, :])
+        if fit is not None:  # the last sample's coordinates on the kernel basis N
+            last = resid.reshape(-1, *resid.shape[-2:])
+            last[-1] = np.einsum("kpj,kp->kj", fit.spans[grp][2], last[-1])
+        Py = np.linalg.norm(np.einsum("...np,...n->...p", P, y), axis=-1)
+        scale = np.ldexp(Py, -k[cols]) + np.linalg.norm(P.mT @ P, axis=(-2, -1)) * x_norm[cols]
+        failed[..., cols] = ~_negligible(np.linalg.norm(resid, axis=-1), scale, tol)
+    bad = [(np.flatnonzero(row) + 1).tolist() for row in failed.reshape(-1, g.m)]
+    return bad[0] if A.ndim == 2 else bad
 
 
 def is_lambda_mle(

@@ -13,10 +13,12 @@ complements), with every stage degenerate except the last.
 
 Randomised lifts draw stage maps with independent standard Gaussian entries
 from ``numpy.random.default_rng`` (PCG64); given a seed, the drawn stream is
-reproducible bit-for-bit across platforms.  Kernel and cokernel bases are
-deterministic singular-vector bases: each map's kernel comes from its one
-thin SVD, bit for bit the basis of :func:`dagstab.linalg.kernel_basis`, and
-each cokernel from :func:`dagstab.linalg.orth_complement`.
+reproducible bit-for-bit across platforms.  A values-only SVD decides each
+stage map's rank; only a degenerate map, whose kernel and image the next
+stage needs, runs a thin SVD with vectors, its kernel bit for bit the basis
+of :func:`dagstab.linalg.kernel_basis`, each cokernel from
+:func:`dagstab.linalg.orth_complement`.  Validation reads the final map's
+rank alone.
 """
 
 from __future__ import annotations
@@ -223,14 +225,14 @@ def _check_orthonormal(B: np.ndarray, what: str, tol: float) -> None:
         raise InvalidLiftError(f"{what} does not have orthonormal columns")
 
 
-def _image(M: np.ndarray, tol: float) -> tuple[int, np.ndarray, float, np.ndarray]:
-    """Rank, orthonormal image basis, spectral norm and the trailing right
-    singular vectors of ``M``, from one thin SVD.  For ``M`` with at least as
-    many rows as columns the last are an orthonormal kernel basis, equal bit
-    for bit to :func:`dagstab.linalg.kernel_basis`; otherwise they miss the
-    part of the kernel that the thin SVD does not compute."""
+def _image(M: np.ndarray, tol: float, r: int | None = None) -> tuple:
+    """Rank (or the ``r`` already decided), orthonormal image basis, spectral
+    norm and trailing right singular vectors of ``M``, from one thin SVD.  For
+    ``M`` with at least as many rows as columns the last are an orthonormal
+    kernel basis, bit for bit :func:`dagstab.linalg.kernel_basis`; otherwise
+    they miss the part of the kernel that the thin SVD does not compute."""
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    r = int(_kept(s, tol).sum())
+    r = int(_kept(s, tol).sum()) if r is None else r
     return r, U[:, :r], s.max(initial=0.0), Vt[r:].T
 
 
@@ -292,18 +294,20 @@ def _lift_delta(lift: CollineationLift, tol: float) -> np.ndarray:
         for Q in images:
             if not _negligible(np.max(np.abs(Q.T @ C), initial=0.0), 1.0, ortho_tol):
                 raise InvalidLiftError(f"{stage}: cokernel embedding meets an earlier image")
-        rk, image, norm, _ = _image(M, tol)
+        last = idx == len(lift.stages) - 1
+        if last:  # nothing reads the final map's image or norm: its rank alone
+            rk = rank(M, tol)
+        else:  # C and K have orthonormal columns, so C M K^T has the norm of M
+            rk, image, prev_norm, _ = _image(M, tol)
+            images.append(C @ image)
         if rk == 0:
             raise InvalidLiftError(f"{stage}: stage map is zero")
-        # the final map has full column rank, so the kernel ends at dimension 0
-        if idx == len(lift.stages) - 1 and rk < M.shape[1]:
+        if last and rk < M.shape[1]:
             raise InvalidLiftError("final stage map must have full column rank")
-        if idx < len(lift.stages) - 1 and rk == M.shape[1]:
+        if not last and rk == M.shape[1]:
             raise InvalidLiftError(f"{stage}: only the final stage map may be non-degenerate")
-        images.append(C @ image)
         kernel_dim, cokernel_dim = K.shape[1] - rk, C.shape[1] - rk
-        # C and K have orthonormal columns, so C M K^T has the norm of M
-        prev_map, prev_norm, prev_basis = C @ M @ K.T, norm, K
+        prev_map, prev_basis = C @ M @ K.T, K
         delta += prev_map
     return delta
 
@@ -356,7 +360,7 @@ def random_lift(f, seed: int, tol: float = DEFAULT_TOL) -> CollineationLift:
     bump = seed
 
     # every stage map is tall (cokernel at least as wide as kernel, as n >= m),
-    # so one thin SVD gives its rank, image and kernel
+    # so one thin SVD gives its image and kernel; a values-only one decides its rank
     _, image, _, K = _image(F, tol)
     C = orth_complement(image, n, tol)
     stages: list[LiftStage] = []
@@ -367,9 +371,10 @@ def random_lift(f, seed: int, tol: float = DEFAULT_TOL) -> CollineationLift:
             rng = np.random.default_rng(bump)
             M = rng.standard_normal((C.shape[1], K.shape[1]))
         stages.append(LiftStage(K, C, M))
-        rk, image, _, kernel = _image(M, tol)
+        rk = rank(M, tol)
         if rk == K.shape[1]:
             break
+        _, image, _, kernel = _image(M, tol, rk)
         K = K @ kernel
         C = C @ orth_complement(image, C.shape[1], tol)
     return CollineationLift(F, tuple(stages), seed=seed)

@@ -217,13 +217,18 @@ def limit_problem():
     return Perturbation(f, random_perturbation(f, seed=9)), g
 
 
+def basis_stack(pert):
+    """The one stacked sample that the analytic route fits: ``f``, ``f'`` and
+    ``f + f'``, in that order."""
+    return np.stack([pert.base, pert.delta, pert.base + pert.delta])
+
+
 class TestLimitFits:
     def test_limit_mle_fits_f_once(self, fit_samples, estimates):
         pert, g = limit_problem()
         limits.limit_mle(None, pert, g)
-        assert len(fit_samples) == 3
-        for got, want in zip(fit_samples, (pert.base, pert.delta, pert.base + pert.delta)):
-            assert np.array_equal(got, want)
+        assert len(fit_samples) == 1
+        assert np.array_equal(fit_samples[0], basis_stack(pert))
         assert estimates == {"omega_mle": 0, "full_mle": 0, "MleEstimate": 0, "mle_at_epsilon": 0}
 
     @pytest.mark.parametrize("grid", [limits.DEFAULT_EPS_GRID, (1e-2, 1e-3)],
@@ -270,9 +275,8 @@ class TestCliLimitFits:
         data, pert, g = self.problem()
         code, report = run(tmp_path, capsys, data, "check")
         assert code == EXIT_OK
-        assert len(fit_samples) == 3
-        for got, want in zip(fit_samples, (pert.base, pert.delta, pert.base + pert.delta)):
-            assert np.array_equal(got, want)
+        assert len(fit_samples) == 1
+        assert np.array_equal(fit_samples[0], basis_stack(pert))
         for key, check in (("lambdaCondition", limits.check_lambda_condition),
                            ("fullCondition", limits.check_full_condition)):
             assert report[key] == {str(i): ok for i, ok in sorted(check(None, pert, g).items())}
@@ -280,11 +284,14 @@ class TestCliLimitFits:
     @pytest.mark.parametrize("grid", [limits.DEFAULT_EPS_GRID, (1e-2, 1e-3)],
                              ids=["default", "two"])
     def test_limit_fits_each_grid_point_once(self, tmp_path, capsys, fit_samples, grid):
-        data, _, _ = self.problem()
+        data, pert, _ = self.problem()
         data["settings"] = {"epsilonGrid": list(grid)}
         code, _ = run(tmp_path, capsys, data, "limit")
         assert code == EXIT_OK
-        assert len(fit_samples) == len(grid) + 3
+        assert len(fit_samples) == len(grid) + 1
+        assert np.array_equal(fit_samples[0], basis_stack(pert))
+        for got, eps in zip(fit_samples[1:], grid):
+            assert np.array_equal(got, pert.scaled(eps))
 
 
 @pytest.fixture
@@ -399,15 +406,19 @@ class TestSvdsPerCommand:
     ``stabilize`` runs 9 SVDs and no QR: ``random_lift`` 4 (the sample, the
     two of ``orth_complement`` and the one stage map), ``validate_lift`` 2,
     ``is_perturbation`` 2 and the rank of ``f + f'``; the report's stage ranks
-    are the ones ``validate_lift`` checked.  ``limit`` runs 35 SVDs and 27
-    QRs: ``random_lift`` 4, ``validate_lift`` 2, ``is_perturbation`` 2 and 27
-    in 9 fits (``f``, ``f'`` and ``f + f'`` in ``limit_mle``, one per grid
-    point of the numeric route); every parent block has full rank, so no fit
-    runs an SVD with vectors and ``pencil_expand`` runs none.  ``check`` runs
-    the same 8 outside the fits and the 3 fits of ``f``, ``f'`` and
-    ``f + f'``: 17 SVDs and 9 QRs.  ``membership`` runs 4 SVDs and 1 QR:
-    ``is_perturbation`` 2 and the fit of the star sample, whose one group has
-    a kernel.  Before the fit factored ``[P | y]`` by QR it ran one SVD with
+    are the ones ``validate_lift`` checked.  ``random_lift`` decides a stage
+    map's rank from a values-only SVD and ``validate_lift`` the final map's,
+    so the counts did not change when they stopped forming its vectors.
+    ``limit`` runs 29 SVDs and 21 QRs: ``random_lift`` 4, ``validate_lift``
+    2, ``is_perturbation`` 2 and 21 in 7 fits (one stacked fit of ``f``,
+    ``f'`` and ``f + f'`` in ``limit_mle``, one per grid point of the numeric
+    route); every parent block has full rank, so no fit runs an SVD with
+    vectors and ``pencil_expand`` runs none.  ``check`` runs the same 8
+    outside the fits and the one stacked fit: 11 SVDs and 3 QRs.
+    ``membership`` runs 4 SVDs and 1 QR: ``is_perturbation`` 2 and the fit of
+    the star sample, whose one group has a kernel.  Before ``limit_mle``
+    stacked its three fits, ``limit`` ran 35 SVDs and 27 QRs and ``check`` 17
+    and 9.  Before the fit factored ``[P | y]`` by QR it ran one SVD with
     vectors of every group, and ``membership`` ran 3.  At 38 the fit ran
     once per group (3).  The previous counts were 6 and 6 (a second batched
     SVD per group gave the parent-and-self ranks), 17, 11 then 10, 99, 93, 55
@@ -419,8 +430,8 @@ class TestSvdsPerCommand:
         ("classify-m20", 3, 3),
         ("estimate-m20", 3, 3),
         ("stabilize-m20", 9, 0),
-        ("limit-m20", 35, 27),
-        ("check-m20", 17, 9),
+        ("limit-m20", 29, 21),
+        ("check-m20", 11, 3),
         ("membership-star6-inside", 4, 1),
         ("membership-star6-moved-alpha", 4, 1),
     ])

@@ -5,6 +5,7 @@ import pytest
 
 from dagstab import (
     Dag,
+    Perturbation,
     VarietyQuery,
     classify,
     covariance,
@@ -15,13 +16,19 @@ from dagstab import (
     is_mle,
     lambda_kernel_basis,
     lambda_mle,
+    limit_mle,
     loglik,
     omega_mle,
 )
 from dagstab.graph import EXISTS_NON_UNIQUE, EXISTS_UNIQUE, NONEXISTENT
-from dagstab.linalg import DEFAULT_TOL, rank
-from dagstab.mle import GIT_LABELS, MleEstimate, _fit
-from _helpers import collider, project, random_rank_deficient, random_transitive_dag
+from dagstab.limits import _limit_equation_failures
+from dagstab.linalg import DEFAULT_TOL, _verification_tol, rank
+from dagstab.mle import GIT_LABELS, MleEstimate, _fit, _normal_equation_failures
+from _helpers import (
+    collider, project, random_perturbation, random_rank_deficient, random_transitive_dag,
+    star_instance,
+)
+from test_layout import DAGS, IDS
 
 # The worked three-variable example: two observations of three variables,
 # columns (1,0), (0,1), (1,1) / (1,0), (1,0), (0,1) / the 3x3 identity.
@@ -495,3 +502,76 @@ class TestGroupedFitMatchesPerVertexLoop:
     def test_cases_cover_every_status(self):
         seen = {_reference_classify(Y, g)[0] for _, Y, g in _reference_cases()}
         assert seen == {NONEXISTENT, EXISTS_NON_UNIQUE, EXISTS_UNIQUE}
+
+
+def _stack_samples(g: Dag, n: int, seed: int) -> list[np.ndarray]:
+    """``n x m`` samples of ``g``: full rank, rank deficient, with two parent
+    columns of one child proportional, and with a zero parent column.  At
+    ``n = 2`` every block of more than two parents is wide."""
+    rng = np.random.default_rng(seed)
+    out = [rng.standard_normal((n, g.m)), random_rank_deficient(rng, n, g.m, 1)]
+    parents = next((pa for pa in map(g.parents, range(1, g.m + 1)) if len(pa) > 1), None)
+    if parents:
+        Y = rng.standard_normal((n, g.m))
+        Y[:, parents[1] - 1] = 2.0 * Y[:, parents[0] - 1]
+        out.append(Y)
+    if g.edges:
+        Y = rng.standard_normal((n, g.m))
+        Y[:, int(g._edge_keys[0, 1]) - 1] = 0.0
+        out.append(Y)
+    return out
+
+
+def _assert_same_bits(got, want, what):
+    if want is None:
+        assert got is None, what
+        return
+    assert (got.shape, got.dtype) == (want.shape, want.dtype), what
+    assert got.tobytes() == want.tobytes(), what
+
+
+@pytest.mark.parametrize("g", DAGS, ids=IDS)
+@pytest.mark.parametrize("basis", [False, True], ids=["plain", "basis"])
+def test_stacked_fit_is_the_single_fits_bit_for_bit(g, basis):
+    """One fit of an ``(S, n, m)`` stack gives, per sample, every field of
+    the fit of that sample alone, bit for bit."""
+    for n in (2, g.m + 2):
+        samples = _stack_samples(g, n, 10 * g.m + n)
+        stacked = _fit(np.stack(samples), g, DEFAULT_TOL, basis)
+        assert len(stacked) == len(samples)
+        for k, (got, Y) in enumerate(zip(stacked, samples)):
+            want = _fit(Y, g, DEFAULT_TOL, basis)
+            for name in ("coef", "rank", "proj", "resid_sq", "exists"):
+                _assert_same_bits(getattr(got, name), getattr(want, name), (n, k, name))
+            assert len(got.spans) == len(want.spans)
+            for grp, (a, b) in enumerate(zip(got.spans, want.spans)):
+                assert len(a) == len(b)
+                for field, (x, y) in enumerate(zip(a, b)):
+                    _assert_same_bits(x, y, (n, k, "spans", grp, field))
+
+
+class TestStackedLimitCheck:
+    """The one stacked check of ``f`` and ``f'`` in ``limit_mle`` gives each
+    sample's own list, and returns what the check of ``f`` and then, if it
+    passes, that of ``f'`` returns."""
+
+    @pytest.mark.parametrize("case", ["both-pass", "f-fails", "only-fp-fails"])
+    def test_equals_the_sequential_checks(self, case):
+        f, g = star_instance(np.random.default_rng(5), 4, 6, parent_rank=2)
+        pert = Perturbation(f, random_perturbation(f, seed=9))
+        lam = dict(limit_mle(None, pert, g).lam)
+        hub = g.m  # its three parent columns have rank 2
+        if case == "f-fails":
+            lam[(hub, 1)] += 1.0
+        elif case == "only-fp-fails":  # a step in ker A leaves f's equations as they are
+            for j, v in zip(g.parents(hub), lambda_kernel_basis(f, g, hub)[:, 0]):
+                lam[(hub, j)] += v
+        fit = _fit(pert.base, g, DEFAULT_TOL)
+        check = _verification_tol(DEFAULT_TOL)
+        bad_f = _normal_equation_failures(pert.base, g, lam, check)
+        bad_fp = _normal_equation_failures(pert.delta, g, lam, check, fit)
+        want = {"both-pass": ([], []), "f-fails": ([hub], [hub]), "only-fp-fails": ([], [hub])}
+        assert (bad_f, bad_fp) == want[case]
+        stack = np.stack([pert.base, pert.delta])
+        assert _normal_equation_failures(stack, g, lam, check, fit) == [bad_f, bad_fp]
+        assert _limit_equation_failures(pert, g, lam, DEFAULT_TOL, fit) == (bad_f or bad_fp)
