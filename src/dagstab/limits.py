@@ -19,25 +19,27 @@ two ways:
   ``c_0 = det(A^T A)`` and ``D_0 = c_0 x_A``.
 
 The analytic route is :func:`limit_mle`, the one analytic entry.  It reads
-one basis fit of :func:`dagstab.mle._fit` (the only kind that forms the QR's
-``Q``) of the stack of ``f``, ``f'`` and ``f + f'``: ``fbar`` is the
-projection in the fit of ``f`` (whose variances it reports), ``vbar`` that
-in the fit of ``f'``, and the two span conditions project onto the kept left
-basis of the fit of ``f + f'``.  Full rank is the fit's ``_kept`` cut, not
+one plain fit of :func:`dagstab.mle._fit` of the stack of ``f`` and ``f'``,
+whose triangular factors ``R = [T | z]`` give ``u = T_A^T z_A = A^T y`` and
+``w = T_E^T z_E = E^T v``.  The columns of ``f`` are orthogonal to those of
+``f'``, so ``fbar + vbar`` lies in ``span(A + E)`` exactly when
+``t = T_E (x_E - x_A)`` lies in the span of ``T_E N``, with ``x_A`` and
+``x_E`` the fits' weights and ``N`` the kernel basis of ``A``: the span
+conditions need no projection.  Full rank is the fit's ``_kept`` cut, not
 ``FIRST_NONZERO_TOL``; the pencil runs only at children whose parent block
-has a kernel, stacked per parent-count group, on the blocks the fit
-gathered, and the answer is checked on ``f`` and ``f'`` in one stacked pass
-of the normal equations.  Zero tests go through
-:func:`dagstab.linalg._negligible`: a span condition holds when the residual
-of its target is at most ``tol`` times the target's norm plus the largest
-column norm of ``f'``, and a numeric variance limit vanishes at ``tol``
-times its largest value on the grid, so scaling ``(f, f')`` by a constant
-changes no condition and no existence flag.  The two routes are independent
-and agree to better than ``1e-6`` on shallow pencils.  On deep pencils with
-a kernel (from about 8 parents at a low sample rank) the expansion
+has a kernel, stacked per parent-count group, and the answer is checked on
+``f`` and ``f'`` in one stacked pass of the normal equations.  Zero tests go
+through :func:`dagstab.linalg._negligible`: ``t`` is in the span when its
+residual is at most ``tol (|t| + |T_E x_A| + |f'|)``, ``|f'|`` the largest
+column norm of ``f'``, ``v`` is in ``span(E)`` at ``tol (|v| + |f'|)``, and
+a numeric variance limit vanishes at ``tol`` times its largest value on the
+grid.  So scaling ``(f, f')`` changes no condition and no existence flag,
+and scaling ``f'`` alone no condition.  The two routes are independent and
+agree to better than ``1e-6`` on shallow pencils.  On deep pencils with a
+kernel (from about 8 parents at a low sample rank) the expansion
 interpolates on ill-conditioned Vandermonde systems and can lose every
 digit; ``limit_mle`` then raises instead of returning wrong weights
-(ROADMAP.md, open item 2).
+(ROADMAP.md, open item 1).
 """
 
 from __future__ import annotations
@@ -49,12 +51,12 @@ import numpy as np
 
 from .graph import Dag
 from .linalg import (
-    _PENCIL_ERRORS, DEFAULT_TOL, _as_matrix, _check_squares, _negligible, _verification_tol,
-    pencil_expand,
+    _PENCIL_ERRORS, DEFAULT_TOL, _as_matrix, _check_squares, _kept, _negligible,
+    _verification_tol, pencil_expand,
 )
 from .mle import (
-    MleEstimate, _edge_pairs, _fit, _normal_equation_failures, _omega_part, _validated,
-    _weight_matrix, full_mle,
+    MleEstimate, _blocks, _edge_pairs, _edges, _fit, _normal_equation_failures, _omega_part,
+    _validated, _weight_matrix, full_mle,
 )
 from .stabilise import Perturbation, _as_perturbation
 
@@ -69,31 +71,30 @@ def _norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...n,...n->...", X, X))
 
 
-def _in_span(target, span, floor: float, tol: float) -> np.ndarray:
-    """Per row of ``target`` (``(k, n)`` or a stack of them), built from the
-    perturbation: is it in the span of the kept columns of ``U`` in a basis fit's
-    ``span``?  ``floor``, the largest perturbation column norm, is its zero columns' roundoff."""
-    U, keep = span[:2]
-    c = np.where(keep, (target[..., None, :] @ U)[..., 0, :], 0.0)
-    resid = target - (U @ c[..., None])[..., 0]
-    return _negligible(_norms(resid), _norms(target) + floor, tol)
-
-
 def _conditions(pert: Perturbation, g: Dag, tol: float):
-    """The basis fits of ``f``, ``f'`` and ``f + f'``, in one stacked fit, and
-    per child vertex the edge-weight and the full condition: ``fbar + vbar``
-    and ``fbar + v`` are projected through the fit of ``f + f'``, and ``v``
-    is compared with ``vbar``, its projection in that of ``f'``."""
-    stack = np.stack([pert.base, pert.delta, pert.base + pert.delta])
-    fits = fit, vfit, sfit = _fit(stack, g, tol, basis=True)
-    floor = _norms(pert.delta.T).max(initial=0.0)
-    ok = np.zeros((2, g.m), dtype=bool)  # the edge-weight and the full condition
-    for (cols, _), span, (*_, PE) in zip(g._parent_groups, sfit.spans, vfit.spans):
-        fbar, vbar, v = fit.proj[cols], vfit.proj[cols], PE[..., -1]
-        ok[:, cols] = _in_span(np.stack([fbar + vbar, fbar + v]), span, floor, tol)
-        ok[1, cols] &= _negligible(_norms(v - vbar), _norms(v) + floor, tol)
+    """The fits of ``f`` and ``f'``, in one stacked fit, and per child vertex
+    the edge-weight condition (``t`` of the module docstring in the span of
+    ``T_E N``, an isometric image of ``E N``) and the full condition (also
+    ``v`` in ``span(E)``, read from the residual of the fit of ``f'``)."""
+    fits = fit, vfit = _fit(np.stack([pert.base, pert.delta]), g, tol)
+    v_norms = _norms(pert.delta.T)
+    floor = v_norms.max(initial=0.0)
+    ok = np.zeros(g.m, dtype=bool)
+    for (cols, idx), edges, (N, *_), (*_, R) in zip(g._parent_groups, _edges(g), fit.spans,
+                                                    vfit.spans):
+        p = idx.shape[1]
+        T = R[..., :p]
+        TA, TE = ((T @ x.coef[edges][..., None])[..., 0] for x in fits)
+        t = TE - TA
+        scale = _norms(t) + _norms(TA) + floor
+        if (fit.rank[cols] < p).any():  # elsewhere N = 0, and t must vanish
+            U, s, _ = np.linalg.svd(T @ N)
+            c = (t[..., None, :] @ U)[..., 0, :]
+            t = np.where(np.arange(c.shape[-1]) >= _kept(s, tol).sum(axis=-1)[..., None], c, 0.0)
+        ok[cols] = _negligible(_norms(t), scale, tol)
+    full = ok & _negligible(np.sqrt(vfit.resid_sq), v_norms + floor, tol)
     kids = np.flatnonzero(g._parent_counts)
-    return fits, *(dict(zip((kids + 1).tolist(), row[kids].tolist())) for row in ok)
+    return fits, *(dict(zip((kids + 1).tolist(), row[kids].tolist())) for row in (ok, full))
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,14 +317,12 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
     the limit variety (the check of ``in_Xf_alpha_lim``) raise.
     """
     pert = _as_perturbation(f, fp, tol, g.m)
-    (fit, vfit, _), cond, _ = _conditions(pert, g, tol)
-    starts = np.cumsum(g._parent_counts) - g._parent_counts  # each vertex's first edge
+    (fit, vfit), cond, _ = _conditions(pert, g, tol)
     weights = fit.coef.copy()
     diagnostics: dict[int, VertexDiagnostics] = {}
-    for (cols, _), (*_, s, PY), (*_, PE) in zip(g._parent_groups, fit.spans, vfit.spans):
-        p = PY.shape[2] - 1
-        A, E = PY[..., :p], PE[..., :p]
-        edges = starts[cols, None] + np.arange(p)
+    for (cols, idx), edges, (_, s, R_A), (*_, R_E) in zip(g._parent_groups, _edges(g),
+                                                          fit.spans, vfit.spans):
+        p = idx.shape[1]
         kernel = fit.rank[cols] < p
         if not kernel.all():
             # full rank: the unique fit is the limit, l = 0 and c_0 = det(A^T A) = prod s^2
@@ -336,13 +335,15 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
             diagnostics.update(zip((cols[~kernel] + 1).tolist(), records))
         if kernel.any():
             if not kernel.all():
-                cols, A, E, edges = cols[kernel], A[kernel], E[kernel], edges[kernel]
+                cols, idx, edges, R_A, R_E = (a[kernel] for a in (cols, idx, edges, R_A, R_E))
+            A, E = (_blocks(M, cols, idx)[..., :p] for M in (pert.base, pert.delta))
             pencil = pencil_expand(A, E, tol)
             l = pencil.first_nonzero
             c_l = pencil.det_coeffs[np.arange(len(l)), l]
+            # A^T fbar = A^T y = T_A^T z_A, and E^T vbar = T_E^T z_E, from R = [T | z]
             D_l = (
-                pencil.adj_coeff(l) @ (A.mT @ fit.proj[cols][:, :, None])
-                + pencil.adj_coeff(l - 1) @ (E.mT @ vfit.proj[cols][:, :, None])
+                pencil.adj_coeff(l) @ (R_A[..., :p].mT @ R_A[..., p:])
+                + pencil.adj_coeff(l - 1) @ (R_E[..., :p].mT @ R_E[..., p:])
             )[:, :, 0]
             weights[edges] = D_l / c_l[:, None]
             records = map(VertexDiagnostics, l.tolist(), c_l.tolist(), D_l)

@@ -4,7 +4,7 @@ Ranks, orthonormal image/kernel bases and the polynomial expansion of the
 one-parameter pencil ``C(eps) = A^T A + eps E^T E`` that drives the
 closed-form limit machinery in :mod:`dagstab.limits`; the expansion takes
 one pencil or the ``(K, n, p)`` stack of one parent-count group's pencils.
-Orthogonal projections belong to the fits of :mod:`dagstab.mle`.
+Least-squares fits belong to :mod:`dagstab.mle`.
 
 All operations are pure functions on immutable values; inputs are never
 mutated.  Tolerances are relative, defaulting to ``DEFAULT_TOL``, and lie
@@ -16,7 +16,9 @@ sample and its perturbation by a common constant, or rotating both by an
 orthogonal matrix, changes no answer.  The scale of a vector from the sample
 is its own norm; of a vector built from the perturbation, its own norm plus
 the largest perturbation column norm (columns that vanish in exact
-arithmetic carry roundoff of that size); of a product, the product of the
+arithmetic carry roundoff of that size) and, for a difference, the norm of
+the term subtracted, e.g. ``|t| + |T_E x_A| + |f'|`` for the span
+conditions' ``t = T_E x_E - T_E x_A``; of a product, the product of the
 norms of its factors, e.g. ``|P^T y| + |P^T P| |x|`` for ``P^T (y - P x)``.
 """
 

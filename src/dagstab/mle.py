@@ -11,17 +11,18 @@ coefficients of the parent columns in the orthogonal projection of
 squared residual of that projection, and exists only when the residual is
 strictly positive.  All functions are pure and thread-safe.
 
-Every estimator, the classification and :mod:`dagstab.limits` read fits of
-whole samples (:func:`_fit`), grouped by parent count in the layout that
-:class:`dagstab.graph.Dag` builds once, with every edge-weight vector in its
-edge order.  Per group, one stacked QR of ``[P | y]`` and one values-only
-SVD of its small triangular factor give every rank (the cut of
-:func:`dagstab.linalg._kept`) and residual, and ``classify`` reads existence
-and uniqueness from them.  One normal-equations check, stacked per group,
-serves ``is_lambda_mle``, ``is_mle``, ``limits.limit_mle`` and
-``in_Xf_alpha_lim``.  Both also take an ``(S, n, m)`` stack of samples, each
-call then running once per group for all of them: ``limit_mle`` fits ``f``,
-``f'`` and ``f + f'`` in one pass and checks ``f`` and ``f'`` in another.
+Every estimator, the classification and :mod:`dagstab.limits` read one
+kind of fit of whole samples (:func:`_fit`), grouped by parent count in the
+layout that :class:`dagstab.graph.Dag` builds once, with every edge-weight
+vector in its edge order.  Per group, one stacked QR of ``[P | y]`` (its
+triangular factor only) and one values-only SVD of that small factor give
+every rank (the cut of :func:`dagstab.linalg._kept`) and residual, and
+``classify`` reads existence and uniqueness from them.  One
+normal-equations check, stacked per group, serves ``is_lambda_mle``,
+``is_mle``, ``limits.limit_mle`` and ``in_Xf_alpha_lim``.  Both also take an
+``(S, n, m)`` stack of samples, each call then running once per group for
+all of them: ``limit_mle`` fits ``f`` and ``f'`` in one pass and checks
+them in another.
 Zero tests go through :func:`dagstab.linalg._negligible`: a variance exists
 when ``|y - proj y| > tol |y|``, and the normal equations hold when
 ``|P^T (y - P x)| <= tol (|P^T y| + |P^T P| |x|)``, so no answer depends on
@@ -121,19 +122,16 @@ class _Fit:
     """Per-vertex fit data, indexed by vertex ``i - 1``: the minimum-norm
     ``coef`` in the DAG's edge order, the ``rank`` of the parent columns,
     the squared residual ``resid_sq`` and the positivity decision ``exists``
-    on it.  ``spans`` holds, per group of the layout, ``U, keep, N, s, PY``:
-    the singular values of the parent columns, which are kept, a ``p x p``
-    basis of their kernel padded with zero columns and, in a basis fit only,
-    an ``n x min(n, p)`` basis whose kept columns span their image, onto
-    which ``proj`` (one row per vertex) projects, and the gathered blocks
-    ``[P | y]``; elsewhere those three are ``None``."""
+    on it.  ``spans`` holds, per group of the layout, ``N, s, R``: a
+    ``p x p`` basis of the parent columns' kernel padded with zero columns,
+    their singular values and the triangular factor ``R = [T | z]`` of the
+    QR of ``[P | y]``, so ``T^T T = P^T P`` and ``T^T z = P^T y``."""
 
     coef: np.ndarray
     rank: np.ndarray
-    proj: np.ndarray | None
     resid_sq: np.ndarray
     exists: np.ndarray
-    spans: list[tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]
+    spans: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _blocks(M: np.ndarray, cols: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -149,28 +147,32 @@ def _groups(g: Dag, *mats: np.ndarray):
         yield cols, *((B[..., :-1], B[..., -1]) for B in (_blocks(M, cols, idx) for M in mats))
 
 
-def _fit(A: np.ndarray, g: Dag, tol: float, basis: bool = False):
+def _edges(g: Dag) -> list[np.ndarray]:
+    """Per group of ``g``'s layout, the ``(k, p)`` positions of its children's
+    weights in the edge order."""
+    starts = np.cumsum(g._parent_counts) - g._parent_counts  # each vertex's first edge
+    return [starts[cols, None] + np.arange(idx.shape[1]) for cols, idx in g._parent_groups]
+
+
+def _fit(A: np.ndarray, g: Dag, tol: float):
     """Project every column of a validated sample, or of each sample of an
     ``(S, n, m)`` stack, onto its parent columns: per parent-count group, one
-    QR of all the blocks ``[P | y]`` gives ``[T | z]``, ``T`` with the singular
-    values of ``P`` and ``z = Q^T y``, and one values-only SVD of ``T`` the
-    rank ``r``, the count kept by :func:`dagstab.linalg._kept`.  At ``r = p``
-    the coefficients solve the leading ``p x p`` triangle of ``T`` and the
-    residual is ``z[p:]``; only blocks with a kernel run the SVD
+    QR of all the blocks ``[P | y]`` gives ``R = [T | z]``, ``T`` with the
+    singular values of ``P`` and ``z = Q^T y``, and one values-only SVD of
+    ``T`` the rank ``r``, the count kept by :func:`dagstab.linalg._kept`.  At
+    ``r = p`` the coefficients solve the leading ``p x p`` triangle of ``T``
+    and the residual is ``z[p:]``; only blocks with a kernel run the SVD
     ``T = U_T S V^T`` with vectors, for the minimum-norm ``V_r S_r^-1 U_r^T z``
-    and the residual of ``z`` off ``U_r``.  ``basis`` also forms ``Q`` for the
-    projections :mod:`dagstab.limits` reads; ``R``, so every decision, is the
-    same.  A stack gives a list of fits, bit for bit its samples' own."""
-    starts = np.cumsum(g._parent_counts) - g._parent_counts  # each vertex's first edge
+    and the residual of ``z`` off ``U_r``.  ``Q`` is never formed.  A stack
+    gives a list of fits, bit for bit its samples' own."""
     lead = A.shape[:-2]  # a stack's sample axis trails each vertex's and edge's entry
     coef, rank = np.zeros((len(g._edge_keys), *lead)), np.zeros((g.m, *lead), dtype=int)
     sq = np.einsum("...nm,...nm->...m", A, A).T  # a source column is its own residual
-    resid_sq, proj = sq.copy(), np.zeros((*lead, g.m, A.shape[-2])) if basis else None
+    resid_sq = sq.copy()
     spans = []
-    for cols, idx in g._parent_groups:
+    for (cols, idx), edges in zip(g._parent_groups, _edges(g)):
         p = idx.shape[1]
-        PY = _blocks(A, cols, idx)
-        Q, R = np.linalg.qr(PY) if basis else (None, np.linalg.qr(PY, mode="r"))
+        R = np.linalg.qr(_blocks(A, cols, idx), mode="r")
         T, C = R[..., :p], R[..., p].copy()  # C: y's coordinates on the left basis
         s = np.linalg.svd(T, compute_uv=False)
         keep = _kept(s, tol)
@@ -181,27 +183,21 @@ def _fit(A: np.ndarray, g: Dag, tol: float, basis: bool = False):
             F, K = (..., None) if full.flat[0] else (None, ...)
         if F is not None:
             x[F] = np.linalg.solve(R[F, :p, :p], C[F, :p, None])[..., 0]
-        U = Q[..., :w] if basis else None
         if K is not None:
             U_T, s_T, Vt = np.linalg.svd(T[K])
             C[K] = (C[K, None, :] @ U_T)[..., 0, :]
             c = np.divide(C[K, :w], s_T, out=np.zeros_like(s_T), where=keep[K])
             x[K] = (c[..., None, :] @ Vt[..., :w, :])[..., 0, :]
             N[K] = Vt.mT * (np.arange(p) >= r[K, None])[..., None, :]
-            if basis:
-                U[K] = Q[K] @ U_T[..., :w]
         off = np.where(np.arange(C.shape[-1]) >= r[..., None], C, 0.0)
         resid_sq[cols] = np.einsum("...q,...q->...", off, off).T
-        if basis:
-            proj[..., cols, :] = (U @ np.where(keep, C[..., :w], 0.0)[..., None])[..., 0]
-        rank[cols], coef[starts[cols] + np.arange(p)[:, None]] = r.T, x.T
-        spans.append((U, keep, N, s, PY if basis else None))
+        rank[cols], coef[edges.T] = r.T, x.T
+        spans.append((N, s, R))
     exists = ~_negligible(np.sqrt(resid_sq), np.sqrt(sq), tol)
     if not lead:
-        return _Fit(coef, rank, proj, resid_sq, exists, spans)
-    fields = coef.T, rank.T, proj, resid_sq.T, exists.T  # sample first
-    return [_Fit(*(a if a is None else a[i] for a in fields),
-                 [tuple(a if a is None else a[i] for a in span) for span in spans])
+        return _Fit(coef, rank, resid_sq, exists, spans)
+    fields = coef.T, rank.T, resid_sq.T, exists.T  # sample first
+    return [_Fit(*(a[i] for a in fields), [tuple(a[i] for a in span) for span in spans])
             for i in range(lead[0])]
 
 
@@ -324,7 +320,7 @@ def _normal_equation_failures(A: np.ndarray, g: Dag, lam, tol: float, fit=None):
         resid = np.einsum("...np,...n->...p", P, R.mT[..., cols, :])
         if fit is not None:  # the last sample's coordinates on the kernel basis N
             last = resid.reshape(-1, *resid.shape[-2:])
-            last[-1] = np.einsum("kpj,kp->kj", fit.spans[grp][2], last[-1])
+            last[-1] = np.einsum("kpj,kp->kj", fit.spans[grp][0], last[-1])
         Py = np.linalg.norm(np.einsum("...np,...n->...p", P, y), axis=-1)
         scale = np.ldexp(Py, -k[cols]) + np.linalg.norm(P.mT @ P, axis=(-2, -1)) * x_norm[cols]
         failed[..., cols] = ~_negligible(np.linalg.norm(resid, axis=-1), scale, tol)

@@ -217,10 +217,10 @@ def limit_problem():
     return Perturbation(f, random_perturbation(f, seed=9)), g
 
 
-def basis_stack(pert):
-    """The one stacked sample that the analytic route fits: ``f``, ``f'`` and
-    ``f + f'``, in that order."""
-    return np.stack([pert.base, pert.delta, pert.base + pert.delta])
+def limit_stack(pert):
+    """The one stacked sample that the analytic route and the span conditions
+    fit: ``f`` and ``f'``, in that order."""
+    return np.stack([pert.base, pert.delta])
 
 
 class TestLimitFits:
@@ -228,7 +228,7 @@ class TestLimitFits:
         pert, g = limit_problem()
         limits.limit_mle(None, pert, g)
         assert len(fit_samples) == 1
-        assert np.array_equal(fit_samples[0], basis_stack(pert))
+        assert np.array_equal(fit_samples[0], limit_stack(pert))
         assert estimates == {"omega_mle": 0, "full_mle": 0, "MleEstimate": 0, "mle_at_epsilon": 0}
 
     @pytest.mark.parametrize("grid", [limits.DEFAULT_EPS_GRID, (1e-2, 1e-3)],
@@ -276,7 +276,7 @@ class TestCliLimitFits:
         code, report = run(tmp_path, capsys, data, "check")
         assert code == EXIT_OK
         assert len(fit_samples) == 1
-        assert np.array_equal(fit_samples[0], basis_stack(pert))
+        assert np.array_equal(fit_samples[0], limit_stack(pert))
         for key, check in (("lambdaCondition", limits.check_lambda_condition),
                            ("fullCondition", limits.check_full_condition)):
             assert report[key] == {str(i): ok for i, ok in sorted(check(None, pert, g).items())}
@@ -289,7 +289,7 @@ class TestCliLimitFits:
         code, _ = run(tmp_path, capsys, data, "limit")
         assert code == EXIT_OK
         assert len(fit_samples) == len(grid) + 1
-        assert np.array_equal(fit_samples[0], basis_stack(pert))
+        assert np.array_equal(fit_samples[0], limit_stack(pert))
         for got, eps in zip(fit_samples[1:], grid):
             assert np.array_equal(got, pert.scaled(eps))
 
@@ -410,11 +410,12 @@ class TestSvdsPerCommand:
     map's rank from a values-only SVD and ``validate_lift`` the final map's,
     so the counts did not change when they stopped forming its vectors.
     ``limit`` runs 29 SVDs and 21 QRs: ``random_lift`` 4, ``validate_lift``
-    2, ``is_perturbation`` 2 and 21 in 7 fits (one stacked fit of ``f``,
-    ``f'`` and ``f + f'`` in ``limit_mle``, one per grid point of the numeric
-    route); every parent block has full rank, so no fit runs an SVD with
-    vectors and ``pencil_expand`` runs none.  ``check`` runs the same 8
-    outside the fits and the one stacked fit: 11 SVDs and 3 QRs.
+    2, ``is_perturbation`` 2 and 21 in 7 fits (one stacked fit of ``f`` and
+    ``f'`` in ``limit_mle``, one per grid point of the numeric route); every
+    parent block has full rank, so no fit runs an SVD with vectors, the span
+    conditions run no SVD of ``T_E N`` (``N = 0``) and ``pencil_expand`` runs
+    none.  ``check`` runs the same 8 outside the fits and the one stacked
+    fit: 11 SVDs and 3 QRs.  No QR forms ``Q``.
     ``membership`` runs 4 SVDs and 1 QR: ``is_perturbation`` 2 and the fit of
     the star sample, whose one group has a kernel.  Before ``limit_mle``
     stacked its three fits, ``limit`` ran 35 SVDs and 27 QRs and ``check`` 17

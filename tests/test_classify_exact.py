@@ -103,6 +103,6 @@ def test_matches_exact_ranks_with_scaled_child_columns():
 @pytest.mark.xfail(strict=True, reason=(
     "the rank cut keeps singular values above tol * sigma_max of the parent "
     "submatrix as given, so a parent column more than about 2^33 times "
-    "smaller than another drops out of the span (ROADMAP open item 2)"))
+    "smaller than another drops out of the span (ROADMAP open item 4)"))
 def test_matches_exact_ranks_with_every_column_scaled():
     assert _mismatches(_every_column) == []

@@ -3,6 +3,9 @@ not see.
 
 * Scaling the pair ``(f, f')`` by ``c`` changes no decision and no edge
   weight, and multiplies every variance by ``c^2``.
+* Scaling ``f'`` alone by a power of two changes no span condition: it only
+  reparametrises ``eps`` along ``f + eps f'``.  The conditions stay those of
+  the referee, the normal equations of ``f`` on the MLE given ``f + f'``.
 * Rotating the observations of both, ``(Q f, Q f')`` with ``Q`` orthogonal,
   changes nothing.
 * Relabelling the vertices in another topological order permutes every
@@ -50,6 +53,8 @@ from dagstab import (
     rank,
     stabilize,
 )
+from dagstab.linalg import _PENCIL_ERRORS, DEFAULT_TOL
+from dagstab.mle import _normal_equation_failures
 from dagstab.varieties import AlphaNotMleError
 from _helpers import random_perturbation, random_rank_deficient
 
@@ -210,6 +215,30 @@ def test_scaling_the_pair(inst, exponent, mantissa):
     # rotated off the complement of im f, a nonzero f' is no perturbation
     moved = _orthogonal(rng, f.shape[0]) @ fp
     assert is_perturbation(c * f, c * moved).failures == is_perturbation(f, moved).failures
+
+
+def _referee(f, fp, g) -> dict:
+    """Per child vertex: do the edge weights of the MLE given ``f + f'``
+    solve the normal equations of ``f`` there?"""
+    bad = _normal_equation_failures(f, g, full_mle(f + fp, g).lam, DEFAULT_TOL)
+    return {i: i not in bad for i in g.child_vertices()}
+
+
+@settings(max_examples=50)
+@given(instances(), st.sampled_from([-40, -20, 20, 40]))
+def test_scaling_the_perturbation_alone(inst, exponent):
+    f, fp, g, _ = inst
+    scaled = np.ldexp(fp, exponent)
+    want = check_lambda_condition(f, fp, g)
+    assert want == _referee(f, fp, g)
+    assert check_lambda_condition(f, scaled, g) == want
+    assert check_full_condition(f, scaled, g) == check_full_condition(f, fp, g)
+    try:
+        lim = limit_mle(f, scaled, g)
+    except ValueError as exc:  # the pencil expansion's own limits (ROADMAP item 1)
+        assert str(exc) in _PENCIL_ERRORS or "fails the normal equations" in str(exc)
+        return
+    assert lim.epsilon_independent == want
 
 
 @settings(max_examples=50)

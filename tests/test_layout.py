@@ -59,18 +59,19 @@ def _reference_fit(Y: np.ndarray, g: Dag, tol: float = DEFAULT_TOL):
     triangular factor's ``T``, values only and, where ``P`` has a kernel,
     with vectors; from them the projection onto the parent columns (one row
     per vertex), the minimum-norm coefficients and the kernel dimension;
-    then the existence of each variance and the estimate.  Also returns the
-    singular values of each child's parent columns."""
+    then the existence of each variance and the estimate.  Also returns,
+    per child, the singular values of its parent columns and the triangular
+    factor ``R = [T | z]``."""
     sq = np.einsum("nm,nm->m", Y, Y)
     resid_sq, proj = sq.copy(), np.zeros((g.m, Y.shape[0]))
-    lam, kdims, svals = {}, {}, {}
+    lam, kdims, svals, factors = {}, {}, {}, {}
     for i in range(1, g.m + 1):
         pa = g.parents(i)
         p = kdims[i] = len(pa)
         if not pa:
             continue
         Q, R = np.linalg.qr(_block(Y, i, g))
-        T, z = R[..., :p], R[..., p].copy()
+        factors[i], T, z = R, R[..., :p], R[..., p].copy()
         s = np.linalg.svd(T, compute_uv=False)
         svals[i], keep = s[0], _kept(s, tol)
         r, w = int(keep.sum()), s.shape[1]
@@ -92,7 +93,7 @@ def _reference_fit(Y: np.ndarray, g: Dag, tol: float = DEFAULT_TOL):
     exists = dict(enumerate(ok.tolist(), start=1))
     omega = {i: sq / Y.shape[0] for i, sq in zip(exists, resid_sq.tolist()) if exists[i]}
     est = MleEstimate(lam=lam, lambda_kernel_dims=kdims, omega=omega, omega_exists=exists)
-    return proj, est, svals
+    return proj, est, svals, factors
 
 
 def _bits(x) -> bytes:
@@ -158,7 +159,7 @@ class TestLayout:
         rng = np.random.default_rng(g.m + 2)
         f = random_rank_deficient(rng, g.m + 2, g.m, g.m if full_rank else max(g.m // 2, 1))
         fp = random_perturbation(f, g.m)
-        (fbar, est, svals), (vbar, _, _) = _reference_fit(f, g), _reference_fit(fp, g)
+        (fbar, est, svals, R_A), (vbar, *_, R_E) = _reference_fit(f, g), _reference_fit(fp, g)
         floor = np.linalg.norm(fp, axis=0).max()
         lam, independent, diagnostics = {}, {}, {}
         for i in g.child_vertices():
@@ -172,7 +173,9 @@ class TestLayout:
             else:
                 pencil = pencil_expand(A, E)
                 l = pencil.first_nonzero
-                num = pencil.adj_coeff(l) @ (A.T @ fbar[i - 1]) + pencil.adj_coeff(l - 1) @ (E.T @ vbar[i - 1])
+                # A^T fbar = T_A^T z_A and E^T vbar = T_E^T z_E, from R = [T | z]
+                num = (pencil.adj_coeff(l) @ (R_A[i][0, :, :-1].T @ R_A[i][0, :, -1])
+                       + pencil.adj_coeff(l - 1) @ (R_E[i][0, :, :-1].T @ R_E[i][0, :, -1]))
                 diagnostics[i] = VertexDiagnostics(l, float(pencil.det_coeffs[l]), num)
                 lam.update(zip([(i, j) for j in g.parents(i)], (num / diagnostics[i].det_coeff).tolist()))
             target = fbar[i - 1] + vbar[i - 1]

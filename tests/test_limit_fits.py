@@ -1,9 +1,17 @@
 """The span conditions on perturbations tilted into the image of the sample.
 
-The conditions must project exactly ``fbar + vbar`` and ``fbar + v`` onto
-the span of ``A + E``.  On a perturbation tilted into ``im f`` by less than
-``tol`` the shortcut ``proj_{A+E}(b + v)`` is no longer the same vector,
-and the decisions near the cut change.
+The conditions are exact statements about ``span(A + E)``: ``fbar + vbar``
+lies in it exactly when ``T_E (x_E - x_A)`` lies in the span of ``T_E N``,
+``N`` spanning ``ker A``, since the columns of ``f`` are orthogonal to those
+of ``f'``.  Neither side changes when ``f'`` alone is rescaled, which only
+reparametrises ``eps`` along ``f + eps f'``.  On a perturbation tilted into
+``im f`` by less than ``tol`` the decisions near the cut are the ones most
+likely to move, so they are compared with the per-vertex projection
+reference, evaluated at ``s f'``, ``s`` the power of two that brings the
+largest column norm of ``f'`` to that of ``f``.  The reference's zero test
+adds that column norm to its scale, which then swamps a target built from a
+much smaller ``f`` (``mixed-tiny``, whose largest ``f'`` column is 4e8 to
+5e9 times that of ``f``); the exact conditions do not see ``s``.
 """
 
 import numpy as np
@@ -46,6 +54,13 @@ def tilted_draws(label, seed, m, rank, indegree, edge_prob, layout, draws=16):
     return out
 
 
+def _matched_scale(f, fp):
+    """``fp`` times the power of two that brings its largest column norm to
+    the binade of that of ``f``; a zero ``fp`` as it is."""
+    nf, nd = (np.frexp(np.linalg.norm(M, axis=0).max())[1] for M in (f, fp))
+    return np.ldexp(fp, nf - nd)
+
+
 TILTED = [draw for c in CASES for draw in tilted_draws(*c)]
 
 
@@ -55,5 +70,6 @@ class TestTiltedPerturbations:
 
     @pytest.mark.parametrize("f,fp,g", TILTED)
     def test_condition_dicts_match_the_per_vertex_reference(self, f, fp, g):
-        assert check_lambda_condition(f, fp, g) == _reference_lambda_condition(f, fp, g)
-        assert check_full_condition(f, fp, g) == _reference_full_condition(f, fp, g)
+        matched = _matched_scale(f, fp)
+        assert check_lambda_condition(f, fp, g) == _reference_lambda_condition(f, matched, g)
+        assert check_full_condition(f, fp, g) == _reference_full_condition(f, matched, g)

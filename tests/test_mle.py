@@ -486,13 +486,9 @@ class TestGroupedFitMatchesPerVertexLoop:
         for i, value in ref.omega.items():
             _assert_close(est.omega[i], value, ("omega", i))
             _assert_close(opart.omega[i], value, ("omega", i))
-        fit = _fit(Y, g, DEFAULT_TOL, basis=True)  # the fit limits reads
+        fit = _fit(Y, g, DEFAULT_TOL)
         assert (g._parent_counts - fit.rank).tolist() == list(ref.lambda_kernel_dims.values())
         assert fit.exists.tolist() == list(ref.omega_exists.values())
-        assert np.array_equal(fit.coef, _fit(Y, g, DEFAULT_TOL).coef)
-        for i in g.child_vertices():
-            P = Y[:, [j - 1 for j in g.parents(i)]]
-            _assert_close(fit.proj[i - 1], project(Y[:, i - 1], P), ("proj", i))
         c = classify(Y, g)
         assert (c.status, c.witness) == _reference_classify(Y, g)
         assert c.git_label == GIT_LABELS[c.status]
@@ -523,25 +519,21 @@ def _stack_samples(g: Dag, n: int, seed: int) -> list[np.ndarray]:
 
 
 def _assert_same_bits(got, want, what):
-    if want is None:
-        assert got is None, what
-        return
     assert (got.shape, got.dtype) == (want.shape, want.dtype), what
     assert got.tobytes() == want.tobytes(), what
 
 
 @pytest.mark.parametrize("g", DAGS, ids=IDS)
-@pytest.mark.parametrize("basis", [False, True], ids=["plain", "basis"])
-def test_stacked_fit_is_the_single_fits_bit_for_bit(g, basis):
+def test_stacked_fit_is_the_single_fits_bit_for_bit(g):
     """One fit of an ``(S, n, m)`` stack gives, per sample, every field of
     the fit of that sample alone, bit for bit."""
     for n in (2, g.m + 2):
         samples = _stack_samples(g, n, 10 * g.m + n)
-        stacked = _fit(np.stack(samples), g, DEFAULT_TOL, basis)
+        stacked = _fit(np.stack(samples), g, DEFAULT_TOL)
         assert len(stacked) == len(samples)
         for k, (got, Y) in enumerate(zip(stacked, samples)):
-            want = _fit(Y, g, DEFAULT_TOL, basis)
-            for name in ("coef", "rank", "proj", "resid_sq", "exists"):
+            want = _fit(Y, g, DEFAULT_TOL)
+            for name in ("coef", "rank", "resid_sq", "exists"):
                 _assert_same_bits(getattr(got, name), getattr(want, name), (n, k, name))
             assert len(got.spans) == len(want.spans)
             for grp, (a, b) in enumerate(zip(got.spans, want.spans)):
