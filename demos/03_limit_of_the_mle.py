@@ -34,8 +34,9 @@ fp = np.column_stack([-v, -v, v])  # the only perturbation direction of f
 
 print("edge-weight estimate at vertex 3 along the path (exact value is")
 print("((1 - 2 eps^2) / (1 + eps^2), 1)):\n")
-for eps in (0.5, 0.2, 0.1, 0.01):
-    lam = mle_at_epsilon(f, fp, g, eps).lambda_vector(g, 3)
+grid = (0.5, 0.2, 0.1, 0.01)
+for eps, est in zip(grid, mle_at_epsilon(f, fp, g, grid)):  # one fit for the whole grid
+    lam = est.lambda_vector(g, 3)
     print(f"  eps = {eps:<5}: ({lam[0]: .12f}, {lam[1]: .12f})")
 
 analytic = limit_mle(f, fp, g)

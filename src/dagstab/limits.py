@@ -137,29 +137,34 @@ class LimitResult:
     lambda_vector = MleEstimate.lambda_vector
 
 
-def mle_at_epsilon(f, fp, g: Dag, eps: float, tol: float = DEFAULT_TOL) -> MleEstimate:
-    """The unique MLE given ``f + eps * f'`` for ``eps != 0``.
+def mle_at_epsilon(f, fp, g: Dag, eps, tol: float = DEFAULT_TOL):
+    """The unique MLE given ``f + eps * f'`` for ``eps != 0``, or the list of
+    them for a 1-d grid of ``eps``, from one stacked :func:`full_mle` call.
 
     Uniqueness (all kernel dimensions zero) is asserted; failure signals
     numerically inconsistent input.  An ``eps`` at which a squared column
-    norm of ``f + eps f'`` leaves the float range is rejected by name.
+    norm of ``f + eps f'`` leaves the float range is rejected by name.  The
+    first failing point raises: every ``eps`` is checked, then every sum,
+    then every estimate, each in grid order.
     """
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps!r}")
-    if eps == 0:
-        raise ValueError("eps must be nonzero; the limit operations handle eps -> 0")
+    grid = list(eps) if np.ndim(eps) else [eps]
+    for e in grid:
+        if not math.isfinite(e):
+            raise ValueError(f"eps must be finite, got {e!r}")
+        if e == 0:
+            raise ValueError("eps must be nonzero; the limit operations handle eps -> 0")
+    pert = _as_perturbation(f, fp, tol, g.m)
     with np.errstate(over="ignore"):
-        S = _as_perturbation(f, fp, tol, g.m).scaled(eps)
-    _check_squares(S, f"the stabilised sample f + eps f' at eps={eps!r}")
-    est = full_mle(S, g, tol)
-    bad = [i for i, d in est.lambda_kernel_dims.items() if d != 0]
-    bad += [i for i, ok in est.omega_exists.items() if not ok]
-    if bad:
-        raise ValueError(
-            f"estimate at eps={eps} is not a unique MLE at vertices {sorted(set(bad))}; "
-            "input is numerically inconsistent"
-        )
-    return est
+        S = np.stack([pert.scaled(e) for e in grid])
+    for e, M in zip(grid, S):
+        _check_squares(M, f"the stabilised sample f + eps f' at eps={e!r}")
+    estimates = full_mle(S, g, tol)
+    for e, est in zip(grid, estimates):
+        bad = [i for i, ok in est.omega_exists.items() if not ok or est.lambda_kernel_dims[i]]
+        if bad:
+            raise ValueError(f"estimate at eps={e} is not a unique MLE at vertices {bad}; "
+                             "input is numerically inconsistent")
+    return estimates if np.ndim(eps) else estimates[0]
 
 
 def _segment_max(D: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -229,9 +234,7 @@ def _check_grid(eps_grid) -> tuple[float, ...]:
     grid = tuple(_as_matrix([list(eps_grid)], "epsilon grid")[0].tolist())
     if not grid:
         raise ValueError("epsilon grid must be non-empty")
-    if any(e <= 0 for e in grid) or any(
-        grid[k + 1] >= grid[k] for k in range(len(grid) - 1)
-    ):
+    if any(e <= 0 for e in grid) or any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValueError("epsilon grid must be strictly decreasing and positive")
     return grid
 
@@ -241,7 +244,7 @@ def limit_mle_numeric(
 ) -> LimitResult:
     """Numeric limit of the MLE given ``f + eps f'``.
 
-    Calls only :func:`mle_at_epsilon`, once per grid point, and extrapolates
+    Fits the whole grid in one :func:`mle_at_epsilon` call and extrapolates
     each per-vertex coefficient vector and variance in ``eps^2`` through one
     stacked Neville table; ``epsilon_independent`` and ``diagnostics`` stay
     empty.  A variance is absent when its extrapolated value is zero at the
@@ -260,7 +263,7 @@ def limit_mle_numeric(
         s = 2.0 ** math.ceil(math.log2(nf / nd))
     elif nd > nf > 0:
         s = 2.0 ** math.floor(math.log2(nf / nd))
-    estimates = [mle_at_epsilon(None, pert, g, s * eps, tol) for eps in grid]
+    estimates = mle_at_epsilon(None, pert, g, [s * eps for eps in grid], tol)
 
     # per grid point: every child's coefficient vector, in the edge order, then every variance
     children = g.child_vertices()
@@ -284,15 +287,9 @@ def limit_mle_numeric(
     omega_exists = dict(enumerate(exists.tolist(), start=1))
     omega = {i: x for i, x, ok in zip(omega_exists, w.tolist(), exists.tolist()) if ok}
 
-    return LimitResult(
-        lam=lam,
-        omega=omega,
-        omega_exists=omega_exists,
-        partial=not all(omega_exists.values()),
-        diverged=bool(diverged),
-        diverged_vertices=tuple(diverged),
-        extrapolation_error=err,
-    )
+    return LimitResult(lam=lam, omega=omega, omega_exists=omega_exists,
+                       partial=not all(omega_exists.values()), diverged=bool(diverged),
+                       diverged_vertices=tuple(diverged), extrapolation_error=err)
 
 
 def _limit_equation_failures(pert: Perturbation, g: Dag, lam, tol: float, fit) -> list[int]:

@@ -16,13 +16,12 @@ kind of fit of whole samples (:func:`_fit`), grouped by parent count in the
 layout that :class:`dagstab.graph.Dag` builds once, with every edge-weight
 vector in its edge order.  Per group, one stacked QR of ``[P | y]`` (its
 triangular factor only) and one values-only SVD of that small factor give
-every rank (the cut of :func:`dagstab.linalg._kept`) and residual, and
-``classify`` reads existence and uniqueness from them.  One
+every rank (the cut of :func:`dagstab.linalg._kept`) and residual.  One
 normal-equations check, stacked per group, serves ``is_lambda_mle``,
-``is_mle``, ``limits.limit_mle`` and ``in_Xf_alpha_lim``.  Both also take an
-``(S, n, m)`` stack of samples, each call then running once per group for
-all of them: ``limit_mle`` fits ``f`` and ``f'`` in one pass and checks
-them in another.
+``is_mle``, ``limits.limit_mle`` and ``in_Xf_alpha_lim``.  The fit, that
+check and ``full_mle`` also take an ``(S, n, m)`` stack of samples and run
+once per group for all of them: ``limit_mle`` fits and checks ``f`` and
+``f'`` together, and ``limit_mle_numeric`` fits its whole grid at once.
 Zero tests go through :func:`dagstab.linalg._negligible`: a variance exists
 when ``|y - proj y| > tol |y|``, and the normal equations hold when
 ``|P^T (y - P x)| <= tol (|P^T y| + |P^T P| |x|)``, so no answer depends on
@@ -247,8 +246,12 @@ def _estimate(fit: _Fit, g: Dag, n: int) -> MleEstimate:
     return MleEstimate(lam=lam, lambda_kernel_dims=kdims, omega=omega, omega_exists=exists)
 
 
-def full_mle(Y, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:
-    """Combined edge-weight and variance estimates given ``Y``."""
+def full_mle(Y, g: Dag, tol: float = DEFAULT_TOL):
+    """Combined edge-weight and variance estimates given ``Y``; given an
+    ``(S, n, m)`` stack, the list of its samples' estimates, from one fit."""
+    if np.ndim(Y) == 3:
+        A = np.stack([_validated(M, g) for M in Y])
+        return [_estimate(fit, g, A.shape[1]) for fit in _fit(A, g, tol)]
     A = _validated(Y, g)
     return _estimate(_fit(A, g, tol), g, A.shape[0])
 

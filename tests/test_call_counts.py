@@ -237,13 +237,12 @@ class TestLimitFits:
         pert, g = limit_problem()
         res = limits.limit_mle_numeric(None, pert, g, grid)
         assert not res.diverged
-        assert len(fit_samples) == len(grid)
-        for got, want in zip(fit_samples, [pert.scaled(eps) for eps in grid]):
-            assert np.array_equal(got, want)
-        # each grid point goes through the public mle_at_epsilon and full_mle,
-        # the calls the benchmark's trace counts as grid and vertex evaluations
-        n = len(grid)
-        assert estimates == {"omega_mle": 0, "full_mle": n, "MleEstimate": n, "mle_at_epsilon": n}
+        # the whole grid is one stacked fit, through one call of the public
+        # mle_at_epsilon and full_mle, the calls the benchmark's trace counts
+        assert len(fit_samples) == 1
+        assert np.array_equal(fit_samples[0], np.stack([pert.scaled(eps) for eps in grid]))
+        assert estimates == {"omega_mle": 0, "full_mle": 1, "MleEstimate": len(grid),
+                             "mle_at_epsilon": 1}
 
     def test_mle_at_epsilon_builds_one_estimate(self, fit_samples, estimates):
         pert, g = limit_problem()
@@ -288,10 +287,10 @@ class TestCliLimitFits:
         data["settings"] = {"epsilonGrid": list(grid)}
         code, _ = run(tmp_path, capsys, data, "limit")
         assert code == EXIT_OK
-        assert len(fit_samples) == len(grid) + 1
+        # the stack of f and f' for limit_mle, then the numeric route's grid stack
+        assert len(fit_samples) == 2
         assert np.array_equal(fit_samples[0], limit_stack(pert))
-        for got, eps in zip(fit_samples[1:], grid):
-            assert np.array_equal(got, pert.scaled(eps))
+        assert np.array_equal(fit_samples[1], np.stack([pert.scaled(eps) for eps in grid]))
 
 
 @pytest.fixture
@@ -409,29 +408,31 @@ class TestSvdsPerCommand:
     are the ones ``validate_lift`` checked.  ``random_lift`` decides a stage
     map's rank from a values-only SVD and ``validate_lift`` the final map's,
     so the counts did not change when they stopped forming its vectors.
-    ``limit`` runs 29 SVDs and 21 QRs: ``random_lift`` 4, ``validate_lift``
-    2, ``is_perturbation`` 2 and 21 in 7 fits (one stacked fit of ``f`` and
-    ``f'`` in ``limit_mle``, one per grid point of the numeric route); every
+    ``limit`` runs 14 SVDs and 6 QRs: ``random_lift`` 4, ``validate_lift``
+    2, ``is_perturbation`` 2 and 6 in 2 fits (one stacked fit of ``f`` and
+    ``f'`` in ``limit_mle`` and one of the numeric route's whole grid); every
     parent block has full rank, so no fit runs an SVD with vectors, the span
     conditions run no SVD of ``T_E N`` (``N = 0``) and ``pencil_expand`` runs
     none.  ``check`` runs the same 8 outside the fits and the one stacked
     fit: 11 SVDs and 3 QRs.  No QR forms ``Q``.
     ``membership`` runs 4 SVDs and 1 QR: ``is_perturbation`` 2 and the fit of
-    the star sample, whose one group has a kernel.  Before ``limit_mle``
-    stacked its three fits, ``limit`` ran 35 SVDs and 27 QRs and ``check`` 17
-    and 9.  Before the fit factored ``[P | y]`` by QR it ran one SVD with
-    vectors of every group, and ``membership`` ran 3.  At 38 the fit ran
-    once per group (3).  The previous counts were 6 and 6 (a second batched
-    SVD per group gave the parent-and-self ranks), 17, 11 then 10, 99, 93, 55
-    then 54, 24 then 18, and 6; at 11, 55 and 18 ``random_lift`` still
-    factored the sample twice, at 10 the CLI decided each stage map's rank
-    again, and at 54 the pencil ran once per child vertex (19 times)."""
+    the star sample, whose one group has a kernel.  Before the numeric route
+    stacked its grid, ``limit`` ran 29 SVDs and 21 QRs, one fit per grid
+    point.  Before ``limit_mle`` stacked its three fits, ``limit`` ran 35
+    SVDs and 27 QRs and ``check`` 17 and 9.  Before the fit factored
+    ``[P | y]`` by QR it ran one SVD with vectors of every group, and
+    ``membership`` ran 3.  At 38 the fit ran once per group (3).  The
+    previous counts were 6 and 6 (a second batched SVD per group gave the
+    parent-and-self ranks), 17, 11 then 10, 99, 93, 55 then 54, 24 then 18,
+    and 6; at 11, 55 and 18 ``random_lift`` still factored the sample twice,
+    at 10 the CLI decided each stage map's rank again, and at 54 the pencil
+    ran once per child vertex (19 times)."""
 
     @pytest.mark.parametrize("label,svd,qr", [
         ("classify-m20", 3, 3),
         ("estimate-m20", 3, 3),
         ("stabilize-m20", 9, 0),
-        ("limit-m20", 29, 21),
+        ("limit-m20", 14, 6),
         ("check-m20", 11, 3),
         ("membership-star6-inside", 4, 1),
         ("membership-star6-moved-alpha", 4, 1),

@@ -5,14 +5,17 @@ with up to 12 parents and sample ranks that leave the parent columns a
 kernel.  The referee decides each condition from its definition in rational
 arithmetic; ``check_lambda_condition`` and ``check_full_condition`` must give
 its maps with ``f'`` as built and with ``f'`` scaled by ``2^40`` and
-``2^-40``, which only reparametrises ``eps`` along ``f + eps f'``.
+``2^-40``, which only reparametrises ``eps`` along ``f + eps f'``.  The
+edge-weight condition holds at a child exactly when the MLE given
+``f + eps f'`` does not move with ``eps`` there.
 """
 
 import numpy as np
 import pytest
 
 from dagstab import (
-    Dag, check_full_condition, check_lambda_condition, full_mle, is_perturbation, star,
+    Dag, check_full_condition, check_lambda_condition, full_mle, is_perturbation,
+    mle_at_epsilon, star,
 )
 from _exact import exact_conditions, integer_perturbation
 from _helpers import fraction_rank
@@ -67,3 +70,17 @@ def test_condition_maps_are_the_exact_ones(exact, label, exponent):
     scaled = np.ldexp(fp.astype(float), exponent)
     assert check_lambda_condition(f, scaled, g) == lam
     assert check_full_condition(f, scaled, g) == full
+
+
+@pytest.mark.parametrize("label", DRAWS)
+def test_epsilon_independent_exactly_where_the_weights_stay(exact, label):
+    # the paper's statement: the weights at child i are the same for every eps
+    # exactly when the edge-weight condition holds at i.  A weight that stays
+    # moves by roundoff only, about 1e-11 of max(1, |weight|) on these draws,
+    # and one that moves, by at least 1e-2; 1e-8 lies between the two
+    f, fp, g = DRAWS[label]
+    path = mle_at_epsilon(f, fp, g, (1.0, 0.3, 0.1, 1e-2, 1e-3))
+    for i, holds in exact[label][0].items():
+        lam = np.array([est.lambda_vector(g, i) for est in path])
+        moved = np.abs(lam - lam[0]).max() / max(1.0, np.abs(lam).max())
+        assert (moved <= 1e-8) == holds, (i, moved)

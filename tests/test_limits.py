@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -124,6 +125,58 @@ class TestMleAtEpsilon:
         f, _ = dependent_line_instance()
         with pytest.raises(InvalidPerturbationError):
             mle_at_epsilon(f, np.zeros_like(f), collider(), 0.5)
+
+
+def grid_draws():
+    """Seeded draws of a low-rank ``f``, a perturbation ``f'`` and a DAG."""
+    out = []
+    for seed, (m, r) in enumerate([(4, 2), (6, 2), (7, 3), (5, 4)]):
+        rng = np.random.default_rng(700 + seed)
+        g = random_dag(rng, m, 0.8)
+        f = random_rank_deficient(rng, m + 2, m, r)
+        out.append((f, random_perturbation(f, seed=seed), g))
+    return out
+
+
+class TestGridIsThePointForm:
+    """The grid form of ``mle_at_epsilon`` and the stack form of ``full_mle``
+    give, bit for bit, what their point forms give one by one."""
+
+    GRID = (1.0, 0.3, 1e-2, 1e-4, 1e-6)
+
+    def test_some_parent_block_of_f_has_a_kernel(self):
+        assert any(any(full_mle(f, g).lambda_kernel_dims.values()) for f, _, g in grid_draws())
+
+    @pytest.mark.parametrize("draw", range(4))
+    def test_mle_at_epsilon(self, draw):
+        f, fp, g = grid_draws()[draw]
+        got = mle_at_epsilon(f, fp, g, self.GRID)
+        assert got == [mle_at_epsilon(f, fp, g, e) for e in self.GRID]
+        assert got == [full_mle(f + e * fp, g) for e in self.GRID]
+        assert mle_at_epsilon(f, fp, g, [0.3]) == [mle_at_epsilon(f, fp, g, 0.3)]
+
+    @pytest.mark.parametrize("draw", range(4))
+    def test_full_mle(self, draw):
+        f, fp, g = grid_draws()[draw]
+        samples = [f, fp, *(f + e * fp for e in self.GRID)]
+        assert full_mle(np.stack(samples), g) == [full_mle(Y, g) for Y in samples]
+
+    @pytest.mark.parametrize("bad", [1e-200, 1e160], ids=["non-unique", "overflow"])
+    def test_a_failing_point_raises_the_scalar_error(self, bad):
+        f, fp = dependent_line_instance()
+        g = collider()
+        with pytest.raises(ValueError, match=re.escape(f"eps={bad!r}")) as scalar:
+            mle_at_epsilon(f, fp, g, bad)
+        for grid in ([bad, 0.5], [0.5, 0.1, bad], [0.5, bad, 0.1]):
+            with pytest.raises(ValueError) as stacked:
+                mle_at_epsilon(f, fp, g, grid)
+            assert str(stacked.value) == str(scalar.value)
+
+    def test_checks_come_before_fit_errors(self):
+        # 1e-200 fails in the fit, 1e160 in the check of the sum
+        f, fp = dependent_line_instance()
+        with pytest.raises(ValueError, match=re.escape("eps=1e+160 has a column")):
+            mle_at_epsilon(f, fp, collider(), [1e-200, 1e160])
 
 
 class TestLimitNumeric:
