@@ -51,7 +51,7 @@ import numpy as np
 
 from .graph import Dag
 from .linalg import (
-    _PENCIL_ERRORS, DEFAULT_TOL, _as_matrix, _check_squares, _kept, _negligible,
+    _PENCIL_ERRORS, DEFAULT_TOL, _as_matrix, _as_sample, _kept, _negligible,
     _verification_tol, pencil_expand,
 )
 from .mle import (
@@ -144,21 +144,26 @@ def mle_at_epsilon(f, fp, g: Dag, eps, tol: float = DEFAULT_TOL):
     Uniqueness (all kernel dimensions zero) is asserted; failure signals
     numerically inconsistent input.  An ``eps`` at which a squared column
     norm of ``f + eps f'`` leaves the float range is rejected by name.  The
-    first failing point raises: every ``eps`` is checked, then every sum,
-    then every estimate, each in grid order.
+    first failure raises, in this order and each in grid order: the shape
+    of ``eps``, each ``eps``, the pair, the one check of the stack of sums
+    in :func:`full_mle` (only when it fails are the sums checked one by one,
+    so that the error names the first bad ``eps``), then each estimate.
     """
     grid = list(eps) if np.ndim(eps) else [eps]
+    if np.ndim(eps) > 1 or not grid:
+        raise ValueError(f"eps must be a number or a non-empty 1-d sequence, got {eps!r}")
     for e in grid:
-        if not math.isfinite(e):
-            raise ValueError(f"eps must be finite, got {e!r}")
-        if e == 0:
-            raise ValueError("eps must be nonzero; the limit operations handle eps -> 0")
+        if not math.isfinite(e) or e == 0:
+            raise ValueError(f"eps must be finite and nonzero (limits take eps -> 0), got {e!r}")
     pert = _as_perturbation(f, fp, tol, g.m)
     with np.errstate(over="ignore"):
         S = np.stack([pert.scaled(e) for e in grid])
-    for e, M in zip(grid, S):
-        _check_squares(M, f"the stabilised sample f + eps f' at eps={e!r}")
-    estimates = full_mle(S, g, tol)
+    try:
+        estimates = full_mle(S, g, tol)
+    except ValueError:
+        for e, M in zip(grid, S):
+            _as_sample(M, f"the stabilised sample f + eps f' at eps={e!r}")
+        raise
     for e, est in zip(grid, estimates):
         bad = [i for i, ok in est.omega_exists.items() if not ok or est.lambda_kernel_dims[i]]
         if bad:

@@ -7,19 +7,21 @@ one pencil or the ``(K, n, p)`` stack of one parent-count group's pencils.
 Least-squares fits belong to :mod:`dagstab.mle`.
 
 All operations are pure functions on immutable values; inputs are never
-mutated.  Tolerances are relative, defaulting to ``DEFAULT_TOL``, and lie
-strictly between 0 and 1 (:func:`_check_tol`, run by both owners).  Each
-kind of decision has one owner: :func:`_kept` cuts singular values at
-``tol * sigma_max`` and :func:`_negligible` decides that a residual is zero,
-``residual <= tol * scale``.  No scale has an absolute floor, so scaling the
-sample and its perturbation by a common constant, or rotating both by an
-orthogonal matrix, changes no answer.  The scale of a vector from the sample
-is its own norm; of a vector built from the perturbation, its own norm plus
-the largest perturbation column norm (columns that vanish in exact
-arithmetic carry roundoff of that size) and, for a difference, the norm of
-the term subtracted, e.g. ``|t| + |T_E x_A| + |f'|`` for the span
-conditions' ``t = T_E x_E - T_E x_A``; of a product, the product of the
-norms of its factors, e.g. ``|P^T y| + |P^T P| |x|`` for ``P^T (y - P x)``.
+mutated.  Every sample, perturbation or stack of samples is checked by one
+function, :func:`_as_sample`.  Tolerances are relative, defaulting to
+``DEFAULT_TOL``, and lie strictly between 0 and 1 (:func:`_check_tol`, run
+by both owners).  Each kind of decision has one owner: :func:`_kept` cuts
+singular values at ``tol * sigma_max`` and :func:`_negligible` decides that
+a residual is zero, ``residual <= tol * scale``.  No scale has an absolute
+floor, so scaling the sample and its perturbation by a common constant, or
+rotating both by an orthogonal matrix, changes no answer.  The scale of a
+vector from the sample is its own norm; of a vector built from the
+perturbation, its own norm plus the largest perturbation column norm
+(columns that vanish in exact arithmetic carry roundoff of that size) and,
+for a difference, the norm of the term subtracted, e.g.
+``|t| + |T_E x_A| + |f'|`` for the span conditions' ``t = T_E x_E - T_E x_A``;
+of a product, the product of the norms of its factors, e.g.
+``|P^T y| + |P^T P| |x|`` for ``P^T (y - P x)``.
 """
 
 from __future__ import annotations
@@ -53,14 +55,20 @@ def _as_matrix(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
     return A
 
 
-def _check_squares(A: np.ndarray, name: str) -> None:
-    """Raise unless each nonzero column's squared norm is a finite normal float:
-    decisions read squared norms, which overflow or underflow near ``1e±154``."""
-    sq = np.einsum("nm,nm->m", A, A)
-    if not np.all(sq <= np.finfo(float).max) or np.any(A[:, sq < np.finfo(float).tiny]):
+def _as_sample(M, name: str = "sample", stack: bool = False) -> np.ndarray:
+    """The one sample check, of a sample, a perturbation or, with ``stack``,
+    an ``(S, n, m)`` stack: :func:`_as_matrix`, non-empty, and each nonzero
+    column's squared norm, which decisions read, a finite normal float."""
+    A = _as_matrix(M, name, stack)
+    if A.size == 0:
+        raise ValueError(f"{name} must be non-empty, got shape {A.shape}")
+    sq = np.einsum("...nm,...nm->...m", A, A)
+    tiny = (sq < np.finfo(float).tiny)[..., None, :]  # a nonzero entry there underflows
+    if not np.all(sq <= np.finfo(float).max) or np.any(A, where=tiny):
         raise ValueError(
             f"{name} has a column whose squared norm overflows or underflows; rescale it"
         )
+    return A
 
 
 def _unit_scaled(A: np.ndarray) -> tuple[np.ndarray, int]:

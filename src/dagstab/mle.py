@@ -25,7 +25,8 @@ once per group for all of them: ``limit_mle`` fits and checks ``f`` and
 Zero tests go through :func:`dagstab.linalg._negligible`: a variance exists
 when ``|y - proj y| > tol |y|``, and the normal equations hold when
 ``|P^T (y - P x)| <= tol (|P^T y| + |P^T P| |x|)``, so no answer depends on
-the scale of the sample.  The sample is validated once per public call.
+the scale of the sample.  The sample is validated once per public call, by
+:func:`dagstab.linalg._as_sample` (the one sample check) and a column count.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .graph import EXISTS_NON_UNIQUE, EXISTS_UNIQUE, NONEXISTENT, Dag
 from .linalg import (
-    DEFAULT_TOL, _as_matrix, _check_squares, _kept, _negligible, _unit_scaled, kernel_basis,
+    DEFAULT_TOL, _as_matrix, _as_sample, _kept, _negligible, _unit_scaled, kernel_basis,
 )
 
 # Geometric-invariant-theory aliases for the three classification outcomes.
@@ -48,19 +49,11 @@ GIT_LABELS = {
 }
 
 
-def _as_sample(Y, name: str = "sample") -> np.ndarray:
-    A = _as_matrix(Y, name)
-    if A.size == 0:
-        raise ValueError(f"{name} must be non-empty, got shape {A.shape}")
-    return A
-
-
-def _validated(Y, g: Dag, name: str = "sample") -> np.ndarray:
-    """The one check of a matrix with one column per vertex of ``g``."""
-    A = _as_sample(Y, name)
-    if A.shape[1] != g.m:
-        raise ValueError(f"{name} has {A.shape[1]} columns but the DAG has {g.m} vertices")
-    _check_squares(A, name)
+def _validated(Y, g: Dag, name: str = "sample", stack: bool = False) -> np.ndarray:
+    """:func:`dagstab.linalg._as_sample` and one column per vertex of ``g``."""
+    A = _as_sample(Y, name, stack)
+    if A.shape[-1] != g.m:
+        raise ValueError(f"{name} has {A.shape[-1]} columns but the DAG has {g.m} vertices")
     return A
 
 
@@ -248,12 +241,10 @@ def _estimate(fit: _Fit, g: Dag, n: int) -> MleEstimate:
 
 def full_mle(Y, g: Dag, tol: float = DEFAULT_TOL):
     """Combined edge-weight and variance estimates given ``Y``; given an
-    ``(S, n, m)`` stack, the list of its samples' estimates, from one fit."""
-    if np.ndim(Y) == 3:
-        A = np.stack([_validated(M, g) for M in Y])
-        return [_estimate(fit, g, A.shape[1]) for fit in _fit(A, g, tol)]
-    A = _validated(Y, g)
-    return _estimate(_fit(A, g, tol), g, A.shape[0])
+    ``(S, n, m)`` stack, the list of its samples' estimates, from one check and one fit."""
+    A = _validated(Y, g, stack=True)
+    fit = _fit(A, g, tol)
+    return _estimate(fit, g, len(A)) if A.ndim == 2 else [_estimate(x, g, A.shape[1]) for x in fit]
 
 
 def classify(Y, g: Dag, tol: float = DEFAULT_TOL) -> Classification:
@@ -399,7 +390,6 @@ def loglik(Sigma, Y, tol: float = DEFAULT_TOL) -> float:
     """
     S = _as_matrix(Sigma, "covariance")
     A = _as_sample(Y)
-    _check_squares(A, "sample")
     m = A.shape[1]
     if S.shape != (m, m):
         raise ValueError(f"covariance must be {m} x {m}, got {S.shape}")

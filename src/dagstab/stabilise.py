@@ -18,7 +18,8 @@ stage map's rank; only a degenerate map, whose kernel and image the next
 stage needs, runs a thin SVD with vectors, its kernel bit for bit the basis
 of :func:`dagstab.linalg.kernel_basis`, each cokernel from
 :func:`dagstab.linalg.orth_complement`.  Validation reads the final map's
-rank alone.
+rank alone.  Every sample and perturbation, a lift's base included, passes
+:func:`dagstab.linalg._as_sample`, the one sample check.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL, _as_matrix, _check_squares, _kept, _negligible, _unit_scaled, _verification_tol,
+    DEFAULT_TOL, _as_matrix, _as_sample, _kept, _negligible, _unit_scaled, _verification_tol,
     orth_complement, rank,
 )
 
@@ -94,15 +95,12 @@ def is_perturbation(f, fp, tol: float = DEFAULT_TOL) -> PerturbationCheck:
     vanish on the row space of ``f``.  Together with
     ``rank(fp) = m - rank(f)`` these are exactly the defining conditions,
     i.e. membership of ``fp`` in the parameter space of stabilisations.
-    Raises on a column whose squared norm overflows or underflows.
+    Raises on a sample or perturbation that fails the one sample check.
     """
-    F = _as_matrix(f, "sample")
-    P = _as_matrix(fp, "perturbation")
+    F, P = _as_sample(f), _as_sample(fp, "perturbation")
     _require_tall(F)
     if P.shape != F.shape:
         raise ValueError(f"shape mismatch: sample {F.shape}, perturbation {P.shape}")
-    _check_squares(F, "sample")
-    _check_squares(P, "perturbation")
 
     # each matrix scaled by a power of two (exact) keeps products finite; one singular-value
     # vector per matrix gives its spectral norm and its rank; products are reported unscaled
@@ -144,13 +142,12 @@ class Perturbation:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        F = np.array(self.base, dtype=float)
-        P = np.array(self.delta, dtype=float)
-        check = is_perturbation(F, P, self.tol)
+        check = is_perturbation(self.base, self.delta, self.tol)
         if not check:
             raise InvalidPerturbationError(
                 f"not a perturbation; failed conditions: {', '.join(check.failures)}"
             )
+        F, P = np.array(self.base, dtype=float), np.array(self.delta, dtype=float)
         F.setflags(write=False)
         P.setflags(write=False)
         object.__setattr__(self, "base", F)
@@ -171,7 +168,7 @@ def _as_perturbation(f, fp, tol: float, m: int | None = None) -> Perturbation:
     DAG) the pair must have ``m`` columns.
     """
     if isinstance(fp, Perturbation):
-        if f is not None and not np.array_equal(np.asarray(f, dtype=float), fp.base):
+        if f is not None and not np.array_equal(f, fp.base):
             raise ValueError("sample does not match the perturbation's base")
         pert = fp
     else:
@@ -252,7 +249,7 @@ def _lift_delta(lift: CollineationLift, tol: float) -> np.ndarray:
     """Run :func:`validate_lift`'s checks and return the sum of the stage
     maps as maps ``R^m -> R^n``, the products ``C M K^T`` the checks form,
     added to zeros in stage order."""
-    F = _as_matrix(lift.base, "sample")
+    F = _as_sample(lift.base)
     _require_tall(F)
     n, m = F.shape
     r, image, prev_norm, _ = _image(F, tol)
@@ -264,11 +261,9 @@ def _lift_delta(lift: CollineationLift, tol: float) -> np.ndarray:
     prev_map, prev_basis, images = F, None, [image]
     for idx, st in enumerate(lift.stages):
         stage = f"stage {idx + 2}"
-        K, C, M = (
-            _as_matrix(st.kernel_basis, "kernel basis"),
-            _as_matrix(st.cokernel_basis, "cokernel basis"),
-            _as_matrix(st.stage_map, "stage map"),
-        )
+        K = _as_matrix(st.kernel_basis, "kernel basis")
+        C = _as_matrix(st.cokernel_basis, "cokernel basis")
+        M = _as_matrix(st.stage_map, "stage map")
         if K.shape[0] != m or C.shape[0] != n:
             raise InvalidLiftError(f"{stage}: basis ambient dimensions wrong")
         _check_orthonormal(K, f"{stage} kernel basis", tol)
@@ -350,7 +345,7 @@ def random_lift(f, seed: int, tol: float = DEFAULT_TOL) -> CollineationLift:
     zero) is rejected and redrawn from the incremented seed.  Generically
     the lift has two terms.
     """
-    F = _as_matrix(f, "sample")
+    F = _as_sample(f)
     _require_tall(F)
     n, m = F.shape
     if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:

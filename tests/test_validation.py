@@ -140,6 +140,100 @@ class TestFiniteMatrix:
             call()
 
 
+def with_big_column(M) -> np.ndarray:
+    """``M`` with ``1e200`` in its first column, whose squared norm then
+    overflows."""
+    M = np.array(M, dtype=float)
+    M.flat[0] = 1e200
+    return M
+
+
+def sample_entry_points(bad) -> dict:
+    """Per public function that takes a sample or a perturbation, and per
+    such argument, a call with ``bad(M)`` in that argument ``M``; otherwise
+    as :func:`nan_entry_points`."""
+    f, fp, g = np.array(Y_ID + [[0.0, 0.0, 0.0]]), np.zeros((4, 3)), collider()
+    alpha = full_mle(f, g)
+    lift = random_lift(f, 1)
+    calls = {
+        "duplicate": lambda: duplicate(bad(f), 2),
+        "lambda_kernel_basis": lambda: dagstab.lambda_kernel_basis(bad(f), g, 3),
+        "is_lambda_mle": lambda: is_lambda_mle(bad(f), g, alpha.lam),
+        "is_mle": lambda: is_mle(bad(f), g, alpha),
+        "loglik": lambda: loglik(np.eye(3), bad(f)),
+        "random_lift": lambda: random_lift(bad(f), 1),
+        "validate_lift": lambda: dagstab.validate_lift(replace(lift, base=bad(f))),
+        "build_from_lift": lambda: dagstab.build_from_lift(replace(lift, base=bad(f))),
+        "check_alpha_fixed": lambda: check_alpha_fixed(bad(fp), alpha.lam, g),
+        "star_min_norm_mle": lambda: dagstab.star_min_norm_mle(bad(f), star(3)),
+        "mle_at_epsilon-f": lambda: mle_at_epsilon(bad(f), fp, g, 0.1),
+        "mle_at_epsilon-fp": lambda: mle_at_epsilon(f, bad(fp), g, 0.1),
+    }
+    for fn in (classify, full_mle, dagstab.lambda_mle, dagstab.omega_mle):
+        calls[fn.__name__] = lambda fn=fn: fn(bad(f), g)
+    for fn in (dagstab.is_perturbation, Perturbation, stabilize):
+        calls[f"{fn.__name__}-f"] = lambda fn=fn: fn(bad(f), fp)
+        calls[f"{fn.__name__}-fp"] = lambda fn=fn: fn(f, bad(fp))
+    for fn in (check_full_condition, check_lambda_condition, limit_mle, limit_mle_numeric):
+        calls[f"{fn.__name__}-f"] = lambda fn=fn: fn(bad(f), fp, g)
+        calls[f"{fn.__name__}-fp"] = lambda fn=fn: fn(f, bad(fp), g)
+    for fn in (dagstab.in_Xf, dagstab.in_Xf_alpha, in_Xf_alpha_lim):
+        calls[f"{fn.__name__}-f"] = lambda fn=fn: fn(VarietyQuery(bad(f), fp, g, alpha))
+        calls[f"{fn.__name__}-candidate"] = lambda fn=fn: fn(VarietyQuery(f, bad(fp), g, alpha))
+    return calls
+
+
+OUT_OF_RANGE_ENTRY_POINTS = sample_entry_points(with_big_column)
+EMPTY_ENTRY_POINTS = sample_entry_points(lambda M: np.zeros((3, 0)))
+
+
+class TestSampleCheck:
+    """Every entry that takes a sample or a perturbation rejects one that an
+    estimator rejects: the lift and ``duplicate`` accepted a column whose
+    squared norm overflows, and the perturbation predicate, the lift and
+    ``stabilize`` an empty sample."""
+
+    def test_every_sample_entry_point_has_a_call(self):
+        takes_a_sample = set()
+        for name in dagstab.__all__:
+            obj = getattr(dagstab, name)
+            if inspect.isfunction(obj) and inspect.signature(obj).parameters.keys() & {
+                "Y", "f", "fp", "lift", "q"
+            }:
+                takes_a_sample.add(name)
+        takes_a_sample.add("Perturbation")
+        for table in (OUT_OF_RANGE_ENTRY_POINTS, EMPTY_ENTRY_POINTS):
+            assert {name.split("-")[0] for name in table} == takes_a_sample
+
+    @pytest.mark.parametrize(
+        "call", OUT_OF_RANGE_ENTRY_POINTS.values(), ids=OUT_OF_RANGE_ENTRY_POINTS.keys()
+    )
+    def test_every_sample_entry_point_rejects_an_out_of_range_column(self, call):
+        with pytest.raises(ValueError, match="has a column whose squared norm overflows"):
+            call()
+
+    @pytest.mark.parametrize("call", EMPTY_ENTRY_POINTS.values(), ids=EMPTY_ENTRY_POINTS.keys())
+    def test_every_sample_entry_point_rejects_an_empty_sample(self, call):
+        with pytest.raises(ValueError, match=re.escape("must be non-empty, got shape (3, 0)")):
+            call()
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0)])
+    @pytest.mark.parametrize(
+        "fn", [dagstab.is_perturbation, Perturbation, stabilize],
+        ids=["is_perturbation", "Perturbation", "stabilize"],
+    )
+    def test_an_empty_pair_is_rejected(self, fn, shape):
+        # an empty sample with an empty perturbation passed the predicate
+        message = f"sample must be non-empty, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fn(np.zeros(shape), np.zeros(shape))
+
+    def test_perturbation_rejects_an_oversized_integer(self):
+        # the pair was copied to floats before the check, and raised OverflowError
+        with pytest.raises(ValueError, match="sample entries must be finite"):
+            Perturbation([[10**400, 0.0], [0.0, 0.0], [0.0, 0.0]], np.zeros((3, 2)))
+
+
 LIMITS_ENTRY_POINTS = [
     lambda f, p, g: limit_mle(f, p, g),
     lambda f, p, g: limit_mle_numeric(f, p, g),
@@ -171,6 +265,15 @@ class TestPerturbationPair:
             call(self.other, self.pert, collider())
         call(self.f, self.pert, collider())
         call(None, self.pert, collider())
+
+    @pytest.mark.parametrize(
+        "call", LIMITS_ENTRY_POINTS + [lambda f, p, g: stabilize(f, p)],
+        ids=LIMITS_IDS + ["stabilize"],
+    )
+    def test_an_oversized_integer_sample_does_not_match(self, call):
+        # the sample was converted to floats for the comparison: OverflowError
+        with pytest.raises(ValueError, match="does not match"):
+            call([[10**400, 1.0, 2.0], *LINE_SAMPLE[1:]], self.pert, collider())
 
     @pytest.mark.parametrize("call", LIMITS_ENTRY_POINTS, ids=LIMITS_IDS)
     @pytest.mark.parametrize(
@@ -222,6 +325,18 @@ class TestEpsilonGrid:
         # the sample is at scale 1; only f + eps f' leaves the float range
         with pytest.raises(ValueError, match=re.escape(f"f + eps f' at eps={eps!r} has a column")):
             mle_at_epsilon(np.array(LINE_SAMPLE), np.array(LINE_PERT), collider(), eps)
+
+    @pytest.mark.parametrize(
+        "eps", [[], (), np.array([]), [[0.1]], np.full((2, 1), 0.1)],
+        ids=["empty-list", "empty-tuple", "empty-array", "nested", "column"],
+    )
+    def test_mle_at_epsilon_rejects_an_empty_or_nested_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be a number or a non-empty 1-d sequence"):
+            mle_at_epsilon(np.array(LINE_SAMPLE), np.array(LINE_PERT), collider(), eps)
+
+    def test_full_mle_rejects_an_empty_stack(self):
+        with pytest.raises(ValueError, match=re.escape("must be non-empty, got shape (0, 4, 3)")):
+            full_mle(np.zeros((0, 4, 3)), collider())
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_cli_file_rejects_non_finite_grid(self, tmp_path, capsys, value):
