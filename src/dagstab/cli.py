@@ -168,11 +168,8 @@ def _vertex_map(d: dict) -> dict:
 
 
 def _vertex_vectors(result, g) -> dict:
-    out = {}
-    for i in g.child_vertices():
-        if all((i, j) in result.lam for j in g.parents(i)):
-            out[str(i)] = [float(x) for x in result.lambda_vector(g, i)]
-    return out
+    return {str(i): result.lambda_vector(g, i).tolist() for i in g.child_vertices()
+            if all((i, j) in result.lam for j in g.parents(i))}
 
 
 def _maybe_duplicate(problem: Problem) -> tuple[np.ndarray, dict | None]:

@@ -8,8 +8,9 @@ construction and safe to share across threads.
 A ``Dag`` builds once the layout that the per-vertex fits of :mod:`dagstab.mle`
 and :mod:`dagstab.limits` read, as read-only int arrays: ``_parent_groups`` (per
 parent count ``p``, ascending, the ``(k,)`` child and ``(k, p)`` parent indices,
-0-based), ``_edge_keys`` (the ``(E, 2)`` pairs ``(i, j)`` of the edges ``j -> i``,
-ascending: the order of every edge-weight vector) and ``_parent_counts``.
+0-based), ``_group_edges`` (per group, the ``(k, p)`` positions of its edges in
+the edge order), ``_edge_keys`` (the ``(E, 2)`` pairs ``(i, j)`` of the edges
+``j -> i``, ascending: the order of every edge-weight vector) and ``_parent_counts``.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ class Dag:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "edges", frozenset(normalised))
 
-        for name, value in zip(("_parent_groups", "_edge_keys", "_parent_counts"), self._layout()):
+        layout = "_parent_groups", "_group_edges", "_edge_keys", "_parent_counts"
+        for name, value in zip(layout, self._layout()):
             object.__setattr__(self, name, value)
         child_map = {i: [] for i in range(1, m + 1)}
         for i, j in zip(*self._edge_keys.T.tolist()):  # ascending in i: each list comes out sorted
@@ -113,11 +115,12 @@ class Dag:
         starts = np.cumsum(counts) - counts
         sizes = sorted(set(counts.tolist()) - {0})
         cols = [np.flatnonzero(counts == p).astype(np.int32) for p in sizes]
-        groups = tuple((c, j[starts[c, None] + np.arange(counts[c[0]])] - 1) for c in cols)
+        edges = tuple((starts[c, None] + np.arange(counts[c[0]])).astype(np.int32) for c in cols)
+        groups = tuple((c, j[e] - 1) for c, e in zip(cols, edges))
         keys = np.column_stack((i, j))
-        for a in (keys, counts, *itertools.chain.from_iterable(groups)):
+        for a in (keys, counts, *edges, *itertools.chain.from_iterable(groups)):
             a.setflags(write=False)
-        return groups, keys, counts
+        return groups, edges, keys, counts
 
     def parents(self, i: int) -> list[int]:
         """Sorted parents of vertex ``i``; empty for a source vertex."""

@@ -55,7 +55,7 @@ from .linalg import (
     _verification_tol, pencil_expand,
 )
 from .mle import (
-    MleEstimate, _blocks, _edge_pairs, _edges, _fit, _normal_equation_failures, _omega_part,
+    MleEstimate, _blocks, _edge_pairs, _fit, _normal_equation_failures, _omega_part,
     _validated, _weight_matrix, full_mle,
 )
 from .stabilise import Perturbation, _as_perturbation
@@ -80,7 +80,7 @@ def _conditions(pert: Perturbation, g: Dag, tol: float):
     v_norms = _norms(pert.delta.T)
     floor = v_norms.max(initial=0.0)
     ok = np.zeros(g.m, dtype=bool)
-    for (cols, idx), edges, (N, *_), (*_, R) in zip(g._parent_groups, _edges(g), fit.spans,
+    for (cols, idx), edges, (N, *_), (*_, R) in zip(g._parent_groups, g._group_edges, fit.spans,
                                                     vfit.spans):
         p = idx.shape[1]
         T = R[..., :p]
@@ -322,7 +322,7 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
     (fit, vfit), cond, _ = _conditions(pert, g, tol)
     weights = fit.coef.copy()
     diagnostics: dict[int, VertexDiagnostics] = {}
-    for (cols, idx), edges, (_, s, R_A), (*_, R_E) in zip(g._parent_groups, _edges(g),
+    for (cols, idx), edges, (_, s, R_A), (*_, R_E) in zip(g._parent_groups, g._group_edges,
                                                           fit.spans, vfit.spans):
         p = idx.shape[1]
         kernel = fit.rank[cols] < p

@@ -22,6 +22,7 @@ normal-equations check, stacked per group, serves ``is_lambda_mle``,
 check and ``full_mle`` also take an ``(S, n, m)`` stack of samples and run
 once per group for all of them: ``limit_mle`` fits and checks ``f`` and
 ``f'`` together, and ``limit_mle_numeric`` fits its whole grid at once.
+:func:`_estimate` is the only assembly of an :class:`MleEstimate` from a fit.
 Zero tests go through :func:`dagstab.linalg._negligible`: a variance exists
 when ``|y - proj y| > tol |y|``, and the normal equations hold when
 ``|P^T (y - P x)| <= tol (|P^T y| + |P^T P| |x|)``, so no answer depends on
@@ -32,7 +33,7 @@ the scale of the sample.  The sample is validated once per public call, by
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -139,13 +140,6 @@ def _groups(g: Dag, *mats: np.ndarray):
         yield cols, *((B[..., :-1], B[..., -1]) for B in (_blocks(M, cols, idx) for M in mats))
 
 
-def _edges(g: Dag) -> list[np.ndarray]:
-    """Per group of ``g``'s layout, the ``(k, p)`` positions of its children's
-    weights in the edge order."""
-    starts = np.cumsum(g._parent_counts) - g._parent_counts  # each vertex's first edge
-    return [starts[cols, None] + np.arange(idx.shape[1]) for cols, idx in g._parent_groups]
-
-
 def _fit(A: np.ndarray, g: Dag, tol: float):
     """Project every column of a validated sample, or of each sample of an
     ``(S, n, m)`` stack, onto its parent columns: per parent-count group, one
@@ -162,7 +156,7 @@ def _fit(A: np.ndarray, g: Dag, tol: float):
     sq = np.einsum("...nm,...nm->...m", A, A).T  # a source column is its own residual
     resid_sq = sq.copy()
     spans = []
-    for (cols, idx), edges in zip(g._parent_groups, _edges(g)):
+    for (cols, idx), edges in zip(g._parent_groups, g._group_edges):
         p = idx.shape[1]
         R = np.linalg.qr(_blocks(A, cols, idx), mode="r")
         T, C = R[..., :p], R[..., p].copy()  # C: y's coordinates on the left basis
@@ -198,11 +192,6 @@ def _edge_pairs(g: Dag) -> list[tuple[int, int]]:
     return list(zip(*g._edge_keys.T.tolist()))
 
 
-def _lambda_part(fit: _Fit, g: Dag) -> tuple[dict, dict]:
-    kdims = (g._parent_counts - fit.rank).tolist()
-    return dict(zip(_edge_pairs(g), fit.coef.tolist())), dict(enumerate(kdims, start=1))
-
-
 def _omega_part(fit: _Fit, n: int) -> tuple[dict, dict]:
     exists = dict(enumerate(fit.exists.tolist(), start=1))
     return {i: sq / n for i, sq in zip(exists, fit.resid_sq.tolist()) if exists[i]}, exists
@@ -215,8 +204,8 @@ def lambda_mle(Y, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:
     is returned, with the kernel dimension of the parent submatrix recording
     the size of the full solution set.
     """
-    lam, kdims = _lambda_part(_fit(_validated(Y, g), g, tol), g)
-    return MleEstimate(lam=lam, lambda_kernel_dims=kdims)
+    A = _validated(Y, g)
+    return replace(_estimate(_fit(A, g, tol), g, len(A)), omega={}, omega_exists={})
 
 
 def lambda_kernel_basis(Y, g: Dag, i: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -229,14 +218,13 @@ def omega_mle(Y, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:
     """Variance MLE given ``Y``; marked absent wherever the projection
     residual vanishes.  Unique whenever it exists."""
     A = _validated(Y, g)
-    omega, exists = _omega_part(_fit(A, g, tol), A.shape[0])
-    return MleEstimate(omega=omega, omega_exists=exists)
+    return replace(_estimate(_fit(A, g, tol), g, len(A)), lam={}, lambda_kernel_dims={})
 
 
 def _estimate(fit: _Fit, g: Dag, n: int) -> MleEstimate:
-    lam, kdims = _lambda_part(fit, g)
+    kdims = dict(enumerate((g._parent_counts - fit.rank).tolist(), start=1))
     omega, exists = _omega_part(fit, n)
-    return MleEstimate(lam=lam, lambda_kernel_dims=kdims, omega=omega, omega_exists=exists)
+    return MleEstimate(dict(zip(_edge_pairs(g), fit.coef.tolist())), kdims, omega, exists)
 
 
 def full_mle(Y, g: Dag, tol: float = DEFAULT_TOL):
@@ -356,17 +344,24 @@ def covariance(est: MleEstimate, g: Dag) -> np.ndarray:
 
     ``L`` carries the edge weights (row = child, column = parent) and ``W``
     is the diagonal of variances.  ``I - L`` is unipotent in a topological
-    order, hence always invertible.  An entry beyond the float range raises.
+    order, hence always invertible.  A non-finite edge weight, a variance
+    that is not positive and finite, and an entry beyond the float range raise.
     """
-    m = g.m
+    m, keys = g.m, _edge_pairs(g)
     if not est.all_omega_exist(g):
         missing = [i for i in range(1, m + 1) if not est.omega_exists.get(i, False)]
         raise ValueError(f"variance estimates missing at vertices {missing}")
-    missing = sorted({i for i, j in _edge_pairs(g) if (i, j) not in est.lam})
+    missing = sorted({i for i, j in keys if (i, j) not in est.lam})
     if missing:
         raise ValueError(f"edge weights missing at vertices {missing}")
     L = _weight_matrix(est.lam, g)
     W = np.diag([est.omega[i] for i in range(1, m + 1)])
+    for (i, j), x in zip(keys, L[tuple(g._edge_keys.T - 1)].tolist()):
+        if not np.isfinite(x):
+            raise ValueError(f"edge weight {j} -> {i} must be finite, got {x!r}")
+    for i, x in enumerate(np.diag(W).tolist(), start=1):
+        if not 0 < x < np.inf:
+            raise ValueError(f"variance at vertex {i} must be positive and finite, got {x!r}")
     overflow = ValueError("covariance overflows: an entry is beyond the float range")
     with np.errstate(over="ignore", invalid="ignore"):
         try:  # I - L is unipotent, so its LU fails only where an entry overflows

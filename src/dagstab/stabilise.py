@@ -76,14 +76,9 @@ class PerturbationCheck:
 
     @property
     def failures(self) -> tuple[str, ...]:
-        out = []
-        if not self.column_orthogonality:
-            out.append("column-orthogonality")
-        if not self.row_orthogonality:
-            out.append("row-orthogonality")
-        if not self.rank_ok:
-            out.append("rank")
-        return tuple(out)
+        names = "column-orthogonality", "row-orthogonality", "rank"
+        flags = self.column_orthogonality, self.row_orthogonality, self.rank_ok
+        return tuple(name for name, ok in zip(names, flags) if not ok)
 
 
 def is_perturbation(f, fp, tol: float = DEFAULT_TOL) -> PerturbationCheck:

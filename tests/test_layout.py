@@ -1,9 +1,9 @@
 """The parent-group layout that a ``Dag`` builds once at construction.
 
-The groups, edge keys and parent counts are checked against ``g.parents``,
-and ``full_mle``, ``classify`` and ``limit_mle``, which read them, against a
-per-vertex reference that reads only ``g.parents``: the loop over child
-vertices that the grouped fit replaced.  The reference slices each parent
+The groups, their edge positions, edge keys and parent counts are checked
+against ``g.parents``, and ``full_mle``, ``classify`` and ``limit_mle``, which
+read them, against a per-vertex reference that reads only ``g.parents``: the
+loop over child vertices that the grouped fit replaced.  The reference slices each parent
 block the way a group stacks it (a transposed copy), since the bits of a
 BLAS product depend on the memory layout of its operands; with that, every
 value must match bit for bit (compared as pickles).
@@ -132,6 +132,25 @@ class TestLayout:
         arrays = [twin._edge_keys, twin._parent_counts, *(a for grp in twin._parent_groups for a in grp)]
         assert not any(a.flags.writeable for a in arrays)
         assert twin._edge_keys.tolist() == g._edge_keys.tolist()
+
+    @pytest.mark.parametrize(
+        "clone", [lambda g: g, lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+        ids=["built", "pickle", "deepcopy"],
+    )
+    def test_group_edges_are_read_only_int32(self, g, clone):
+        twin = clone(g)
+        assert isinstance(twin._group_edges, tuple)
+        assert len(twin._group_edges) == len(twin._parent_groups)
+        for edges in twin._group_edges:
+            assert edges.dtype == np.int32 and not edges.flags.writeable
+        assert [e.tolist() for e in twin._group_edges] == [e.tolist() for e in g._group_edges]
+
+    def test_group_edges_give_each_child_its_parent_edges_in_order(self, g):
+        for (cols, idx), edges in zip(g._parent_groups, g._group_edges):
+            assert edges.shape == idx.shape
+            for c, row in zip(cols.tolist(), edges.tolist()):
+                pairs = [tuple(pair) for pair in g._edge_keys[row].tolist()]
+                assert pairs == [(c + 1, j) for j in g.parents(c + 1)]
 
     def test_equality_hash_and_repr_see_only_m_and_edges(self, g):
         twin = Dag(g.m, sorted(g.edges, reverse=True))

@@ -18,6 +18,7 @@ from dagstab import (
     is_mle,
     limit_mle,
     limit_mle_numeric,
+    limits,
     mle_at_epsilon,
     star,
 )
@@ -125,6 +126,21 @@ class TestMleAtEpsilon:
         f, _ = dependent_line_instance()
         with pytest.raises(InvalidPerturbationError):
             mle_at_epsilon(f, np.zeros_like(f), collider(), 0.5)
+
+    def test_a_fit_error_on_valid_sums_is_raised_unchanged(self, monkeypatch):
+        # LinAlgError is a ValueError: the sums pass their one-by-one check,
+        # and the fit's own error comes out as it is
+        error = np.linalg.LinAlgError("the fit failed")
+
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(limits, "full_mle", failing)
+        f, fp = dependent_line_instance()
+        for eps in (0.5, [0.5, 0.1]):
+            with pytest.raises(np.linalg.LinAlgError) as info:
+                mle_at_epsilon(f, fp, collider(), eps)
+            assert info.value is error
 
 
 def grid_draws():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -177,6 +178,29 @@ class TestCovariance:
         assert is_mle(f, g, replace(est, lam=lam))
         with pytest.raises(ValueError, match="overflows"):
             covariance(replace(est, lam=lam), g)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, np.float64(np.nan)],
+                             ids=["nan", "inf", "-inf", "np-nan"])
+    def test_a_non_finite_weight_is_named(self, x):
+        est = full_mle(Y_ID, collider())
+        lam = {**est.lam, (3, 2): x}
+        message = f"edge weight 2 -> 3 must be finite, got {float(x)!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            covariance(replace(est, lam=lam), collider())
+
+    @pytest.mark.parametrize("x", [-1.0, 0.0, -0.0, np.nan, np.inf, -np.inf],
+                             ids=["negative", "zero", "minus-zero", "nan", "inf", "-inf"])
+    def test_a_variance_that_is_not_positive_and_finite_is_named(self, x):
+        est = full_mle(Y_ID, collider())
+        message = f"variance at vertex 2 must be positive and finite, got {float(x)!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            covariance(replace(est, omega={**est.omega, 2: x}), collider())
+
+    def test_weights_are_checked_before_variances_in_edge_order(self):
+        est = full_mle(Y_ID, collider())
+        bad = replace(est, lam={(3, 1): np.inf, (3, 2): np.nan}, omega={1: -1.0, 2: 1.0, 3: 1.0})
+        with pytest.raises(ValueError, match=r"^edge weight 1 -> 3 must be finite, got inf$"):
+            covariance(bad, collider())
 
 
 class TestLoglik:

@@ -228,6 +228,20 @@ class TestRandomLift:
     def test_lift_records_seed(self):
         assert random_lift(np.zeros((4, 2)), seed=7).seed == 7
 
+    def test_an_all_zero_draw_is_redrawn_from_the_next_seed(self, monkeypatch):
+        class Zeros:
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+        real = np.random.default_rng
+        f = random_rank_deficient(np.random.default_rng(8), 6, 4, 2)
+        monkeypatch.setattr(np.random, "default_rng", lambda s: Zeros() if s == 11 else real(s))
+        lift = random_lift(f, seed=11)
+        (stage,) = lift.stages
+        assert stage.stage_map.shape == (4, 2)
+        assert np.array_equal(stage.stage_map, real(12).standard_normal((4, 2)))
+        assert lift.seed == 11
+
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError, match="64-bit"):
             random_lift(np.zeros((4, 2)), seed=-1)
