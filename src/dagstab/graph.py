@@ -6,11 +6,11 @@ Vertices are labelled ``1..m``.  An edge ``(j, i)`` points from ``j`` to
 construction and safe to share across threads.
 
 A ``Dag`` builds once the layout that the per-vertex fits of :mod:`dagstab.mle`
-and :mod:`dagstab.limits` read, as read-only int arrays: ``_parent_groups`` (per
-parent count ``p``, ascending, the ``(k,)`` child and ``(k, p)`` parent indices,
-0-based), ``_group_edges`` (per group, the ``(k, p)`` positions of its edges in
-the edge order), ``_edge_keys`` (the ``(E, 2)`` pairs ``(i, j)`` of the edges
-``j -> i``, ascending: the order of every edge-weight vector) and ``_parent_counts``.
+and :mod:`dagstab.limits` read, read-only: ``_parent_groups`` (per parent count ``p``,
+ascending, the ``(k,)`` child and ``(k, p)`` parent indices, 0-based), ``_group_edges``
+(per group, the ``(k, p)`` positions of its edges in the edge order), ``_edge_keys`` and
+``_edge_pairs`` (the pairs ``(i, j)`` of the edges ``j -> i``, ascending, as an ``(E, 2)``
+int array and as int tuples: the order and the keys of every edge weight) and ``_parent_counts``.
 """
 
 from __future__ import annotations
@@ -77,11 +77,11 @@ class Dag:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "edges", frozenset(normalised))
 
-        layout = "_parent_groups", "_group_edges", "_edge_keys", "_parent_counts"
+        layout = "_parent_groups", "_group_edges", "_edge_keys", "_edge_pairs", "_parent_counts"
         for name, value in zip(layout, self._layout()):
             object.__setattr__(self, name, value)
         child_map = {i: [] for i in range(1, m + 1)}
-        for i, j in zip(*self._edge_keys.T.tolist()):  # ascending in i: each list comes out sorted
+        for i, j in self._edge_pairs:  # ascending in i: each list comes out sorted
             child_map[j].append(i)
         object.__setattr__(self, "_children", child_map)
         object.__setattr__(self, "_topo", self._toposort(m, self._parent_counts, child_map))
@@ -120,7 +120,7 @@ class Dag:
         keys = np.column_stack((i, j))
         for a in (keys, counts, *edges, *itertools.chain.from_iterable(groups)):
             a.setflags(write=False)
-        return groups, edges, keys, counts
+        return groups, edges, keys, tuple(zip(*keys.T.tolist())), counts
 
     def parents(self, i: int) -> list[int]:
         """Sorted parents of vertex ``i``; empty for a source vertex."""

@@ -5,9 +5,9 @@ is a stabilisation for every ``eps != 0``, so the MLE given it is unique.
 As ``eps`` tends to zero the estimate has a well-defined limit, computable
 two ways:
 
-* numerically, by evaluating the estimate on a decreasing grid of ``eps``
-  values and extrapolating in ``eps^2`` (the per-vertex coefficient vectors
-  are rational functions of ``eps^2``);
+* numerically, by evaluating the estimate on a decreasing grid of ``eps`` values
+  and extrapolating in ``eps^2`` (the per-vertex coefficient vectors are rational
+  functions of ``eps^2``) through one Neville table, its best entries picked in one pass;
 * analytically, from the polynomial expansion of the per-vertex pencil
   ``C(eps) = A^T A + eps E^T E``: with Taylor coefficients ``c_k`` of
   ``det C`` and ``G_k`` of ``adj C``, the limit coefficient vector at a
@@ -55,8 +55,8 @@ from .linalg import (
     _verification_tol, pencil_expand,
 )
 from .mle import (
-    MleEstimate, _blocks, _edge_pairs, _fit, _normal_equation_failures, _omega_part,
-    _validated, _weight_matrix, full_mle,
+    MleEstimate, _blocks, _fit, _normal_equation_failures, _omega_part, _validated,
+    _weight_matrix, full_mle,
 )
 from .stabilise import Perturbation, _as_perturbation
 
@@ -145,13 +145,13 @@ def mle_at_epsilon(f, fp, g: Dag, eps, tol: float = DEFAULT_TOL):
     numerically inconsistent input.  An ``eps`` at which a squared column
     norm of ``f + eps f'`` leaves the float range is rejected by name.  The
     first failure raises, in this order and each in grid order: the shape
-    of ``eps``, each ``eps``, the pair, the one check of the stack of sums
+    of ``eps`` and real entries, each ``eps``, the pair, the one check of the stack of sums
     in :func:`full_mle` (only when it fails are the sums checked one by one,
     so that the error names the first bad ``eps``), then each estimate.
     """
     grid = list(eps) if np.ndim(eps) else [eps]
-    if np.ndim(eps) > 1 or not grid:
-        raise ValueError(f"eps must be a number or a non-empty 1-d sequence, got {eps!r}")
+    if np.ndim(eps) > 1 or not grid or np.asarray(grid).dtype.kind not in "biuf":
+        raise ValueError(f"eps must be a number or a non-empty 1-d sequence, all real, got {eps!r}")
     for e in grid:
         if not math.isfinite(e) or e == 0:
             raise ValueError(f"eps must be finite and nonzero (limits take eps -> 0), got {e!r}")
@@ -191,9 +191,9 @@ def _neville_zero(eps_grid, values, starts):
     for all columns.  Per segment, the entry with the smallest estimated
     error (the largest distance to its two parent entries over the
     segment) is returned, first in table order on ties, together with
-    that estimate.  One-point input returns the point itself with estimate
-    0.0.  Returns the ``(K,)`` extrapolated values and the per-segment
-    estimates.
+    that estimate, in one pass; a NaN estimate is never picked, and a segment
+    with none finite returns ``vals[0]`` with ``inf``.  One-point input returns
+    the point with estimate 0.0.  Returns the ``(K,)`` values and the estimates.
     """
     vals = np.asarray(values, dtype=float)
     starts = np.asarray(starts, dtype=np.intp)
@@ -201,19 +201,18 @@ def _neville_zero(eps_grid, values, starts):
     if len(vals) == 1:
         return vals[0], np.zeros(starts.size)
     hs = np.array([e * e for e in eps_grid])
-    best, best_est = vals[0], np.full(starts.size, np.inf)
-    prev = vals
+    rows, dists, prev = [], [], vals
     for j in range(1, len(vals)):
         row = (hs[:-j, None] * prev[1:] - hs[j:, None] * prev[:-1]) / (hs[:-j] - hs[j:])[:, None]
-        est = _segment_max(
-            np.maximum(np.abs(row - prev[:-1]), np.abs(row - prev[1:])), starts, widths
-        )
-        for val, e in zip(row, est):
-            better = e < best_est
-            best_est = np.where(better, e, best_est)
-            best = np.where(np.repeat(better, widths), val, best)
+        rows.append(row)
+        dists.append(np.maximum(np.abs(row - prev[:-1]), np.abs(row - prev[1:])))
         prev = row
-    return best, best_est
+    est = _segment_max(np.concatenate(dists), starts, widths)
+    pick = np.where(np.isnan(est), np.inf, est).argmin(axis=0)
+    best_est = est[pick, np.arange(starts.size)]
+    found = best_est < np.inf
+    picked = np.concatenate(rows)[np.repeat(pick, widths), np.arange(vals.shape[1])]
+    return np.where(np.repeat(found, widths), picked, vals[0]), np.where(found, best_est, np.inf)
 
 
 def _diverging(norms, tol: float) -> bool:
@@ -236,9 +235,9 @@ def _diverging(norms, tol: float) -> bool:
 
 
 def _check_grid(eps_grid) -> tuple[float, ...]:
-    grid = tuple(_as_matrix([list(eps_grid)], "epsilon grid")[0].tolist())
-    if not grid:
-        raise ValueError("epsilon grid must be non-empty")
+    if np.ndim(eps_grid) != 1 or not len(eps_grid):
+        raise ValueError(f"epsilon grid must be a non-empty 1-d sequence, got {eps_grid!r}")
+    grid = tuple(_as_matrix([eps_grid], "epsilon grid")[0].tolist())
     if any(e <= 0 for e in grid) or any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValueError("epsilon grid must be strictly decreasing and positive")
     return grid
@@ -270,25 +269,21 @@ def limit_mle_numeric(
         s = 2.0 ** math.floor(math.log2(nf / nd))
     estimates = mle_at_epsilon(None, pert, g, [s * eps for eps in grid], tol)
 
-    # per grid point: every child's coefficient vector, in the edge order, then every variance
-    children = g.child_vertices()
-    keys = _edge_pairs(g)
+    # per grid point, in bulk: the weights in the edge order, then the m variances (all exist)
+    children, keys = g.child_vertices(), g._edge_pairs
     widths = g._parent_counts[g._parent_counts > 0]
     starts = np.cumsum(widths) - widths
-    lam_grid = np.array([[est.lam[k] for k in keys] for est in estimates])
-    omega_grid = np.array([[est.omega[i] for i in range(1, g.m + 1)] for est in estimates])
-    norms = _segment_max(np.abs(lam_grid), starts, widths).T.tolist()
+    table = np.array([[*est.lam.values(), *est.omega.values()] for est in estimates])
+    norms = _segment_max(np.abs(table[:, :len(keys)]), starts, widths).T.tolist()
     diverged = [i for i, nv in zip(children, norms) if _diverging(nv, tol)]
-    values, errors = _neville_zero(
-        grid, np.hstack([lam_grid, omega_grid]), np.append(starts, len(keys) + np.arange(g.m))
-    )
+    values, errors = _neville_zero(grid, table, np.append(starts, len(keys) + np.arange(g.m)))
     # diverged vectors went through the table too; their entries are dropped
     lam = {k: val for k, val in zip(keys, values.tolist()) if k[0] not in diverged}
     err = {i: e for i, e in zip(children, errors.tolist()) if i not in diverged}
 
     # the variances are the last m segments; each is judged on its largest grid value
     w = values[-g.m:]
-    exists = (w > 10.0 * errors[-g.m:]) & ~_negligible(w, np.max(omega_grid, axis=0), tol)
+    exists = (w > 10.0 * errors[-g.m:]) & ~_negligible(w, np.max(table[:, -g.m:], axis=0), tol)
     omega_exists = dict(enumerate(exists.tolist(), start=1))
     omega = {i: x for i, x, ok in zip(omega_exists, w.tolist(), exists.tolist()) if ok}
 
@@ -351,7 +346,7 @@ def limit_mle(f, fp, g: Dag, tol: float = DEFAULT_TOL) -> LimitResult:
             records = map(VertexDiagnostics, l.tolist(), c_l.tolist(), D_l)
             diagnostics.update(zip((cols + 1).tolist(), records))
     diagnostics = {i: diagnostics[i] for i in g.child_vertices()}
-    lam = dict(zip(_edge_pairs(g), weights.tolist()))
+    lam = dict(zip(g._edge_pairs, weights.tolist()))
     bad = _limit_equation_failures(pert, g, lam, tol, fit)
     if bad:
         raise ValueError(

@@ -43,10 +43,13 @@ FIRST_NONZERO_TOL = 1e-9
 def _as_matrix(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """The one check of a finite 2-d array, or with ``stack`` also of a 3-d
     stack of them; ``name`` labels the errors."""
-    try:
-        A = np.asarray(M, dtype=float)
+    A = np.asarray(M)
+    try:  # a same-kind cast refuses a complex dtype, whose imaginary parts a cast would drop
+        A = A.astype(float, casting="unsafe" if A.dtype == object else "same_kind", copy=False)
     except OverflowError:  # a Python integer beyond the float range
         raise ValueError(f"{name} entries must be finite") from None
+    except TypeError:  # a complex or text dtype, or a Python complex among other objects
+        raise ValueError(f"{name} entries must be real numbers") from None
     if A.ndim != 2 and not (stack and A.ndim == 3):
         kind = "a 2-d array or a 3-d stack" if stack else "a 2-d array"
         raise ValueError(f"{name} must be {kind}, got shape {A.shape}")

@@ -187,11 +187,6 @@ def _fit(A: np.ndarray, g: Dag, tol: float):
             for i in range(lead[0])]
 
 
-def _edge_pairs(g: Dag) -> list[tuple[int, int]]:
-    """The keys ``(i, j)`` of the edges ``j -> i``, in ``g``'s edge order."""
-    return list(zip(*g._edge_keys.T.tolist()))
-
-
 def _omega_part(fit: _Fit, n: int) -> tuple[dict, dict]:
     exists = dict(enumerate(fit.exists.tolist(), start=1))
     return {i: sq / n for i, sq in zip(exists, fit.resid_sq.tolist()) if exists[i]}, exists
@@ -224,7 +219,7 @@ def omega_mle(Y, g: Dag, tol: float = DEFAULT_TOL) -> MleEstimate:
 def _estimate(fit: _Fit, g: Dag, n: int) -> MleEstimate:
     kdims = dict(enumerate((g._parent_counts - fit.rank).tolist(), start=1))
     omega, exists = _omega_part(fit, n)
-    return MleEstimate(dict(zip(_edge_pairs(g), fit.coef.tolist())), kdims, omega, exists)
+    return MleEstimate(dict(zip(g._edge_pairs, fit.coef.tolist())), kdims, omega, exists)
 
 
 def full_mle(Y, g: Dag, tol: float = DEFAULT_TOL):
@@ -268,13 +263,12 @@ def _weight_matrix(lam, g: Dag, missing: float = 0.0) -> np.ndarray:
     """The ``m x m`` matrix ``L`` with ``L[i-1, j-1]`` the weight of edge
     ``j -> i`` (row = child), ``missing`` at edges ``lam`` leaves out and 0
     elsewhere.  The one check that ``lam`` names edges of ``g`` only."""
-    keys = _edge_pairs(g)
-    stray = lam.keys() - keys
+    stray = lam.keys() - g._edge_pairs
     if stray:
         i, j = next(k for k in lam if k in stray)
         raise ValueError(f"edge weight given for non-edge {j} -> {i}")
     L = np.zeros((g.m, g.m))
-    L[tuple(g._edge_keys.T - 1)] = [lam.get(k, missing) for k in keys]
+    L[tuple(g._edge_keys.T - 1)] = [lam.get(k, missing) for k in g._edge_pairs]
     return L
 
 
@@ -347,7 +341,7 @@ def covariance(est: MleEstimate, g: Dag) -> np.ndarray:
     order, hence always invertible.  A non-finite edge weight, a variance
     that is not positive and finite, and an entry beyond the float range raise.
     """
-    m, keys = g.m, _edge_pairs(g)
+    m, keys = g.m, g._edge_pairs
     if not est.all_omega_exist(g):
         missing = [i for i in range(1, m + 1) if not est.omega_exists.get(i, False)]
         raise ValueError(f"variance estimates missing at vertices {missing}")

@@ -18,14 +18,16 @@ stage map's rank; only a degenerate map, whose kernel and image the next
 stage needs, runs a thin SVD with vectors, its kernel bit for bit the basis
 of :func:`dagstab.linalg.kernel_basis`, each cokernel from
 :func:`dagstab.linalg.orth_complement`.  Validation reads the final map's
-rank alone.  Every sample and perturbation, a lift's base included, passes
-:func:`dagstab.linalg._as_sample`, the one sample check.
+rank alone, and the sample's rank, image and singular values from one thin SVD,
+whose values a built lift hands to the perturbation predicate: one SVD of the
+sample per built lift.  Every sample and perturbation, a lift's base included,
+passes :func:`dagstab.linalg._as_sample`, the one sample check.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -81,7 +83,7 @@ class PerturbationCheck:
         return tuple(name for name, ok in zip(names, flags) if not ok)
 
 
-def is_perturbation(f, fp, tol: float = DEFAULT_TOL) -> PerturbationCheck:
+def is_perturbation(f, fp, tol: float = DEFAULT_TOL, *, _sv=None) -> PerturbationCheck:
     """Test whether ``fp`` is a perturbation of the sample ``f``.
 
     Requires ``n >= m`` (raises otherwise).  Both orthogonality conditions
@@ -91,6 +93,7 @@ def is_perturbation(f, fp, tol: float = DEFAULT_TOL) -> PerturbationCheck:
     ``rank(fp) = m - rank(f)`` these are exactly the defining conditions,
     i.e. membership of ``fp`` in the parameter space of stabilisations.
     Raises on a sample or perturbation that fails the one sample check.
+    A caller that has factored ``f`` passes its singular values as ``_sv``.
     """
     F, P = _as_sample(f), _as_sample(fp, "perturbation")
     _require_tall(F)
@@ -100,7 +103,8 @@ def is_perturbation(f, fp, tol: float = DEFAULT_TOL) -> PerturbationCheck:
     # each matrix scaled by a power of two (exact) keeps products finite; one singular-value
     # vector per matrix gives its spectral norm and its rank; products are reported unscaled
     (F, eF), (P, eP) = _unit_scaled(F), _unit_scaled(P)
-    sF, sP = (np.linalg.svd(M, compute_uv=False) for M in (F, P))
+    sF = np.linalg.svd(F, compute_uv=False) if _sv is None else np.ldexp(_sv, -eF)
+    sP = np.linalg.svd(P, compute_uv=False)
     scale = sF[0] * sP[0] if F.size else 0.0
     max_col = float(np.max(np.abs(F.T @ P), initial=0.0))
     max_row = float(np.max(np.abs(P @ F.T), initial=0.0))
@@ -135,18 +139,18 @@ class Perturbation:
     base: np.ndarray
     delta: np.ndarray
     tol: float = DEFAULT_TOL
+    _sv: InitVar[np.ndarray | None] = field(default=None, kw_only=True)  # for the predicate
 
-    def __post_init__(self):
-        check = is_perturbation(self.base, self.delta, self.tol)
+    def __post_init__(self, _sv):
+        check = is_perturbation(self.base, self.delta, self.tol, _sv=_sv)
         if not check:
             raise InvalidPerturbationError(
                 f"not a perturbation; failed conditions: {', '.join(check.failures)}"
             )
-        F, P = np.array(self.base, dtype=float), np.array(self.delta, dtype=float)
-        F.setflags(write=False)
-        P.setflags(write=False)
-        object.__setattr__(self, "base", F)
-        object.__setattr__(self, "delta", P)
+        for name in ("base", "delta"):  # read-only float copies
+            A = np.array(getattr(self, name), dtype=float)
+            A.setflags(write=False)
+            object.__setattr__(self, name, A)
 
     def scaled(self, eps: float) -> np.ndarray:
         """The perturbed sample ``base + eps * delta``."""
@@ -218,14 +222,15 @@ def _check_orthonormal(B: np.ndarray, what: str, tol: float) -> None:
 
 
 def _image(M: np.ndarray, tol: float, r: int | None = None) -> tuple:
-    """Rank (or the ``r`` already decided), orthonormal image basis, spectral
-    norm and trailing right singular vectors of ``M``, from one thin SVD.  For
-    ``M`` with at least as many rows as columns the last are an orthonormal
-    kernel basis, bit for bit :func:`dagstab.linalg.kernel_basis`; otherwise
-    they miss the part of the kernel that the thin SVD does not compute."""
+    """Rank (or the ``r`` already decided), orthonormal image basis, singular
+    values (descending: the first is the spectral norm) and trailing right
+    singular vectors of ``M``, from one thin SVD.  For ``M`` with at least as
+    many rows as columns the last are an orthonormal kernel basis, bit for bit
+    :func:`dagstab.linalg.kernel_basis`; otherwise they miss the part of the
+    kernel that the thin SVD does not compute."""
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     r = int(_kept(s, tol).sum()) if r is None else r
-    return r, U[:, :r], s.max(initial=0.0), Vt[r:].T
+    return r, U[:, :r], s, Vt[r:].T
 
 
 def validate_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> None:
@@ -240,20 +245,20 @@ def validate_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> None:
     _lift_delta(lift, tol)
 
 
-def _lift_delta(lift: CollineationLift, tol: float) -> np.ndarray:
+def _lift_delta(lift: CollineationLift, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Run :func:`validate_lift`'s checks and return the sum of the stage
     maps as maps ``R^m -> R^n``, the products ``C M K^T`` the checks form,
-    added to zeros in stage order."""
+    added to zeros in stage order, and the singular values of the sample."""
     F = _as_sample(lift.base)
     _require_tall(F)
     n, m = F.shape
-    r, image, prev_norm, _ = _image(F, tol)
+    r, image, sF, _ = _image(F, tol)
     if not lift.stages and r < m:
         raise InvalidLiftError("rank-deficient sample needs at least one stage beyond the base")
     ortho_tol = _verification_tol(tol)
     kernel_dim, cokernel_dim = m - r, n - r
     delta = np.zeros((n, m))
-    prev_map, prev_basis, images = F, None, [image]
+    prev_map, prev_s, prev_basis, images = F, sF, None, [image]
     for idx, st in enumerate(lift.stages):
         stage = f"stage {idx + 2}"
         K = _as_matrix(st.kernel_basis, "kernel basis")
@@ -275,7 +280,7 @@ def _lift_delta(lift: CollineationLift, tol: float) -> np.ndarray:
             raise InvalidLiftError(f"{stage}: stage map shape {M.shape} does not match bases")
         # K must lie in the previous kernel: annihilated by the previous map
         # and nested in the previous basis (the first stage nests in all of R^m)
-        if not _negligible(np.max(np.abs(prev_map @ K), initial=0.0), prev_norm, ortho_tol):
+        if not _negligible(np.max(np.abs(prev_map @ K), initial=0.0), prev_s[0], ortho_tol):
             raise InvalidLiftError(f"{stage}: kernel basis does not span the previous kernel")
         if prev_basis is not None and not _negligible(
             np.max(np.abs(K - prev_basis @ (prev_basis.T @ K))), 1.0, ortho_tol
@@ -288,7 +293,7 @@ def _lift_delta(lift: CollineationLift, tol: float) -> np.ndarray:
         if last:  # nothing reads the final map's image or norm: its rank alone
             rk = rank(M, tol)
         else:  # C and K have orthonormal columns, so C M K^T has the norm of M
-            rk, image, prev_norm, _ = _image(M, tol)
+            rk, image, prev_s, _ = _image(M, tol)
             images.append(C @ image)
         if rk == 0:
             raise InvalidLiftError(f"{stage}: stage map is zero")
@@ -299,7 +304,7 @@ def _lift_delta(lift: CollineationLift, tol: float) -> np.ndarray:
         kernel_dim, cokernel_dim = K.shape[1] - rk, C.shape[1] - rk
         prev_map, prev_basis = C @ M @ K.T, K
         delta += prev_map
-    return delta
+    return delta, sF
 
 
 def build_from_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> Perturbation:
@@ -307,9 +312,11 @@ def build_from_lift(lift: CollineationLift, tol: float = DEFAULT_TOL) -> Perturb
 
     The perturbation is the sum of the stage maps viewed as maps
     ``R^m -> R^n``; successive kernel projections collapse to a single
-    orthogonal projection because the kernels are nested.
+    orthogonal projection because the kernels are nested.  The predicate reads
+    the sample's singular values from the lift's check: one SVD of the sample.
     """
-    return Perturbation(lift.base, _lift_delta(lift, tol), tol)
+    delta, s = _lift_delta(lift, tol)
+    return Perturbation(lift.base, delta, tol, _sv=s)
 
 
 def stabilize(f, fp, tol: float = DEFAULT_TOL) -> np.ndarray:

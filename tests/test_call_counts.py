@@ -402,21 +402,25 @@ class TestSvdsPerCommand:
     run 3 QRs and 3 SVDs on its full-rank sample, and 3 QRs and 5 SVDs on a
     rank-1 sample, where the groups p = 2 and 3 have a kernel.
     ``random_lift`` reads each map's rank, image and kernel from one thin SVD.
-    ``stabilize`` runs 9 SVDs and no QR: ``random_lift`` 4 (the sample, the
+    ``stabilize`` runs 8 SVDs and no QR: ``random_lift`` 4 (the sample, the
     two of ``orth_complement`` and the one stage map), ``validate_lift`` 2,
-    ``is_perturbation`` 2 and the rank of ``f + f'``; the report's stage ranks
-    are the ones ``validate_lift`` checked.  ``random_lift`` decides a stage
+    ``is_perturbation`` 1 (of ``f'``: ``build_from_lift`` hands it the
+    singular values of ``f`` that ``validate_lift``'s checks computed) and the
+    rank of ``f + f'``; the report's stage ranks are the ones ``validate_lift``
+    checked.  ``random_lift`` decides a stage
     map's rank from a values-only SVD and ``validate_lift`` the final map's,
     so the counts did not change when they stopped forming its vectors.
-    ``limit`` runs 14 SVDs and 6 QRs: ``random_lift`` 4, ``validate_lift``
-    2, ``is_perturbation`` 2 and 6 in 2 fits (one stacked fit of ``f`` and
+    ``limit`` runs 13 SVDs and 6 QRs: ``random_lift`` 4, ``validate_lift``
+    2, ``is_perturbation`` 1 and 6 in 2 fits (one stacked fit of ``f`` and
     ``f'`` in ``limit_mle`` and one of the numeric route's whole grid); every
     parent block has full rank, so no fit runs an SVD with vectors, the span
     conditions run no SVD of ``T_E N`` (``N = 0``) and ``pencil_expand`` runs
-    none.  ``check`` runs the same 8 outside the fits and the one stacked
-    fit: 11 SVDs and 3 QRs.  No QR forms ``Q``.
+    none.  ``check`` runs the same 7 outside the fits and the one stacked
+    fit: 10 SVDs and 3 QRs.  No QR forms ``Q``.
     ``membership`` runs 4 SVDs and 1 QR: ``is_perturbation`` 2 and the fit of
-    the star sample, whose one group has a kernel.  Before the numeric route
+    the star sample, whose one group has a kernel.  Before the built lift's
+    predicate read the sample's singular values from its check, ``stabilize``,
+    ``limit`` and ``check`` ran 9, 14 and 11 SVDs.  Before the numeric route
     stacked its grid, ``limit`` ran 29 SVDs and 21 QRs, one fit per grid
     point.  Before ``limit_mle`` stacked its three fits, ``limit`` ran 35
     SVDs and 27 QRs and ``check`` 17 and 9.  Before the fit factored
@@ -431,9 +435,9 @@ class TestSvdsPerCommand:
     @pytest.mark.parametrize("label,svd,qr", [
         ("classify-m20", 3, 3),
         ("estimate-m20", 3, 3),
-        ("stabilize-m20", 9, 0),
-        ("limit-m20", 14, 6),
-        ("check-m20", 11, 3),
+        ("stabilize-m20", 8, 0),
+        ("limit-m20", 13, 6),
+        ("check-m20", 10, 3),
         ("membership-star6-inside", 4, 1),
         ("membership-star6-moved-alpha", 4, 1),
     ])

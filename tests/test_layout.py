@@ -1,6 +1,7 @@
 """The parent-group layout that a ``Dag`` builds once at construction.
 
-The groups, their edge positions, edge keys and parent counts are checked
+The groups, their edge positions, edge keys (as an array and as the tuple
+of pairs that keys every edge-weight dict) and parent counts are checked
 against ``g.parents``, and ``full_mle``, ``classify`` and ``limit_mle``, which
 read them, against a per-vertex reference that reads only ``g.parents``: the
 loop over child vertices that the grouped fit replaced.  The reference slices each parent
@@ -144,6 +145,16 @@ class TestLayout:
         for edges in twin._group_edges:
             assert edges.dtype == np.int32 and not edges.flags.writeable
         assert [e.tolist() for e in twin._group_edges] == [e.tolist() for e in g._group_edges]
+
+    @pytest.mark.parametrize(
+        "clone", [lambda g: g, lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+        ids=["built", "pickle", "deepcopy"],
+    )
+    def test_edge_pairs_are_the_edge_keys_as_int_tuples(self, g, clone):
+        twin = clone(g)
+        assert isinstance(twin._edge_pairs, tuple)
+        assert twin._edge_pairs == tuple(map(tuple, g._edge_keys.tolist()))
+        assert all(type(i) is int and type(j) is int for i, j in twin._edge_pairs)
 
     def test_group_edges_give_each_child_its_parent_edges_in_order(self, g):
         for (cols, idx), edges in zip(g._parent_groups, g._group_edges):

@@ -305,6 +305,19 @@ class TestGroupedMatchesPerVertexLoops:
         assert res.epsilon_independent == {}
         assert res.diverged == bool(diverged)
 
+    def test_numeric_route_on_a_relabelled_dag(self):
+        # children numbered below their parents, and the edges passed unsorted:
+        # the bulk read of the grid's estimates must follow the edge order
+        g = Dag(7, [(7, 1), (5, 1), (6, 1), (6, 2), (4, 2), (7, 3), (3, 2), (5, 4), (7, 4)])
+        for rank in (7, 4, 2):
+            f = random_rank_deficient(np.random.default_rng(rank), 9, 7, rank)
+            fp = random_perturbation(f, seed=rank)
+            lam, err, diverged, omega, omega_exists = _reference_numeric(f, fp, g)
+            res = limit_mle_numeric(f, fp, g)
+            assert list(res.lam) == [k for k in g._edge_pairs if k[0] not in diverged]
+            assert (res.lam, res.extrapolation_error, res.diverged_vertices) == (lam, err, diverged)
+            assert (res.omega, res.omega_exists) == (omega, omega_exists)
+
     def test_nearly_dependent_case_diverges(self):
         assert limit_mle_numeric(*_nearly_dependent_case()).diverged_vertices == (3,)
 
@@ -409,6 +422,68 @@ class TestStackedNeville:
             ref_value, ref_err = _reference_neville(grid, list(col))
             assert values[starts[k]:starts[k] + w].tolist() == ref_value.tolist()
             assert errors[k] == ref_err
+
+
+    @staticmethod
+    def _assert_matches_the_reference(grid, columns):
+        """The stacked pick against one reference table per segment, bit for
+        bit (NaN included); overflow in huge columns is expected."""
+        widths = [col.shape[1] for col in columns]
+        starts = np.cumsum(widths) - widths
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, errors = _neville_zero(grid, np.hstack(columns), starts)
+            refs = [_reference_neville(grid, list(col)) for col in columns]
+        for k, (w, (ref_value, ref_err)) in enumerate(zip(widths, refs)):
+            assert values[starts[k]:starts[k] + w].tobytes() == ref_value.tobytes()
+            assert np.float64(errors[k]).tobytes() == np.float64(ref_err).tobytes()
+        return refs
+
+    def test_tied_estimates_pick_the_first_entry_in_table_order(self):
+        # eps = 2^-k makes every table entry exact in small integers, so
+        # estimates tie often, between entries of different values
+        grid = (0.5, 0.25, 0.125, 0.0625)
+        rng = np.random.default_rng(3)
+        columns = [rng.integers(-2, 3, (len(grid), w)).astype(float) for w in [1, 2, 1, 3] * 10]
+        self._assert_matches_the_reference(grid, columns)
+        hs = [e * e for e in grid]
+        ties = 0
+        for col in columns:  # entries whose estimate ties the best one with another value
+            prev, entries = list(col), []
+            for j in range(1, len(grid)):
+                row = [(hs[i] * prev[i + 1] - hs[i + j] * prev[i]) / (hs[i] - hs[i + j])
+                       for i in range(len(prev) - 1)]
+                entries += [(v, np.abs(np.stack([v - prev[i], v - prev[i + 1]])).max())
+                            for i, v in enumerate(row)]
+                prev = row
+            best = min(e for _, e in entries)
+            ties += len({v.tobytes() for v, e in entries if e == best}) > 1
+        assert ties > 0
+
+    def test_a_segment_with_no_finite_estimate_returns_the_first_point(self):
+        # near the float limit every entry overflows: infinite or NaN estimates
+        huge = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.7e308], [1.7e308, 1.7e308]])
+        grid = DEFAULT_EPS_GRID[:3]
+        rng = np.random.default_rng(5)
+        columns = [huge, rng.standard_normal((3, 2)), huge[:, :1], rng.standard_normal((3, 1))]
+        refs = self._assert_matches_the_reference(grid, columns)
+        assert [ref_err for _, ref_err in refs][::2] == [np.inf, np.inf]
+        assert np.array_equal(refs[0][0], huge[0])
+
+    def test_nan_estimates_are_never_picked(self):
+        # two infinite values give NaN (inf - inf) as the first entry and its
+        # estimate; finite estimates come later in the table
+        grid = DEFAULT_EPS_GRID[:4]
+        columns = [np.array([[np.inf], [np.inf], [1.0], [2.0]]),
+                   np.array([[np.inf, 1.0], [np.inf, 2.0], [1.0, 3.0], [2.0, 5.0]])]
+        refs = self._assert_matches_the_reference(grid, columns)
+        assert all(np.isfinite(ref_err) and np.isfinite(ref[0]).all() for ref, ref_err in refs)
+
+    @pytest.mark.parametrize("length", [1, 3], ids=["one-point", "three-points"])
+    @pytest.mark.parametrize("widths", [[0, 0], [2, 0, 0], [0, 3, 0, 1]], ids=str)
+    def test_empty_segments(self, length, widths):
+        rng = np.random.default_rng(len(widths))
+        columns = [rng.standard_normal((length, w)) for w in widths]
+        self._assert_matches_the_reference(DEFAULT_EPS_GRID[:length], columns)
 
 
 class TestEdgeCases:

@@ -18,7 +18,7 @@ from dagstab import (
     validate_lift,
 )
 from dagstab.linalg import DEFAULT_TOL
-from dagstab.stabilise import _image
+from dagstab.stabilise import _image, _lift_delta
 from _helpers import random_rank_deficient
 
 # Coordinate-projection sample: columns e1, e2, 0 in R^4, rank 2.
@@ -358,7 +358,8 @@ class TestLiftBits:
 
 class TestImage:
     """``random_lift`` reads rank, image and kernel of each stage map from the
-    one thin SVD of ``_image``; they must be the ones the public helpers give."""
+    one thin SVD of ``_image``, and ``build_from_lift`` the sample's singular
+    values; they must be the ones the public helpers give."""
 
     @pytest.mark.parametrize("shape", [(6, 6), (9, 6), (4, 7)], ids=["square", "tall", "wide"])
     def test_rank_and_image_match_the_helpers(self, shape):
@@ -366,10 +367,12 @@ class TestImage:
         n, p = shape
         for r in range(min(n, p) + 1):
             M = random_rank_deficient(rng, n, p, r)
-            rk, image, norm, _ = _image(M, DEFAULT_TOL)
+            rk, image, s, _ = _image(M, DEFAULT_TOL)
             assert rk == rank(M) == r
             assert np.array_equal(image, image_basis(M))
-            assert abs(norm - np.linalg.norm(M, 2)) <= 1e-12 * max(1.0, norm)
+            norm = np.linalg.norm(M, 2)
+            assert np.abs(s - np.linalg.svd(M, compute_uv=False)).max() <= 1e-12 * max(1.0, norm)
+            assert abs(s[0] - norm) <= 1e-12 * max(1.0, norm)
 
     @pytest.mark.parametrize("extra", [0, 3], ids=["square", "tall"])
     def test_kernel_matches_kernel_basis_bit_for_bit(self, extra):
@@ -378,6 +381,67 @@ class TestImage:
             for r in range(p + 1):
                 M = random_rank_deficient(rng, p + extra, p, r)
                 assert np.array_equal(_image(M, DEFAULT_TOL)[3], kernel_basis(M))
+
+
+def _near_cut_sample(seed: int, factor: float) -> np.ndarray:
+    """A 12 x 8 sample whose smallest nonzero singular value is ``factor``
+    times ``tol * sigma_max``: kept for a factor above 1, cut below."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((12, 8)))[0]
+    V = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+    s = np.array([3.0, 2.0, 1.5, 1.0, 0.5, 3.0 * DEFAULT_TOL * factor, 0.0, 0.0])
+    return (U * s) @ V.T
+
+
+def _outcome(build):
+    try:
+        return np.asarray(build().delta).tobytes()
+    except InvalidPerturbationError as exc:
+        return str(exc)
+
+
+class TestSharedSampleSvd:
+    """``build_from_lift`` hands the singular values of the sample, from the
+    thin SVD its lift check takes, to the perturbation predicate instead of
+    the predicate's own values-only SVD.  That changes no decision: a built
+    lift is accepted or rejected exactly where the raw pair is, with the same
+    ranks, on the benchmark's ``limit`` inputs and on samples whose smallest
+    singular value lies within a factor of 2 of the rank cut."""
+
+    @staticmethod
+    def _assert_same_decisions(f, seed):
+        lift = random_lift(f, seed)
+        delta, s = _lift_delta(lift, DEFAULT_TOL)
+        assert _outcome(lambda: build_from_lift(lift)) == _outcome(lambda: Perturbation(f, delta))
+        # field for field, expected_rank and actual_rank included
+        assert is_perturbation(f, delta, _sv=s) == is_perturbation(f, delta)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_limit_inputs(self, perfbench_inputs, seed):
+        for case in perfbench_inputs.limit_cases(seed):
+            self._assert_same_decisions(case.sample, case.lift_seed)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_pairs_near_the_orthogonality_cut(self, perfbench_inputs, factor):
+        # f' + t f with f^T (f' + t f) at `factor` times the cut tol |f| |f'|:
+        # the predicate's scale is read from the shared singular values
+        for case in perfbench_inputs.limit_cases(0)[:6]:
+            f = case.sample
+            lift = random_lift(f, case.lift_seed)
+            delta, s = _lift_delta(lift, DEFAULT_TOL)
+            unit = is_perturbation(f, delta + f).max_column_product
+            t = factor * DEFAULT_TOL * s[0] * np.linalg.norm(delta, 2) / unit
+            pair = f, delta + t * f
+            shared, raw = is_perturbation(*pair, _sv=s), is_perturbation(*pair)
+            assert shared == raw
+            assert raw.column_orthogonality == (factor < 1)
+
+    @pytest.mark.parametrize("factor", [0.55, 0.8, 1.25, 1.9])
+    def test_singular_value_near_the_cut(self, factor):
+        for seed in range(8):
+            f = _near_cut_sample(seed, factor)
+            assert rank(f) == (6 if factor > 1 else 5)
+            self._assert_same_decisions(f, seed)
 
 
 E1 = np.array([[1.0], [0.0], [0.0]])

@@ -76,52 +76,74 @@ def with_nan(M) -> np.ndarray:
     return M
 
 
-def nan_entry_points() -> dict:
+def matrix_entry_points(bad) -> dict:
     """Per public function that takes a matrix, and per matrix argument, a
-    call with a NaN in that argument.  The sample has full column rank, so
-    its perturbation is zero and the full MLE is an MLE."""
+    call with ``bad(M)`` (``M`` with a NaN, say) in that argument ``M``.  The
+    sample has full column rank, so its perturbation is zero and the full
+    MLE is an MLE."""
     f, fp, g = np.array(Y_ID + [[0.0, 0.0, 0.0]]), np.zeros((4, 3)), collider()
     alpha = full_mle(f, g)
     A, E = f[:, :2], fp[:, :2]
     lift = random_lift(f, 1)
     calls = {
-        "rank": lambda: dagstab.rank(with_nan(f)),
-        "image_basis": lambda: dagstab.image_basis(with_nan(f)),
-        "kernel_basis": lambda: dagstab.kernel_basis(with_nan(f)),
-        "orth_complement": lambda: dagstab.orth_complement(with_nan(f), 4),
-        "pencil_expand-A": lambda: dagstab.pencil_expand(with_nan(A), E),
-        "pencil_expand-E": lambda: dagstab.pencil_expand(A, with_nan(E)),
-        "duplicate": lambda: duplicate(with_nan(f), 2),
-        "lambda_kernel_basis": lambda: dagstab.lambda_kernel_basis(with_nan(f), g, 3),
-        "is_lambda_mle": lambda: is_lambda_mle(with_nan(f), g, alpha.lam),
-        "is_mle": lambda: is_mle(with_nan(f), g, alpha),
-        "loglik-Sigma": lambda: loglik(with_nan(np.eye(3)), f),
-        "loglik-Y": lambda: loglik(np.eye(3), with_nan(f)),
-        "random_lift": lambda: random_lift(with_nan(f), 1),
-        "validate_lift": lambda: dagstab.validate_lift(replace(lift, base=with_nan(f))),
-        "build_from_lift": lambda: dagstab.build_from_lift(replace(lift, base=with_nan(f))),
-        "check_alpha_fixed": lambda: check_alpha_fixed(with_nan(fp), alpha.lam, g),
-        "star_min_norm_mle": lambda: dagstab.star_min_norm_mle(with_nan(f), star(3)),
-        "mle_at_epsilon-f": lambda: mle_at_epsilon(with_nan(f), fp, g, 0.1),
-        "mle_at_epsilon-fp": lambda: mle_at_epsilon(f, with_nan(fp), g, 0.1),
+        "rank": lambda: dagstab.rank(bad(f)),
+        "image_basis": lambda: dagstab.image_basis(bad(f)),
+        "kernel_basis": lambda: dagstab.kernel_basis(bad(f)),
+        "orth_complement": lambda: dagstab.orth_complement(bad(f), 4),
+        "pencil_expand-A": lambda: dagstab.pencil_expand(bad(A), E),
+        "pencil_expand-E": lambda: dagstab.pencil_expand(A, bad(E)),
+        "duplicate": lambda: duplicate(bad(f), 2),
+        "lambda_kernel_basis": lambda: dagstab.lambda_kernel_basis(bad(f), g, 3),
+        "is_lambda_mle": lambda: is_lambda_mle(bad(f), g, alpha.lam),
+        "is_mle": lambda: is_mle(bad(f), g, alpha),
+        "loglik-Sigma": lambda: loglik(bad(np.eye(3)), f),
+        "loglik-Y": lambda: loglik(np.eye(3), bad(f)),
+        "random_lift": lambda: random_lift(bad(f), 1),
+        "validate_lift": lambda: dagstab.validate_lift(replace(lift, base=bad(f))),
+        "build_from_lift": lambda: dagstab.build_from_lift(replace(lift, base=bad(f))),
+        "check_alpha_fixed": lambda: check_alpha_fixed(bad(fp), alpha.lam, g),
+        "star_min_norm_mle": lambda: dagstab.star_min_norm_mle(bad(f), star(3)),
+        "mle_at_epsilon-f": lambda: mle_at_epsilon(bad(f), fp, g, 0.1),
+        "mle_at_epsilon-fp": lambda: mle_at_epsilon(f, bad(fp), g, 0.1),
     }
     for fn in (classify, full_mle, dagstab.lambda_mle, dagstab.omega_mle):
-        calls[fn.__name__] = lambda fn=fn: fn(with_nan(f), g)
+        calls[fn.__name__] = lambda fn=fn: fn(bad(f), g)
     for fn in (dagstab.is_perturbation, Perturbation, stabilize):
-        calls[f"{fn.__name__}-f"] = lambda fn=fn: fn(with_nan(f), fp)
-        calls[f"{fn.__name__}-fp"] = lambda fn=fn: fn(f, with_nan(fp))
+        calls[f"{fn.__name__}-f"] = lambda fn=fn: fn(bad(f), fp)
+        calls[f"{fn.__name__}-fp"] = lambda fn=fn: fn(f, bad(fp))
     for fn in (check_full_condition, check_lambda_condition, limit_mle, limit_mle_numeric):
-        calls[f"{fn.__name__}-f"] = lambda fn=fn: fn(with_nan(f), fp, g)
-        calls[f"{fn.__name__}-fp"] = lambda fn=fn: fn(f, with_nan(fp), g)
+        calls[f"{fn.__name__}-f"] = lambda fn=fn: fn(bad(f), fp, g)
+        calls[f"{fn.__name__}-fp"] = lambda fn=fn: fn(f, bad(fp), g)
     for fn in (dagstab.in_Xf, dagstab.in_Xf_alpha, in_Xf_alpha_lim):
-        calls[f"{fn.__name__}-f"] = lambda fn=fn: fn(VarietyQuery(with_nan(f), fp, g, alpha))
+        calls[f"{fn.__name__}-f"] = lambda fn=fn: fn(VarietyQuery(bad(f), fp, g, alpha))
         calls[f"{fn.__name__}-candidate"] = lambda fn=fn: fn(
-            VarietyQuery(f, with_nan(fp), g, alpha)
+            VarietyQuery(f, bad(fp), g, alpha)
         )
     return calls
 
 
-NAN_ENTRY_POINTS = nan_entry_points()
+def with_imaginary(M) -> np.ndarray:
+    """``M`` as a complex array with an imaginary part in its first entry."""
+    M = np.array(M, dtype=complex)
+    M.flat[0] += 1j
+    return M
+
+
+def with_python_complex(M) -> list:
+    """``M`` as nested lists whose first entry is a Python complex."""
+    rows = np.array(M, dtype=float).tolist()
+    rows[0][0] = complex(rows[0][0], 1.0)
+    return rows
+
+
+NAN_ENTRY_POINTS = matrix_entry_points(with_nan)
+# a complex array was cast to floats with a ComplexWarning, its imaginary parts dropped;
+# a list holding a Python complex raised a bare TypeError
+COMPLEX_ENTRY_POINTS = {
+    f"{name}-{kind}": call
+    for kind, bad in (("array", with_imaginary), ("list", with_python_complex))
+    for name, call in matrix_entry_points(bad).items()
+}
 
 
 class TestFiniteMatrix:
@@ -139,6 +161,27 @@ class TestFiniteMatrix:
         with pytest.raises(ValueError, match="entries must be finite"):
             call()
 
+    @pytest.mark.parametrize(
+        "call", COMPLEX_ENTRY_POINTS.values(), ids=COMPLEX_ENTRY_POINTS.keys()
+    )
+    def test_every_matrix_entry_point_rejects_complex_entries(self, call):
+        with pytest.raises(ValueError, match="entries must be real numbers"):
+            call()
+
+    def test_complex_entries_are_named_not_dropped(self):
+        # the rank-1 matrix [[1, i], [i, -1]] had rank 2 once its imaginary parts went
+        f = np.array(LINE_SAMPLE)
+        with pytest.raises(ValueError, match="^matrix entries must be real numbers$"):
+            dagstab.rank(np.array([[1, 1j], [1j, -1]]))
+        with pytest.raises(ValueError, match="^sample entries must be real numbers$"):
+            classify(f * 1j, collider())
+        with pytest.raises(ValueError, match="^sample entries must be real numbers$"):
+            full_mle(f + 5j, collider())
+        with pytest.raises(ValueError, match="^perturbation entries must be real numbers$"):
+            stabilise.is_perturbation(f, np.array(LINE_PERT) * (1 + 0j))
+        with pytest.raises(ValueError, match="^covariance entries must be real numbers$"):
+            loglik([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1j]], f)
+
 
 def with_big_column(M) -> np.ndarray:
     """``M`` with ``1e200`` in its first column, whose squared norm then
@@ -151,7 +194,7 @@ def with_big_column(M) -> np.ndarray:
 def sample_entry_points(bad) -> dict:
     """Per public function that takes a sample or a perturbation, and per
     such argument, a call with ``bad(M)`` in that argument ``M``; otherwise
-    as :func:`nan_entry_points`."""
+    as :func:`matrix_entry_points`."""
     f, fp, g = np.array(Y_ID + [[0.0, 0.0, 0.0]]), np.zeros((4, 3)), collider()
     alpha = full_mle(f, g)
     lift = random_lift(f, 1)
@@ -334,6 +377,32 @@ class TestEpsilonGrid:
         with pytest.raises(ValueError, match="eps must be a number or a non-empty 1-d sequence"):
             mle_at_epsilon(np.array(LINE_SAMPLE), np.array(LINE_PERT), collider(), eps)
 
+    @pytest.mark.parametrize(
+        "grid", [0.1, None, np.float64(0.1), [[0.1, 0.01]], np.full((2, 1), 0.1), []],
+        ids=["number", "none", "numpy-number", "nested", "column", "empty"],
+    )
+    def test_library_names_a_grid_that_is_not_a_1d_sequence(self, grid):
+        # a number or None raised TypeError: 'float' object is not iterable, and a
+        # nested grid "must be a 2-d array, got shape (1, 1, 2)"
+        message = f"epsilon grid must be a non-empty 1-d sequence, got {grid!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            limit_mle_numeric(np.array(LINE_SAMPLE), np.array(LINE_PERT), collider(), grid)
+
+    @pytest.mark.parametrize("grid", [(0.1, 0.01j), ["0.1", "0.01"]], ids=["complex", "text"])
+    def test_library_rejects_grid_entries_that_are_not_real(self, grid):
+        with pytest.raises(ValueError, match="epsilon grid entries must be real numbers"):
+            limit_mle_numeric(np.array(LINE_SAMPLE), np.array(LINE_PERT), collider(), grid)
+
+    @pytest.mark.parametrize(
+        "eps", ["a", None, 0.1j, [0.1, None], [0.1, "a"], 10**400],
+        ids=["text", "none", "complex", "none-in-grid", "text-in-grid", "huge-integer"],
+    )
+    def test_mle_at_epsilon_names_an_eps_that_is_not_real(self, eps):
+        # each raised TypeError: must be real number (or OverflowError)
+        message = f"eps must be a number or a non-empty 1-d sequence, all real, got {eps!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mle_at_epsilon(np.array(LINE_SAMPLE), np.array(LINE_PERT), collider(), eps)
+
     def test_full_mle_rejects_an_empty_stack(self):
         with pytest.raises(ValueError, match=re.escape("must be non-empty, got shape (0, 4, 3)")):
             full_mle(np.zeros((0, 4, 3)), collider())
@@ -348,7 +417,7 @@ class TestEpsilonGrid:
 def tol_entry_points() -> dict:
     """Per public function that takes ``tol``, a call with valid arguments at
     a given ``tol``; the three predicates take it through a ``VarietyQuery``.
-    As in :func:`nan_entry_points`, the full MLE is an MLE."""
+    As in :func:`matrix_entry_points`, the full MLE is an MLE."""
     f, fp, g = np.array(Y_ID + [[0.0, 0.0, 0.0]]), np.zeros((4, 3)), collider()
     alpha = full_mle(f, g)
     lam = alpha.lam
